@@ -7,7 +7,7 @@ to even levels, and the explicit modular-curve models at levels 4-8.
 """
 
 from .cyclotomic import CyclotomicNumber, cyc_embed_complex, cyc_inv, cyc_mul, zeta
-from .series import PuiseuxSeries, eta_series, ps_arith, ps_inv, ps_rescale
+from .series import PuiseuxSeries, eta_series
 from .theta import (
     Characteristic,
     ThetaContext,

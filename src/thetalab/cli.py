@@ -83,7 +83,9 @@ _QEXP_LEVEL = {"lambda": 4, "phi5": 5, "X6": 6, "Y6": 6, "mu6": 6, "b1": 8, "b4"
 def series_for_object(obj: str, cfg: RunConfig, k: int | None) -> PuiseuxSeries:
     order = cfg.order if cfg.order is not None else max(50, 8 * _QEXP_LEVEL.get(obj, 4))
     if obj == "eta":
-        return eta_series(max(order, 1))
+        if order < 1:
+            raise ConfigError("order must be >= 1 for object eta")
+        return eta_series(order)
     if obj == "theta-null":
         if k is None:
             raise ConfigError("theta-null needs --k")

@@ -8,6 +8,25 @@ claim more precision than their operands carry; identity checks against
 such series are therefore sound, not optimistic.
 
 Coefficients are `fractions.Fraction` or :class:`CyclotomicNumber`.
+
+Precision rules.  A product keeps exponents below
+``min(a.trunc + vb, b.trunc + va)``, where ``va`` and ``vb`` are the
+operands' valuations: each factor's truncation error enters shifted by
+the other factor's valuation.  An inverse of a series with valuation v
+is known modulo ``trunc - 2v``.
+
+Kernels.  When every coefficient of both factors is a Fraction, the
+product is computed by Kronecker substitution (Harvey 2009): both
+factors are compressed by the gcd of their exponent offsets from their
+valuations, cut to the slots the product keeps, scaled to integers by
+their common denominators, and packed into one Python int each with
+signed byte slots wide enough for the largest possible product
+coefficient.  One big-integer product (Karatsuba in CPython) then
+yields every coefficient; a per-slot bias makes each slot non-negative
+so that they unpack without borrows.  Products with cyclotomic
+coefficients use the schoolbook loop, which tests also use as the
+reference.  The inverse is a Newton iteration on top of the product
+(Brent & Kung 1978), so both coefficient kinds share it.
 """
 
 from __future__ import annotations
@@ -16,7 +35,7 @@ import cmath
 import json
 import math
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .cyclotomic import CyclotomicNumber
 
@@ -27,22 +46,6 @@ def _is_zero_coeff(c) -> bool:
     return c == 0
 
 
-def _coeff_add(a, b):
-    if isinstance(a, CyclotomicNumber) or isinstance(b, CyclotomicNumber):
-        if not isinstance(a, CyclotomicNumber):
-            a = CyclotomicNumber.from_rational(a)
-        return a + b
-    return a + b
-
-
-def _coeff_mul(a, b):
-    if isinstance(a, CyclotomicNumber) or isinstance(b, CyclotomicNumber):
-        if not isinstance(a, CyclotomicNumber):
-            a = CyclotomicNumber.from_rational(a)
-        return a * b
-    return a * b
-
-
 def _coeff_inv(a):
     if isinstance(a, CyclotomicNumber):
         return a.inverse()
@@ -50,12 +53,88 @@ def _coeff_inv(a):
 
 
 def _as_coeff(c):
+    if isinstance(c, Fraction):
+        return c
     if isinstance(c, CyclotomicNumber):
         # keep coefficients canonical: demote rational-valued elements
         return c.rational_value() if c.is_rational() else c
-    if isinstance(c, (int, Fraction)):
+    if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+
+
+def _all_fractions(terms: dict) -> bool:
+    return all(isinstance(c, Fraction) for c in terms.values())
+
+
+def _schoolbook_product(a: dict, b: dict, t: int) -> dict:
+    """Terms below t of the product of two term maps, pair by pair."""
+    terms: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            if k >= t:
+                continue
+            p = ca * cb
+            if k in terms:
+                s = terms[k] + p
+                if _is_zero_coeff(s):
+                    del terms[k]
+                else:
+                    terms[k] = s
+            else:
+                terms[k] = p
+    return terms
+
+
+def _int_slots(offsets: list, g: int) -> tuple[list, int]:
+    """Dense integer slots of (offset, Fraction) pairs on the stride g, and
+    the common denominator they were scaled by."""
+    den = lcm(*(c.denominator for _, c in offsets))
+    slots = [0] * (max(d for d, _ in offsets) // g + 1)
+    for d, c in offsets:
+        slots[d // g] = c.numerator * (den // c.denominator)
+    return slots, den
+
+
+def _pack(slots: list, width: int) -> int:
+    """sum_i slots[i] * 2^(8*width*i); each |slots[i]| < 2^(8*width)."""
+    zero = bytes(width)
+    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in slots)
+    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in slots)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _packed_product(a: dict, va: int, b: dict, vb: int, t: int) -> dict:
+    """Terms below t of the product of two nonempty Fraction term maps with
+    valuations va and vb, by Kronecker substitution."""
+    # only terms below these bounds meet a partner term below t
+    pa = [(k - va, c) for k, c in a.items() if k < t - vb]
+    pb = [(k - vb, c) for k, c in b.items() if k < t - va]
+    g = gcd(*(d for d, _ in pa), *(d for d, _ in pb))
+    if g == 0:  # two monomials
+        g, n = 1, 1
+    else:
+        n = -(-(t - va - vb) // g)  # product slots below t
+    sa, da = _int_slots(pa, g)
+    sb, db = _int_slots(pb, g)
+    # every product slot sums at most min(len) pairs; one more bit for the sign
+    bound = max(map(abs, sa)) * max(map(abs, sb)) * min(len(pa), len(pb))
+    width = (bound.bit_length() + 8) // 8
+    prod = _pack(sa, width) * _pack(sb, width)
+    # biased slots lie in [1, 2^(8*width) - 1], so the low n slots read off
+    # without borrows; slots from n up are cut by the mask
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    raw = ((prod + bias) & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
+    den = da * db
+    v = va + vb
+    terms = {}
+    for i in range(n):
+        c = int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
+        if c:
+            terms[v + i * g] = Fraction(c, den)
+    return terms
 
 
 class PuiseuxSeries:
@@ -162,7 +241,7 @@ class PuiseuxSeries:
             if k >= t:
                 continue
             if k in terms:
-                s = _coeff_add(terms[k], c)
+                s = terms[k] + c
                 if _is_zero_coeff(s):
                     del terms[k]
                 else:
@@ -186,30 +265,17 @@ class PuiseuxSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            return PuiseuxSeries(
-                self.ram, {k: _coeff_mul(c, other) for k, c in self.terms.items()}, self.trunc
-            )
+            return PuiseuxSeries(self.ram, {k: c * other for k, c in self.terms.items()}, self.trunc)
         a, b = self._common(self, other)
         # product precision: each factor's truncation error enters shifted
         # by the other factor's valuation
         va = min(a.terms) if a.terms else a.trunc
         vb = min(b.terms) if b.terms else b.trunc
         t = min(a.trunc + vb, b.trunc + va)
-        terms: dict = {}
-        for ka, ca in a.terms.items():
-            for kb, cb in b.terms.items():
-                k = ka + kb
-                if k >= t:
-                    continue
-                p = _coeff_mul(ca, cb)
-                if k in terms:
-                    s = _coeff_add(terms[k], p)
-                    if _is_zero_coeff(s):
-                        del terms[k]
-                    else:
-                        terms[k] = s
-                else:
-                    terms[k] = p
+        if a.terms and b.terms and _all_fractions(a.terms) and _all_fractions(b.terms):
+            terms = _packed_product(a.terms, va, b.terms, vb, t)
+        else:
+            terms = _schoolbook_product(a.terms, b.terms, t)
         return PuiseuxSeries(a.ram, terms, t)
 
     __rmul__ = __mul__
@@ -232,35 +298,28 @@ class PuiseuxSeries:
         The leading exponent negates; precision drops to trunc - 2v where
         v is the valuation (the error of 1/a is the error of a divided
         by the square of its leading part).
+
+        The unit part u = q^(-v) * self is known below n = trunc - v, and
+        so is its inverse h.  Newton iteration finds h from g = 1/u[0]:
+        if g = h + E with E below q^p, the step g <- g*(2 - u*g), computed
+        as g + g*(1 - u*g), gives h - u*E^2, which is right below q^(2p).
+        Each step therefore first sets g's working truncation to the new
+        precision min(2p, n) and cuts u to it; the product rule alone
+        would only ever certify g to its old precision.
         """
         if not self.terms:
             raise ZeroDivisionError("inverse of a series that is zero to truncation")
+        ram = self.ram
         v = min(self.terms)
-        c0 = self.terms[v]
-        inv0 = _coeff_inv(c0)
-        # unit part u: u[j] = coeff of q^((v+j)/ram), u[0] = c0
-        support = sorted(k - v for k in self.terms if k != v)
-        nsteps = self.trunc - v  # unit known mod q^(nsteps/ram)
-        out: dict = {0: inv0}
-        b: dict = {0: inv0}
-        for n in range(1, nsteps):
-            acc = None
-            for j in support:
-                if j > n:
-                    break
-                bn = b.get(n - j)
-                if bn is None:
-                    continue
-                term = _coeff_mul(self.terms[v + j], bn)
-                acc = term if acc is None else _coeff_add(acc, term)
-            if acc is None:
-                continue
-            val = _coeff_mul(-inv0, acc)
-            if not _is_zero_coeff(val):
-                b[n] = val
-                out[n] = val
-        new_trunc = self.trunc - 2 * v
-        return PuiseuxSeries(self.ram, {k - v: c for k, c in out.items()}, new_trunc)
+        n = self.trunc - v
+        unit = {k - v: c for k, c in self.terms.items()}
+        g = PuiseuxSeries(ram, {0: _coeff_inv(unit[0])}, 1)
+        p = 1
+        while p < n:
+            p = min(2 * p, n)
+            g = PuiseuxSeries(ram, g.terms, p)
+            g = g + g * (1 - PuiseuxSeries(ram, unit, p) * g)
+        return PuiseuxSeries(ram, {k - v: c for k, c in g.terms.items()}, self.trunc - 2 * v)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
@@ -374,24 +433,6 @@ class PuiseuxSeries:
         return PuiseuxSeries(obj["ram"], {int(k): dec(c) for k, c in obj["terms"]}, obj["trunc"])
 
 
-def ps_arith(a: PuiseuxSeries, b: PuiseuxSeries, op: str) -> PuiseuxSeries:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def ps_inv(a: PuiseuxSeries) -> PuiseuxSeries:
-    return a.inverse()
-
-
-def ps_rescale(a: PuiseuxSeries, num: int, den: int) -> PuiseuxSeries:
-    return a.rescale(num, den)
-
-
 def eta_series(order: int) -> PuiseuxSeries:
     """Dedekind eta: q^(1/24) * sum_n (-1)^n q^(n(3n-1)/2), mod q^order.
 
@@ -407,9 +448,8 @@ def eta_series(order: int) -> PuiseuxSeries:
     for n in range(-bound - 1, bound + 2):
         p = n * (3 * n - 1) // 2
         k = 1 + 24 * p
-        if 0 <= k < trunc or k < trunc:
-            if k < trunc:
-                terms[k] = Fraction(-1 if n % 2 else 1)
+        if k < trunc:
+            terms[k] = Fraction(-1 if n % 2 else 1)
     return PuiseuxSeries(24, terms, trunc)
 
 

@@ -43,6 +43,17 @@ def test_qexp_invalid_combination(capsys):
     assert code == 2
 
 
+def test_qexp_eta_rejects_order_below_one(capsys):
+    for order in ("0", "-5"):
+        code, out, err = run_cli(capsys, "qexp", "--object", "eta", "--order", order)
+        assert code == 2
+        assert out == ""
+        assert "order must be >= 1" in err
+    code, out, _ = run_cli(capsys, "qexp", "--object", "eta", "--order", "1")
+    assert code == 0
+    assert out.startswith("1*q^(1/24) + O(q^(1))")
+
+
 def test_invariants(capsys):
     code, out, _ = run_cli(capsys, "invariants", "--family", "gammaN2N", "--N", "4")
     assert code == 0

@@ -4,14 +4,7 @@ from random import Random
 import pytest
 
 from thetalab.cyclotomic import zeta
-from thetalab.series import (
-    PuiseuxSeries,
-    eta_product_oracle,
-    eta_series,
-    ps_arith,
-    ps_inv,
-    ps_rescale,
-)
+from thetalab.series import PuiseuxSeries, eta_product_oracle, eta_series
 
 
 def rand_series(rng, ram=1, trunc=30, cyclo=False):
@@ -28,10 +21,10 @@ def rand_series(rng, ram=1, trunc=30, cyclo=False):
 def test_basic_arithmetic():
     one_plus = PuiseuxSeries(1, {0: 1, 1: 1}, 10)
     one_minus = PuiseuxSeries(1, {0: 1, 1: -1}, 10)
-    prod = ps_arith(one_plus, one_minus, "mul")
+    prod = one_plus * one_minus
     assert prod.items() == [(Fraction(0), Fraction(1)), (Fraction(2), Fraction(-1))]
     x = rand_series(Random(1))
-    assert ps_arith(x, -x, "add").is_zero()
+    assert (x + -x).is_zero()
     a = PuiseuxSeries.monomial(Fraction(1), 1, 4, 10)
     b = PuiseuxSeries.monomial(Fraction(1), 1, 8, 10)
     c = a * b
@@ -61,7 +54,7 @@ def test_inverse_examples():
     half = PuiseuxSeries.monomial(Fraction(1), 1, 2, 10).inverse()
     assert half.items()[0][0] == Fraction(-1, 2)
     s = PuiseuxSeries(4, {1: 2}, 80) * PuiseuxSeries(1, {0: 1, 1: -2}, 20)
-    si = ps_inv(s)
+    si = s.inverse()
     assert (s * si - 1).is_zero()
     # (1/2) q^(-1/4) (1 + 2q + 4q^2 + ...)
     assert si.items()[0] == (Fraction(-1, 4), Fraction(1, 2))
@@ -100,9 +93,9 @@ def test_ring_axioms_randomized():
 
 def test_rescale():
     s = PuiseuxSeries(1, {1: 1, 3: 1}, 10)
-    r = ps_rescale(s, 2, 1)
+    r = s.rescale(2, 1)
     assert r.items() == [(Fraction(2), Fraction(1)), (Fraction(6), Fraction(1))]
-    r = ps_rescale(PuiseuxSeries(1, {1: 1}, 10), 1, 3)
+    r = PuiseuxSeries(1, {1: 1}, 10).rescale(1, 3)
     assert r.ram == 3 and r.items()[0][0] == Fraction(1, 3)
 
 
@@ -111,7 +104,7 @@ def test_rescale_roundtrip_exact():
     for _ in range(40):
         s = rand_series(rng, ram=rng.choice((1, 2, 3)))
         k = rng.randint(2, 5)
-        back = ps_rescale(ps_rescale(s, 1, k), k, 1)
+        back = s.rescale(1, k).rescale(k, 1)
         assert back.normalize().ram == s.normalize().ram
         assert back.normalize() == s.normalize()
 
@@ -133,6 +126,23 @@ def test_eta_series_against_product_oracle():
     # eta^24/q has constant term 1
     p24 = eta ** 24 * PuiseuxSeries(1, {-1: 1}, order + 1)
     assert p24.coefficient(0) == 1
+
+
+def test_eta_product_inverse_gives_partition_numbers():
+    order = 400
+    # p(n) by a coin-change count over parts 1, ..., order - 1
+    partitions = [1] + [0] * (order - 1)
+    for part in range(1, order):
+        for n in range(part, order):
+            partitions[n] += partitions[n - part]
+    oracle = eta_product_oracle(order)
+    inv = oracle.inverse()
+    assert inv.trunc == order
+    assert [inv.coefficient(n) for n in range(order)] == partitions
+    # the pentagonal-number expansion agrees with the product to the same depth
+    shifted = eta_series(order) * PuiseuxSeries(24, {-1: 1}, 24 * order + 1)
+    diff = shifted - oracle
+    assert diff.is_zero() and diff.known_order() > order - 1
 
 
 def test_cyclotomic_coefficients():
