@@ -186,8 +186,8 @@ def _suite_quadrics(cfg: RunConfig) -> list[IdentityRecord]:
 
 def _suite_rep(cfg: RunConfig) -> list[IdentityRecord]:
     N = cfg.N
-    if N % 2:
-        raise ConfigError("the projective representation suite needs even N")
+    if N < 2 or N % 2:
+        raise ConfigError("the projective representation suite needs even N >= 2")
     rep = verify_presentation(N)
     names = {"braid": "(A0 B0)^3 = A0^2", "order4": "A0^4 = I",
              "kernel_word": "kernel word = I",
@@ -310,8 +310,8 @@ def _suite_weierstrass(cfg: RunConfig) -> list[IdentityRecord]:
 
 def _suite_structures(cfg: RunConfig) -> list[IdentityRecord]:
     N = cfg.N
-    if N % 2:
-        raise ConfigError("refined structures need even N")
+    if N < 2 or N % 2:
+        raise ConfigError("refined structures need even N >= 2")
     res = enum_structures_above(N)
     out = [
         IdentityRecord(

@@ -1,8 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
 Elements are stored in the power basis 1, z, ..., z^(phi(m)-1) reduced
-modulo the m-th cyclotomic polynomial, so equality of elements is
-equality of coefficient vectors.  Coefficients are `fractions.Fraction`.
+modulo the m-th cyclotomic polynomial, as one integer vector over one
+common denominator: the element is sum(num[d] * z^d) / den with den > 0
+and gcd(den, *num) == 1 (zero is num = (0, ...), den = 1).  Equal
+elements of one order therefore have equal (num, den), and products and
+sums are integer vector operations.  `fractions.Fraction` appears only
+where a division really happens: the inverse, division, the rational
+value, the hash and the `coeffs` view.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 
 def _poly_trim(p: list) -> list:
@@ -70,54 +75,100 @@ def _as_fraction(x) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _power_table(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Reductions of z^d for d = 0..2*phi(m)-2 modulo Phi_m."""
+def _power_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Reductions of z^d for d = 0..m-1 modulo Phi_m.
+
+    Row d lists the nonzero (index, coefficient) pairs of z^d in the power
+    basis; the coefficients are integers because Phi_m is monic.  Since
+    z^m = 1, z^d reduces through row d % m for every d >= 0.
+    """
     phi = euler_phi(m)
     poly = cyclotomic_polynomial(m)
-    # z^phi = -(poly[0] + ... + poly[phi-1] z^(phi-1)); Phi_m is monic
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [Fraction(0)] * phi
-    cur[0] = Fraction(1)
-    for _ in range(2 * phi - 1):
-        rows.append(tuple(cur))
+    # z^phi = -(poly[0] + ... + poly[phi-1] z^(phi-1))
+    rows = []
+    cur = [1] + [0] * (phi - 1)
+    for _ in range(m):
+        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
         top = cur[phi - 1]
-        nxt = [Fraction(0)] + cur[: phi - 1]
+        cur = [0] + cur[: phi - 1]
         if top:
             for j in range(phi):
-                nxt[j] -= top * poly[j]
-        cur = nxt
+                cur[j] -= top * poly[j]
     return tuple(rows)
+
+
+def _reduce(m: int, vec: list) -> list:
+    """The power-basis vector of sum(vec[d] * z^d) modulo Phi_m."""
+    phi = euler_phi(m)
+    if len(vec) <= phi:
+        return vec + [0] * (phi - len(vec))
+    table = _power_table(m)
+    out = vec[:phi]
+    for d in range(phi, len(vec)):
+        c = vec[d]
+        if c:
+            for j, r in table[d % m]:
+                out[j] += c * r
+    return out
+
+
+def _mobius(n: int) -> int:
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+@lru_cache(maxsize=None)
+def _trace_weights(m: int) -> tuple[tuple[int, ...], int]:
+    """Integer weights w and scale s with Tr(z^d) / phi(m) = w[d] / s.
+
+    Tr(zeta_m^d) is the Ramanujan sum mu(n) * phi(m) / phi(n) with
+    n = m / gcd(d, m), so the normalised trace of z^d is mu(n) / phi(n).
+    """
+    ns = [m // gcd(d, m) for d in range(euler_phi(m))]
+    scale = lcm(*(euler_phi(n) for n in ns))
+    return tuple(_mobius(n) * (scale // euler_phi(n)) for n in ns), scale
+
+
+def _make(order: int, num, den: int) -> "CyclotomicNumber":
+    """The element num / den of Q(zeta_order); num is reduced, den > 0."""
+    x = object.__new__(CyclotomicNumber)
+    x._set(order, num, den)
+    return x
 
 
 class CyclotomicNumber:
     """An element of Q(zeta_m) in canonical reduced form."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs):
-        phi = euler_phi(order)
+        """The element sum(coeffs[d] * z^d) for int or Fraction coeffs of any length."""
         cs = [_as_fraction(c) for c in coeffs]
-        if len(cs) > 2 * phi - 1:
-            # arbitrary degree: exact polynomial remainder modulo Phi_m
-            _, rem = _poly_divmod(cs, list(cyclotomic_polynomial(order)))
-            cs = [_as_fraction(c) for c in rem] + [Fraction(0)] * (phi - len(rem))
-        elif len(cs) > phi:
-            # product-sized vectors: reduce through the cached power table
-            table = _power_table(order)
-            red = [Fraction(0)] * phi
-            for d, c in enumerate(cs):
-                if c == 0:
-                    continue
-                if d < phi:
-                    red[d] += c
-                else:
-                    for j, r in enumerate(table[d]):
-                        red[j] += c * r
-            cs = red
-        else:
-            cs = cs + [Fraction(0)] * (phi - len(cs))
+        den = lcm(*(c.denominator for c in cs))
+        self._set(order, _reduce(order, [c.numerator * (den // c.denominator) for c in cs]), den)
+
+    def _set(self, order: int, num, den: int) -> None:
+        """Store num / den in lowest terms; zero gets den = 1."""
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
         self.order = order
-        self.coeffs = tuple(cs)
+        self.num = tuple(num)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     # -- constructors -------------------------------------------------
 
@@ -127,15 +178,10 @@ class CyclotomicNumber:
 
     @staticmethod
     def zeta_power(m: int, k: int = 1) -> "CyclotomicNumber":
-        k %= m
-        phi = euler_phi(m)
-        if k < phi:
-            c = [Fraction(0)] * (k + 1)
-            c[k] = Fraction(1)
-            return CyclotomicNumber(m, c)
-        c = [Fraction(0)] * (k + 1)
-        c[k] = Fraction(1)
-        return CyclotomicNumber(m, c)
+        num = [0] * euler_phi(m)
+        for j, r in _power_table(m)[k % m]:
+            num[j] = r
+        return _make(m, num, 1)
 
     # -- order manipulation -------------------------------------------
 
@@ -146,10 +192,9 @@ class CyclotomicNumber:
         if m % self.order:
             raise ValueError(f"cannot embed order {self.order} into {m}")
         step = m // self.order
-        c = [Fraction(0)] * (step * (len(self.coeffs) - 1) + 1)
-        for d, x in enumerate(self.coeffs):
-            c[d * step] = x
-        return CyclotomicNumber(m, c)
+        vec = [0] * (step * (len(self.num) - 1) + 1)
+        vec[::step] = self.num
+        return _make(m, _reduce(m, vec), self.den)
 
     @staticmethod
     def _aligned(a: "CyclotomicNumber", b) -> tuple["CyclotomicNumber", "CyclotomicNumber"]:
@@ -159,19 +204,21 @@ class CyclotomicNumber:
             raise TypeError(f"cannot combine CyclotomicNumber with {type(b).__name__}")
         if a.order == b.order:
             return a, b
-        m = a.order * b.order // gcd(a.order, b.order)
+        m = lcm(a.order, b.order)
         return a.to_order(m), b.to_order(m)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
         a, b = self._aligned(self, other)
-        return CyclotomicNumber(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        g = gcd(a.den, b.den)
+        fa, fb = b.den // g, a.den // g
+        return _make(a.order, [x * fa + y * fb for x, y in zip(a.num, b.num)], a.den * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, [-x for x in self.coeffs])
+        return _make(self.order, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, CyclotomicNumber) else -_as_fraction(other))
@@ -182,17 +229,15 @@ class CyclotomicNumber:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = _as_fraction(other)
-            return CyclotomicNumber(self.order, [x * f for x in self.coeffs])
+            return _make(self.order, [x * f.numerator for x in self.num], self.den * f.denominator)
         a, b = self._aligned(self, other)
-        n = len(a.coeffs)
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
+        bterms = [(j, y) for j, y in enumerate(b.num) if y]
+        prod = [0] * (2 * len(a.num) - 1)
+        for i, x in enumerate(a.num):
+            if x:
+                for j, y in bterms:
                     prod[i + j] += x * y
-        return CyclotomicNumber(a.order, prod)
+        return _make(a.order, _reduce(a.order, prod), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -200,14 +245,13 @@ class CyclotomicNumber:
         """Exact inverse via the extended Euclidean algorithm in Q[x]."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        # invariants through the loop: s*a = r (mod Phi_m)
-        r0, r1 = phi_poly, _poly_trim([Fraction(c) for c in self.coeffs])
-        s0, s1 = [Fraction(0)], [Fraction(1)]
+        # (num / den)^(-1) = den * num^(-1); invariants: s*num = r (mod Phi_m)
+        r0, r1 = list(cyclotomic_polynomial(self.order)), _poly_trim(list(self.num))
+        s0, s1 = [0], [1]
         while len(r1) > 1:
             q, r = _poly_divmod(r0, r1)
             s = list(s0)
-            s += [Fraction(0)] * (len(q) + len(s1) - 1 - len(s))
+            s += [0] * (len(q) + len(s1) - 1 - len(s))
             for i, qc in enumerate(q):
                 if qc == 0:
                     continue
@@ -216,13 +260,12 @@ class CyclotomicNumber:
             r0, r1, s0, s1 = r1, _poly_trim(r), s1, _poly_trim(s)
         if not r1:
             raise ZeroDivisionError("element not invertible (zero divisor?)")
-        c = r1[0]
+        c = Fraction(r1[0]) / self.den
         return CyclotomicNumber(self.order, [x / c for x in s1])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            return CyclotomicNumber(self.order, [x / f for x in self.coeffs])
+            return self * (1 / _as_fraction(other))
         a, b = self._aligned(self, other)
         return a * b.inverse()
 
@@ -244,40 +287,47 @@ class CyclotomicNumber:
     # -- predicates and conversions -----------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational element")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            f = _as_fraction(other)
+            return self.is_rational() and self.num[0] * f.denominator == f.numerator * self.den
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._aligned(self, other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+        """Hash of the normalised trace Tr(x) / phi(m).
+
+        It does not depend on the order the element is written in, so
+        equal elements of different orders hash alike, and a rational
+        element hashes like the equal int or Fraction.
+        """
+        weights, scale = _trace_weights(self.order)
+        return hash(Fraction(sum(x * w for x, w in zip(self.num, weights)), self.den * scale))
 
     def complex_value(self) -> complex:
         """Numeric embedding sending zeta_m to exp(2*pi*i/m)."""
         z = cmath.exp(2j * cmath.pi / self.order)
+        den = self.den
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
+        for x in reversed(self.num):
+            acc = acc * z + complex(x / den)
         return acc
 
     def __repr__(self):
         if self.is_rational():
-            return f"Cyc({self.coeffs[0]})"
+            return f"Cyc({self.rational_value()})"
         terms = []
         for d, c in enumerate(self.coeffs):
             if c == 0:

@@ -27,7 +27,7 @@ def _is_exact(x) -> bool:
 def _xzero(x) -> bool:
     if isinstance(x, CyclotomicNumber):
         return x.is_zero()
-    return x == 0
+    return not x
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +283,13 @@ class SL2Word:
 
     def evaluate_proj(self, A0: ProjectiveMatrix, B0: ProjectiveMatrix) -> ProjectiveMatrix:
         acc = ProjectiveMatrix.identity(A0.n, A0.exact)
+        inverses = {}  # each generator is inverted at most once per word
         for sym, k in self.letters:
             g = A0 if sym == "A" else B0
+            if k < 0:
+                if sym not in inverses:
+                    inverses[sym] = g.inverse()
+                g, k = inverses[sym], -k
             acc = acc @ g.power(k)
         return acc
 
@@ -414,14 +419,19 @@ def conjugation_table_check(N: int) -> dict:
     A0, B0 = gens.A0, gens.B0
     MS, MT, MI = can.M_S, can.M_T, can.M_inv
     A0i, B0i = A0.inverse(), B0.inverse()
+    ident = ProjectiveMatrix.identity(N)
+    # B0^k for k = 1..2N, each from the one before it
+    power, lower_order = B0, False
+    for _ in range(1, 2 * N):
+        lower_order = lower_order or power.proj_eq(ident)
+        power = power @ B0
     return {
         "A0_S": (A0i @ MS @ A0).proj_eq(MT.inverse()),
         "A0_T": (A0i @ MT @ A0).proj_eq(MS),
         "A0_inv": (A0i @ MI @ A0).proj_eq(MI),
         "B0_T": (B0i @ MT @ B0).proj_eq(MT),
         "B0_S": (B0i @ MS @ B0).proj_eq(MS @ MT),
-        "B0_order_2N": B0.power(2 * N).proj_eq(ProjectiveMatrix.identity(N))
-        and not any(B0.power(k).proj_eq(ProjectiveMatrix.identity(N)) for k in range(1, 2 * N)),
+        "B0_order_2N": power.proj_eq(ident) and not lower_order,
     }
 
 
@@ -572,6 +582,7 @@ def rho_theta_candidates(N: int, kind: str) -> dict:
     can = build_canonical_matrices(N, zeta(2 * N) ** 2)
     gens = build_rep_generators(N)
     base = gens.A0 if kind == "A" else gens.B0
+    base_inv = base.inverse()
     h = N // 2
     msh = can.M_S.power(h)
     mth = can.M_T.power(h)
@@ -582,8 +593,7 @@ def rho_theta_candidates(N: int, kind: str) -> dict:
         ("*MT^h", mth),
         ("*MS^h*MT^h", msh @ mth),
     ):
-        for inv, tag in ((False, ""), (True, "^-1")):
-            m = base.inverse() if inv else base
+        for m, tag in ((base, ""), (base_inv, "^-1")):
             lbl = ("A0" if kind == "A" else "B0") + tag + name
             out[lbl] = m @ t
     return out

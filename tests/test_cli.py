@@ -85,6 +85,15 @@ def test_verify_rejects_bad_combinations(capsys):
     assert code == 2
 
 
+def test_verify_rejects_level_below_two(capsys):
+    for suite in ("rep", "structures"):
+        for n in ("0", "-2"):
+            code, out, err = run_cli(capsys, "verify", "--suite", suite, "--N", n)
+            assert code == 2
+            assert out == ""
+            assert "even N >= 2" in err
+
+
 def test_exit_code_mapping():
     ok = IdentityRecord(name="x", level=4, kind="count", status="pass")
     bad = IdentityRecord(name="y", level=4, kind="count", status="fail")
