@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from random import Random
+
+import numpy as np
 
 from .congruence import SubgroupSpec, group_tower_check, subgroup_invariants, enum_structures_above
 from .identities import (
@@ -43,11 +47,14 @@ from .projective import (
 )
 from .quadrics import NullData, gen_even_basis, gen_even_s_basis, gen_odd_basis, rank_check, verify_on_curve
 from .series import PuiseuxSeries, eta_series
-from .theta import ThetaContext, theta_N_eval, theta_null_series, transform_check
+from .theta import ThetaContext, sample_points, theta_N_eval, theta_null_series, transform_check
 
 
 class ConfigError(Exception):
     pass
+
+
+MIN_TOL = 1e-15  # numeric checks pass below 10 * tol; a smaller tol asks for less than rounding error
 
 
 @dataclass
@@ -69,8 +76,12 @@ class RunConfig:
         return ThetaContext(self.N, self.tau, min(self.tol, 1e-10))
 
     def validate(self, need_series: bool = False):
+        if not (math.isfinite(self.tau.real) and math.isfinite(self.tau.imag)):
+            raise ConfigError("--tau-re and --tau-im must be finite")
         if self.tau.imag < 0.4:
             raise ConfigError("Im tau must be >= 0.4 (raise tol and use the API directly)")
+        if not (math.isfinite(self.tol) and self.tol >= MIN_TOL):
+            raise ConfigError(f"--tol must be a finite number >= {MIN_TOL:g} (double precision)")
         if need_series and self.series_order() < 8 * self.N:
             raise ConfigError(f"order must be >= {8 * self.N} for N = {self.N}")
         if self.samples < 1:
@@ -212,6 +223,8 @@ def _suite_rep(cfg: RunConfig) -> list[IdentityRecord]:
 
 def _suite_translation(cfg: RunConfig) -> list[IdentityRecord]:
     N = cfg.N
+    if N < 2:
+        raise ConfigError("the translation suite needs N >= 2")
     ctx = cfg.context()
     tr = translation_check(ctx, cfg.samples, cfg.seed, cfg.tol * 10)
     out = [
@@ -225,18 +238,10 @@ def _suite_translation(cfg: RunConfig) -> list[IdentityRecord]:
             ),
         )
     ]
-    import numpy as np
-    from random import Random
-
-    can = build_canonical_matrices(N)
-    minv = can.M_inv.complex_array()
-    rng = Random(cfg.seed)
-    worst = 0.0
-    for _ in range(min(cfg.samples, 10)):
-        z = 0.05 + 0.9 * rng.random() + (0.05 + 0.9 * rng.random()) * cfg.tau
-        a = np.array([theta_N_eval(k, z, ctx) for k in range(N)])
-        b = np.array([theta_N_eval(k, -z, ctx) for k in range(N)])
-        worst = max(worst, proj_residual(minv @ a, b))
+    minv = build_canonical_matrices(N).M_inv.complex_array()
+    ks = np.arange(N)
+    zs = sample_points(Random(cfg.seed), cfg.tau, min(cfg.samples, 10))[:, None]
+    worst = proj_residual(theta_N_eval(ks, zs, ctx) @ minv.T, theta_N_eval(ks, -zs, ctx))
     out.append(
         IdentityRecord(
             name="translation.inversion", level=N, kind="numeric-vanishing",
@@ -245,7 +250,7 @@ def _suite_translation(cfg: RunConfig) -> list[IdentityRecord]:
             detail="theta at -z vs M_inv action",
         )
     )
-    origin = [theta_N_eval(k, 0.0, ctx) for k in range(N)]
+    origin = theta_N_eval(ks, 0.0, ctx).tolist()
     scale = max(abs(c) for c in origin)
     sign = 1 if N % 2 == 0 else -1  # null symmetry a_k = (-1)^N a_(N-k)
     dev = max(abs(origin[k] - sign * origin[(N - k) % N]) for k in range(N)) / scale
@@ -262,9 +267,9 @@ def _suite_translation(cfg: RunConfig) -> list[IdentityRecord]:
 
 def _suite_transform(cfg: RunConfig) -> list[IdentityRecord]:
     N = cfg.N
+    if N < 2:
+        raise ConfigError("the transform suite needs N >= 2")
     ctx = cfg.context()
-    from random import Random
-
     rng = Random(cfg.seed)
     worst = 0.0
     worst_shift = 0.0
@@ -369,15 +374,21 @@ def run_suites(cfg: RunConfig, suite: str) -> list[IdentityRecord]:
         workers = max(1, int(os.environ.get("THETA_LAB_THREADS", "1")))
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda f: f(cfg), tasks))
+                results = list(pool.map(lambda f: _run_suite(f, cfg), tasks))
         else:
-            results = [f(cfg) for f in tasks]
+            results = [_run_suite(f, cfg) for f in tasks]
         records = [r for chunk in results for r in chunk]
     else:
         if suite not in _SUITES:
             raise ConfigError(f"unknown suite {suite!r}")
-        records = _SUITES[suite](cfg)
+        records = _run_suite(_SUITES[suite], cfg)
     return sorted(records, key=lambda r: r.name)
+
+
+def _run_suite(fn, cfg: RunConfig) -> list[IdentityRecord]:
+    """One suite, with numpy overflow raised as Python's scalar arithmetic raises it."""
+    with np.errstate(over="raise", invalid="raise"):
+        return fn(cfg)
 
 
 def report_exit_code(records: list[IdentityRecord]) -> int:
@@ -493,6 +504,9 @@ def main(argv=None) -> int:
             return 0
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"error: numeric overflow ({exc}); lower --tau-im", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)

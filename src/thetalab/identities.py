@@ -14,9 +14,18 @@ from fractions import Fraction
 from functools import lru_cache
 from random import Random
 
+import numpy as np
+
 from .cyclotomic import zeta
 from .series import PuiseuxSeries, eta_series
-from .theta import ThetaContext, theta_N_eval, theta_null_series
+from .theta import (
+    SAMPLE_BLOCK,
+    ThetaContext,
+    sample_blocks,
+    sample_points,
+    theta_N_eval,
+    theta_null_series,
+)
 
 MIN_DEPTH = 10  # a series identity must be verified at least this deep in q
 
@@ -458,20 +467,19 @@ def hesse_check(
          (Fraction(34, 3), 9)],
         order,
     )
-    a = [theta_N_eval(k, 0.0, ctx) for k in range(6)]
+    ks = np.arange(6)
+    a = theta_N_eval(ks, 0.0, ctx).tolist()
     xm = 2 * a[1] * a[2] / (a[0] * a[3])
     ym = (a[0] ** 2 * a[1] ** 2 - a[2] ** 2 * a[3] ** 2) / (
         a[0] ** 2 * a[2] ** 2 - a[1] ** 2 * a[3] ** 2
     )
     mu3 = (ym * ym - 3) / xm
-    rng = Random(seed)
     worst = 0.0
-    for _ in range(samples):
-        z = 0.05 + 0.9 * rng.random() + (0.05 + 0.9 * rng.random()) * ctx.tau
-        x = [theta_N_eval(k, z, ctx) for k in range(6)]
-        scale = max(abs(c) for c in x) ** 3 * max(1.0, abs(mu3))
-        resid = abs(x[0] ** 3 + x[2] ** 3 + x[4] ** 3 - mu3 * x[0] * x[2] * x[4]) / scale
-        worst = max(worst, resid)
+    for z in sample_blocks(ctx.tau, samples, seed):
+        for x in theta_N_eval(ks, z[:, None], ctx).tolist():
+            scale = max(abs(c) for c in x) ** 3 * max(1.0, abs(mu3))
+            resid = abs(x[0] ** 3 + x[2] ** 3 + x[4] ** 3 - mu3 * x[0] * x[2] * x[4]) / scale
+            worst = max(worst, resid)
     ok = lead.passed and worst < rtol
     return IdentityRecord(
         name="level6.hesse", level=6, kind="numeric-vanishing",
@@ -496,37 +504,40 @@ def weierstrass_check_level4(
     if ctx.N != 4:
         raise ValueError("level-4 check needs an N = 4 context")
     tau = ctx.tau
-    a = [theta_N_eval(k, 0.0, ctx) for k in range(4)]
-    a0, a1, a2 = a[0], a[1], a[2]
+    ks = np.arange(4)
+    a0, a1, a2, _ = theta_N_eval(ks, 0.0, ctx).tolist()
     rng = Random(seed)
     worst = 0.0
     drawn = 0
     accepted = 0
     while accepted < samples and drawn < 20 * samples:
-        drawn += 1
-        z = 0.05 + 0.9 * rng.random() + (0.05 + 0.9 * rng.random()) * tau
-        x0, x1, x2, x3 = (theta_N_eval(k, z, ctx) for k in range(4))
-        scale = max(abs(c) for c in (x0, x1, x2, x3)) ** 2
-        den1 = a1 ** 2 * x0 * x2 - a0 * a2 * x1 * x3
-        den2 = (x1 - x3) * (x0 - x2)
-        if abs(den1) < 1e-6 * scale or abs(den2) < 1e-6 * scale:
-            continue
-        accepted += 1
-        q1 = abs(a0 * a2 * (x0 ** 2 + x2 ** 2) - 2 * a1 ** 2 * x1 * x3) / scale
-        q2 = abs(2 * a1 ** 2 * x0 * x2 - a0 * a2 * (x1 ** 2 + x3 ** 2)) / scale
-        xx = (a0 ** 2 - a2 ** 2) ** 2 * (a1 ** 2 * x0 * x2 + a0 * a2 * x1 * x3) / den1
-        yy = (
-            4 * a1 ** 2 * (a0 ** 2 - a2 ** 2) ** 2
-            * (x1 + x3) * (x0 + x2) * (a0 * a2 * x0 * x2 - a1 ** 2 * x1 * x3)
-            / (den2 * den1)
-        )
-        wscale = max(abs(xx), abs(yy), abs(a0 - a2) ** 4, abs(a0 + a2) ** 4) ** 3
-        resid = abs(
-            yy ** 2 - xx * (xx - (a0 - a2) ** 4) * (xx - (a0 + a2) ** 4)
-        ) / wscale
-        worst = max(worst, resid, q1, q2)
+        # a block never outruns the draw budget or the samples still wanted,
+        # so the accepted samples are the ones a one-at-a-time loop accepts
+        count = min(SAMPLE_BLOCK, samples - accepted, 20 * samples - drawn)
+        drawn += count
+        zs = sample_points(rng, tau, count)[:, None]
+        for x0, x1, x2, x3 in theta_N_eval(ks, zs, ctx).tolist():
+            scale = max(abs(c) for c in (x0, x1, x2, x3)) ** 2
+            den1 = a1 ** 2 * x0 * x2 - a0 * a2 * x1 * x3
+            den2 = (x1 - x3) * (x0 - x2)
+            if abs(den1) < 1e-6 * scale or abs(den2) < 1e-6 * scale:
+                continue
+            accepted += 1
+            q1 = abs(a0 * a2 * (x0 ** 2 + x2 ** 2) - 2 * a1 ** 2 * x1 * x3) / scale
+            q2 = abs(2 * a1 ** 2 * x0 * x2 - a0 * a2 * (x1 ** 2 + x3 ** 2)) / scale
+            xx = (a0 ** 2 - a2 ** 2) ** 2 * (a1 ** 2 * x0 * x2 + a0 * a2 * x1 * x3) / den1
+            yy = (
+                4 * a1 ** 2 * (a0 ** 2 - a2 ** 2) ** 2
+                * (x1 + x3) * (x0 + x2) * (a0 * a2 * x0 * x2 - a1 ** 2 * x1 * x3)
+                / (den2 * den1)
+            )
+            wscale = max(abs(xx), abs(yy), abs(a0 - a2) ** 4, abs(a0 + a2) ** 4) ** 3
+            resid = abs(
+                yy ** 2 - xx * (xx - (a0 - a2) ** 4) * (xx - (a0 + a2) ** 4)
+            ) / wscale
+            worst = max(worst, resid, q1, q2)
     # the half-period point z = 1/8 lies on the quadric pair
-    x0, x1, x2, x3 = (theta_N_eval(k, Fraction(1, 8), ctx) for k in range(4))
+    x0, x1, x2, x3 = theta_N_eval(ks, Fraction(1, 8), ctx).tolist()
     scale = max(abs(c) for c in (x0, x1, x2, x3)) ** 2
     worst = max(
         worst,
@@ -534,9 +545,7 @@ def weierstrass_check_level4(
         abs(2 * a1 ** 2 * x0 * x2 - a0 * a2 * (x1 ** 2 + x3 ** 2)) / scale,
     )
     s = nulls(4, 40)
-    exact1 = s[0] * s[2] * (s[0] ** 2 + s[2] ** 2) - 2 * s[1] ** 4
-    exact2 = 2 * s[1] ** 2 * s[0] * s[2] - s[0] * s[2] * (s[1] ** 2 + s[1] ** 2)
-    exact_ok = exact1.is_zero() and exact2.is_zero()
+    exact_ok = (s[0] * s[2] * (s[0] ** 2 + s[2] ** 2) - 2 * s[1] ** 4).is_zero()
     ok = worst < rtol and accepted == samples and exact_ok
     return IdentityRecord(
         name="level4.weierstrass", level=4, kind="numeric-vanishing",
@@ -600,20 +609,17 @@ def null_invariance_check(N: int, tau: complex = 1j, rtol: float = 1e-8) -> Iden
     tau -> tau/(N tau + 1) reverses the index order."""
     if N % 2:
         raise ValueError("the invariance statement is for even N")
-    import numpy as np
-
     from .projective import proj_residual
 
     h = N // 2
     ctx = ThetaContext(N, tau, 1e-10)
-    base = np.array([theta_N_eval(k, 0.0, ctx) for k in range(h + 1)])
-    shift = np.array(
-        [theta_N_eval(k, 0.0, ctx.with_tau(tau + N)) for k in range(h + 1)]
-    )
+    ks = np.arange(h + 1)
+    base = theta_N_eval(ks, 0.0, ctx)
+    shift = theta_N_eval(ks, 0.0, ctx.with_tau(tau + N))
     twist = np.array([(-1) ** k for k in range(h + 1)])
     r1 = proj_residual(twist * base, shift)
     tau2 = tau / (N * tau + 1)
-    lower = np.array([theta_N_eval(k, 0.0, ctx.with_tau(tau2)) for k in range(h + 1)])
+    lower = theta_N_eval(ks, 0.0, ctx.with_tau(tau2))
     r2 = proj_residual(base[::-1], lower)
     worst = max(r1, r2)
     return IdentityRecord(

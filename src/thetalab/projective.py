@@ -17,7 +17,7 @@ from random import Random
 import numpy as np
 
 from .cyclotomic import CyclotomicNumber, zeta
-from .theta import ThetaContext, theta_N_eval
+from .theta import ThetaContext, sample_blocks, sample_points, theta_N_eval
 
 
 def _is_exact(x) -> bool:
@@ -78,15 +78,19 @@ class ProjectivePoint:
 
 
 def proj_residual(u, v) -> float:
-    """Relative deviation of two numeric vectors as projective points."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    i = int(np.argmax(np.abs(u)))
-    if u[i] == 0:
+    """Relative deviation of two numeric vectors as projective points.
+
+    u and v may also be matching stacks of row vectors; the result is
+    then the largest deviation over the rows."""
+    u = np.atleast_2d(np.asarray(u, dtype=complex))
+    v = np.atleast_2d(np.asarray(v, dtype=complex))
+    rows = np.arange(len(u))
+    i = np.argmax(np.abs(u), axis=1)
+    if np.any(u[rows, i] == 0):
         return float("inf")
-    c = v[i] / u[i]
-    scale = max(float(np.max(np.abs(v))), 1e-300)
-    return float(np.max(np.abs(v - c * u))) / scale
+    c = v[rows, i] / u[rows, i]
+    scale = np.maximum(np.max(np.abs(v), axis=1), 1e-300)
+    return float(np.max(np.max(np.abs(v - c[:, None] * u), axis=1) / scale))
 
 
 def proj_resid_exact(u, v) -> bool:
@@ -513,7 +517,7 @@ def rho_bar_image(N: int, word: SL2Word, null_coords: bool = False) -> Projectiv
 
 def immersion_point(z: complex, ctx: ThetaContext) -> ProjectivePoint:
     """(theta_0(z) : ... : theta_(N-1)(z)), canonically normalized."""
-    coords = [theta_N_eval(k, z, ctx) for k in range(ctx.N)]
+    coords = theta_N_eval(np.arange(ctx.N), z, ctx).tolist()
     if max(abs(c) for c in coords) < ctx.tol:
         raise ValueError("numerically degenerate context: all coordinates below tol")
     return ProjectivePoint(coords).canonical()
@@ -542,23 +546,20 @@ def translation_check(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     N, tau = ctx.N, ctx.tau
-    rng = Random(seed)
     can = build_canonical_matrices(N)
     ms = can.M_S.complex_array()
     mt = can.M_T.complex_array()
     mt_inv = can.M_T.inverse().complex_array()
+    ks = np.arange(N)
     worst_s = 0.0
     worst_t = {1: 0.0, -1: 0.0}
-    for _ in range(samples):
-        u = 0.05 + 0.9 * rng.random()
-        v = 0.05 + 0.9 * rng.random()
-        z = u + v * tau
-        base = np.array([theta_N_eval(k, z, ctx) for k in range(N)])
-        ts = np.array([theta_N_eval(k, z + tau / N, ctx) for k in range(N)])
-        tt = np.array([theta_N_eval(k, z + 1.0 / N, ctx) for k in range(N)])
-        worst_s = max(worst_s, proj_residual(ms @ base, ts))
-        worst_t[1] = max(worst_t[1], proj_residual(mt @ base, tt))
-        worst_t[-1] = max(worst_t[-1], proj_residual(mt_inv @ base, tt))
+    for z in sample_blocks(tau, samples, seed):
+        base = theta_N_eval(ks, z[:, None], ctx)
+        ts = theta_N_eval(ks, (z + tau / N)[:, None], ctx)
+        tt = theta_N_eval(ks, (z + 1.0 / N)[:, None], ctx)
+        worst_s = max(worst_s, proj_residual(base @ ms.T, ts))
+        worst_t[1] = max(worst_t[1], proj_residual(base @ mt.T, tt))
+        worst_t[-1] = max(worst_t[-1], proj_residual(base @ mt_inv.T, tt))
     power = min(worst_t, key=worst_t.get)
     return TranslationReport(
         N=N,
@@ -616,25 +617,21 @@ def rho_theta_match(
     Samples z, evaluates the immersion at the transformed modulus, and
     reports which candidate class (if any) matches on every sample."""
     N, tau = ctx.N, ctx.tau
-    rng = Random(seed)
     if kind == "A":
         ctx2 = ctx.with_tau(-1.0 / tau)
     elif kind == "B":
         ctx2 = ctx.with_tau(tau + 1.0)
     else:
         raise ValueError("kind must be 'A' or 'B'")
-    zs = [0.05 + 0.9 * rng.random() + (0.05 + 0.9 * rng.random()) * tau for _ in range(samples)]
-    pairs = []
-    for z in zs:
-        base = np.array([theta_N_eval(k, z, ctx) for k in range(N)])
-        img = np.array(
-            [theta_N_eval(k, z / tau if kind == "A" else z, ctx2) for k in range(N)]
-        )
-        pairs.append((base, img))
+    zs = sample_points(Random(seed), tau, samples)
+    ks = np.arange(N)
+    base = theta_N_eval(ks, zs[:, None], ctx)
+    moved = np.array([z / tau for z in zs.tolist()], dtype=complex) if kind == "A" else zs
+    img = theta_N_eval(ks, moved[:, None], ctx2)
     best_name, best_resid = None, float("inf")
     for name, cand in rho_theta_candidates(N, kind).items():
         c = cand.complex_array()
-        resid = max(proj_residual(c @ b, i) for b, i in pairs)
+        resid = proj_residual([c @ b for b in base], img)
         if resid < best_resid:
             best_name, best_resid = name, resid
     return RhoThetaReport(

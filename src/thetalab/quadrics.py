@@ -13,13 +13,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 
 import numpy as np
 
 from .cyclotomic import CyclotomicNumber
 from .series import PuiseuxSeries
-from .theta import ThetaContext, theta_N_eval, theta_half_eval, theta_null_series
+from .theta import ThetaContext, sample_blocks, theta_N_eval, theta_half_eval, theta_null_series
 
 
 def _to_complex(c) -> complex:
@@ -178,10 +177,10 @@ class NullData:
     @staticmethod
     def numeric(ctx: ThetaContext, include_s: bool = True) -> "NullData":
         N = ctx.N
-        a = tuple(theta_N_eval(k, 0.0, ctx) for k in range(N))
+        a = tuple(theta_N_eval(np.arange(N), 0.0, ctx).tolist())
         s = None
         if include_s and N % 2 == 0:
-            s = tuple(theta_half_eval(N, k, ctx) for k in range(N))
+            s = tuple(theta_half_eval(N, np.arange(N), ctx).tolist())
         return NullData(N=N, a=a, s=s, source="numeric", tau=ctx.tau)
 
     @staticmethod
@@ -346,19 +345,29 @@ def verify_on_curve(
     """Evaluate every form at sampled immersion points.
 
     Residuals are normalized by (max coefficient magnitude) times
-    (max coordinate magnitude)^2 so the check is scale-free."""
-    N, tau = ctx.N, ctx.tau
-    rng = Random(seed)
+    (max coordinate magnitude)^2 so the check is scale-free.  The forms
+    become one term table (coefficient, i, j per monomial, zero-padded)
+    and are evaluated together on each block of samples, summing each
+    form's terms in its own monomial order."""
+    N = ctx.N
+    live = [f for f in forms if f.coeffs]
+    width = max((len(f.coeffs) for f in live), default=0)
+    coef = np.zeros((width, len(live)), dtype=complex)
+    idx = np.zeros((2, width, len(live)), dtype=np.intp)
+    for col, f in enumerate(live):
+        for t, ((i, j), c) in enumerate(f.coeffs.items()):
+            coef[t, col] = _to_complex(c)
+            idx[:, t, col] = i, j
+    norm = np.array([f.max_coeff_abs() for f in live])
+    ks = np.arange(N)
     worst = 0.0
-    for _ in range(samples):
-        z = 0.05 + 0.9 * rng.random() + (0.05 + 0.9 * rng.random()) * tau
-        x = [theta_N_eval(k, z, ctx) for k in range(N)]
-        scale2 = max(abs(c) for c in x) ** 2
-        for f in forms:
-            if not f.coeffs:
-                continue
-            resid = abs(f.evaluate(x)) / (f.max_coeff_abs() * scale2)
-            worst = max(worst, resid)
+    for z in sample_blocks(ctx.tau, samples, seed):
+        x = theta_N_eval(ks, z[:, None], ctx)
+        acc = np.zeros((len(z), len(live)), dtype=complex)
+        for t in range(width):
+            acc += coef[t] * x[:, idx[0, t]] * x[:, idx[1, t]]
+        scale2 = np.max(np.abs(x), axis=1) ** 2
+        worst = float(np.max(np.abs(acc) / (norm * scale2[:, None]), initial=worst))
     return OnCurveReport(
         N=N, samples=samples, n_forms=len(forms), max_residual=worst, passed=worst < rtol
     )

@@ -20,12 +20,17 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
+from random import Random
+
+import numpy as np
 
 from .series import PuiseuxSeries
 
 TWO_PI_I = 2j * math.pi
+TWO_PI = TWO_PI_I.imag
 
 MAX_RADIUS = 4096
+BLOCK = 256  # points summed together by one pass of _theta_sum
 
 
 def e(x) -> complex:
@@ -49,36 +54,76 @@ def tail_radius(tol: float, im_tau: float) -> int:
     return r
 
 
-def _theta_sum(p: float, q: float, z: complex, tau: complex, tol: float) -> complex:
-    """Direct sum for theta_(p,q)(z, tau) with a proven < tol tail.
+def _window_radius(b: float, y: float, tol: float, radius: int) -> int:
+    """Summation radius around the peak for a point with Im z = b.
 
     The summand magnitude is exp(-pi y (m + b/y)^2) * exp(pi b^2 / y)
-    with m = n + p, y = Im tau, b = Im z, so we center the window on the
-    peak m = -b/y and widen the radius until the geometric-majorant tail
-    bound 2 C exp(-pi y R^2)/(1 - exp(-2 pi y R)) drops below tol.
+    with m = n + p and y = Im tau, so starting from `radius` we widen in
+    steps of 4 until the geometric-majorant tail bound
+    2 C exp(-pi y R^2)/(1 - exp(-2 pi y R)) drops below tol.
     """
-    y = tau.imag
-    if y <= 0:
-        raise ValueError("Im tau must be positive")
-    b = z.imag
-    radius = tail_radius(tol, y)
-    peak = -b / y
-    amp = math.exp(math.pi * b * b / y)
+    try:
+        amp = math.exp(math.pi * b * b / y)
+    except OverflowError:
+        raise ValueError(
+            f"theta terms overflow double precision at Im z = {b:.3g}, Im tau = {y:.3g}"
+            " (N z and N tau for the degree-N family); lower Im tau"
+        ) from None
     while True:
         decay = math.exp(-math.pi * y * radius * radius)
         denom = 1.0 - math.exp(-2.0 * math.pi * y * radius)
         if 2.0 * amp * decay / denom < tol:
-            break
+            return radius
         if radius >= MAX_RADIUS:
             raise ValueError("tail bound unreachable at this (tol, Im tau, Im z)")
         radius += 4
-    lo = math.floor(peak - p - radius)
-    hi = math.ceil(peak - p + radius)
-    acc = 0j
-    for n in range(lo, hi + 1):
-        m = n + p
-        acc += cmath.exp(TWO_PI_I * (0.5 * m * m * tau + m * (z + q)))
-    return acc
+
+
+def _theta_sum(p, q: float, z, tau: complex, tol: float) -> np.ndarray:
+    """Direct sum for theta_(p,q)(z, tau) with a proven < tol tail.
+
+    p and z broadcast against each other; q and tau are shared.  Each
+    point sums its own window [floor(peak - p - R), ceil(peak - p + R)]
+    centred on its peak m = -Im z / Im tau, with R from _window_radius.
+    Points are summed BLOCK at a time, one masked vector add per window
+    offset in increasing n, and every term is formed with the same
+    floating-point operations as the scalar expression
+    exp(2 pi i ((1/2) m^2 tau + m (z + q))), so each value is the one a
+    scalar loop over n would give, bit for bit.
+    """
+    y = tau.imag
+    if y <= 0:
+        raise ValueError("Im tau must be positive")
+    p, z = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(z, dtype=complex))
+    shape = p.shape
+    p, z = p.ravel(), z.ravel()
+    b = z.imag
+    r0 = tail_radius(tol, y)
+    # one radius per distinct Im z; a dict, since np.unique's sort alone
+    # raised the peak RSS of the numeric CLI runs by about 0.5 MB
+    im_z = b.tolist()
+    radius_at = {x: _window_radius(x, y, tol, r0) for x in set(im_z)}
+    radius = np.array([radius_at[x] for x in im_z], dtype=float)
+    peak = -b / y
+    lo = np.floor(peak - p - radius)
+    hi = np.ceil(peak - p + radius)
+    w_re = z.real + q
+    out = np.zeros(p.size, dtype=complex)
+    with np.errstate(over="raise", invalid="raise"):  # as cmath.exp raises, never inf
+        for s in range(0, p.size, BLOCK):
+            blk = slice(s, s + BLOCK)
+            pb, lob, hib, wr, wi, acc = p[blk], lo[blk], hi[blk], w_re[blk], b[blk], out[blk]
+            arg = np.empty(acc.shape, dtype=complex)
+            for j in range(int(np.max(hib - lob)) + 1):
+                n = lob + j
+                m = n + pb
+                half_m2 = 0.5 * m * m
+                # TWO_PI_I * (half_m2 * tau + m * (z + q)) in reals: numpy's complex
+                # product may fuse multiply-adds, which would move the last bit
+                arg.real = (half_m2 * tau.imag + m * wi) * -TWO_PI
+                arg.imag = (half_m2 * tau.real + m * wr) * TWO_PI
+                np.add(acc, np.exp(arg), out=acc, where=n <= hib)
+    return out.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -120,20 +165,37 @@ class ThetaContext:
         return ThetaContext(self.N, tau, self.tol)
 
 
-def theta_pq_eval(ch: Characteristic, z: complex, ctx: ThetaContext) -> complex:
-    """theta with characteristic (p, q) at (z, ctx.tau), within ctx.tol."""
-    return _theta_sum(float(ch.p), float(ch.q), z, ctx.tau, ctx.tol)
+def _as_points(z, scale: int = 1) -> np.ndarray:
+    """scale * z as a complex array; exact (Fraction) scalars are scaled exactly."""
+    if np.ndim(z) == 0:
+        return np.asarray(complex(scale * z))
+    return scale * np.asarray(z, dtype=complex)
 
 
-def theta_N_eval(k, z: complex, ctx: ThetaContext) -> complex:
-    """theta_k of the degree-N family at (z, ctx.tau); k may be half-integral."""
+def _as_output(vals: np.ndarray):
+    """A Python complex for a scalar evaluation, else the array."""
+    return complex(vals) if vals.ndim == 0 else vals
+
+
+def theta_pq_eval(ch: Characteristic, z, ctx: ThetaContext):
+    """theta with characteristic (p, q) at (z, ctx.tau), within ctx.tol.
+
+    z may be an array; a scalar z gives a Python complex."""
+    return _as_output(_theta_sum(float(ch.p), float(ch.q), _as_points(z), ctx.tau, ctx.tol))
+
+
+def theta_N_eval(k, z, ctx: ThetaContext):
+    """theta_k of the degree-N family at (z, ctx.tau); k may be half-integral.
+
+    k and z broadcast against each other (arrays of indices and of
+    points); scalar k and z give a Python complex."""
     N = ctx.N
-    p = 0.5 - float(k) / N
-    return _theta_sum(p, N / 2.0, N * z, N * ctx.tau, ctx.tol)
+    p = 0.5 - np.asarray(k, dtype=float) / N
+    return _as_output(_theta_sum(p, N / 2.0, _as_points(z, N), N * ctx.tau, ctx.tol))
 
 
-def theta_half_eval(N: int, k, ctx: ThetaContext) -> complex:
-    """Half-period value s_k = theta_k(1/(2N), tau); N must be even."""
+def theta_half_eval(N: int, k, ctx: ThetaContext):
+    """Half-period value s_k = theta_k(1/(2N), tau); N must be even; k may be an array."""
     if N % 2:
         raise ValueError("half-period values are defined for even N")
     if ctx.N != N:
@@ -149,12 +211,12 @@ _JACOBI_CHARS = (
 )
 
 
-def jacobi_theta_eval(i: int, z: complex, ctx: ThetaContext) -> complex:
-    """Jacobi's basic theta functions, indices 0..3."""
+def jacobi_theta_eval(i: int, z, ctx: ThetaContext):
+    """Jacobi's basic theta functions, indices 0..3; z may be an array."""
     if not 0 <= i <= 3:
         raise ValueError("Jacobi theta index must be 0..3")
     p, q = _JACOBI_CHARS[i]
-    return _theta_sum(float(p), float(q), z, ctx.tau, ctx.tol)
+    return _as_output(_theta_sum(float(p), float(q), _as_points(z), ctx.tau, ctx.tol))
 
 
 def theta_null_series(N: int, k: int, order: int) -> PuiseuxSeries:
@@ -204,6 +266,26 @@ def theta_zero_points(N: int, k: int, tau: complex, count: int = 5) -> list[comp
     return out
 
 
+SAMPLE_BLOCK = 64  # sample points whose theta values a numeric check holds at once
+
+
+def sample_points(rng: Random, tau: complex, count: int) -> np.ndarray:
+    """The next `count` points z = u + v tau with u, v uniform on [0.05, 0.95].
+
+    Two draws per point, u first, in the order a scalar loop makes them."""
+    return np.array(
+        [0.05 + 0.9 * rng.random() + (0.05 + 0.9 * rng.random()) * tau for _ in range(count)],
+        dtype=complex,
+    )
+
+
+def sample_blocks(tau: complex, samples: int, seed: int):
+    """The seeded sample points of a numeric check, SAMPLE_BLOCK at a time."""
+    rng = Random(seed)
+    for start in range(0, samples, SAMPLE_BLOCK):
+        yield sample_points(rng, tau, min(SAMPLE_BLOCK, samples - start))
+
+
 @dataclass(frozen=True)
 class TransformReport:
     """k-independence test of the two modular coordinate changes."""
@@ -231,18 +313,19 @@ def transform_check(z: complex, ctx: ThetaContext, rtol: float = 1e-8) -> Transf
     tau = ctx.tau
     ctx_inv = ctx.with_tau(-1.0 / tau)
     ctx_shift = ctx.with_tau(tau + 1.0)
-    th = [theta_N_eval(j, z, ctx) for j in range(N)]
+    ks = np.arange(N)
+    th = theta_N_eval(ks, z, ctx).tolist()
+    lhs = theta_N_eval(ks, z / tau, ctx_inv).tolist()
+    lhs2 = theta_N_eval(ks, z, ctx_shift).tolist()
     zeta = e(Fraction(1, N))
     root = cmath.sqrt(tau / N)
     ratios = []
     ratios_shift = []
     for k in range(N):
-        lhs = theta_N_eval(k, z / tau, ctx_inv)
         rhs = e(z / 2.0) * root * sum(zeta ** ((-j * k) % N) * th[j] for j in range(N))
-        ratios.append(lhs / rhs)
-        lhs2 = theta_N_eval(k, z, ctx_shift)
+        ratios.append(lhs[k] / rhs)
         rhs2 = e(Fraction(-k * (N - k), 2 * N)) * th[k]
-        ratios_shift.append(lhs2 / rhs2)
+        ratios_shift.append(lhs2[k] / rhs2)
     dev = max(abs(r - ratios[0]) for r in ratios) / abs(ratios[0])
     dev2 = max(abs(r - ratios_shift[0]) for r in ratios_shift) / abs(ratios_shift[0])
     return TransformReport(

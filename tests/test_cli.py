@@ -139,10 +139,39 @@ def test_verify_all_level4_aggregate(capsys):
 
 
 def test_verify_exit_one_on_failing_check(capsys):
-    # an unattainably tight tolerance turns real residuals into failures
-    code, out, _ = run_cli(
-        capsys, "verify", "--suite", "translation", "--N", "4", "--tol", "1e-30",
-        "--samples", "3",
-    )
+    # at Im tau = 10 the null values span too many orders of magnitude for
+    # the numeric rank test, so a real check fails on valid input (a
+    # tolerance below double precision is a configuration error instead)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "quadrics", "--N", "8", "--tau-im", "10")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_rejects_bad_numeric_input(capsys):
+    cases = [
+        (("--suite", "quadrics", "--N", "8", "--tau-im", "1e6"), "Im tau"),
+        (("--suite", "quadrics", "--N", "8", "--tau-im", "30"), "--tau-im"),
+        (("--suite", "translation", "--N", "4", "--tol", "1e-20"), "--tol"),
+        (("--suite", "translation", "--N", "4", "--tol", "1e-30"), "--tol"),
+        (("--suite", "quadrics", "--N", "8", "--tol", "nan"), "--tol"),
+        (("--suite", "quadrics", "--N", "8", "--tol", "inf"), "--tol"),
+        (("--suite", "quadrics", "--N", "8", "--tau-im", "inf"), "--tau-im"),
+        (("--suite", "quadrics", "--N", "8", "--tau-im", "nan"), "--tau-im"),
+        (("--suite", "quadrics", "--N", "8", "--tau-re", "inf"), "--tau-re"),
+    ]
+    for argv, flag in cases:
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and flag in err, (argv, err)
+    code, _, _ = run_cli(capsys, "verify", "--suite", "translation", "--N", "4", "--tol", "1e-15")
+    assert code == 0
+
+
+def test_verify_translation_and_transform_reject_level_one(capsys):
+    for suite in ("translation", "transform"):
+        for n in ("1", "0"):
+            code, out, err = run_cli(capsys, "verify", "--suite", suite, "--N", n)
+            assert code == 2
+            assert out == ""
+            assert "N >= 2" in err

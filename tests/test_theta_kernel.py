@@ -1,0 +1,221 @@
+"""The vectorised theta kernel against a scalar reference and an oracle.
+
+`_scalar_theta_sum` below is the one-point-at-a-time summation the
+kernel replaced, kept here as a test-only reference: the array kernel
+must reproduce it exactly (==), point by point, including the window
+and radius rule.  mpmath's jtheta gives an independent check of the
+values themselves."""
+
+import cmath
+import math
+import tracemalloc
+from fractions import Fraction
+from random import Random
+
+import numpy as np
+import pytest
+
+from thetalab.quadrics import NullData, gen_even_basis, verify_on_curve
+from thetalab.theta import (
+    MAX_RADIUS,
+    TWO_PI_I,
+    Characteristic,
+    ThetaContext,
+    _window_radius,
+    jacobi_theta_eval,
+    tail_radius,
+    theta_N_eval,
+    theta_pq_eval,
+)
+
+
+def _scalar_theta_sum(p, q, z, tau, tol):
+    y = tau.imag
+    b = z.imag
+    radius = tail_radius(tol, y)
+    peak = -b / y
+    amp = math.exp(math.pi * b * b / y)
+    while True:
+        decay = math.exp(-math.pi * y * radius * radius)
+        denom = 1.0 - math.exp(-2.0 * math.pi * y * radius)
+        if 2.0 * amp * decay / denom < tol:
+            break
+        if radius >= MAX_RADIUS:
+            raise ValueError("tail bound unreachable at this (tol, Im tau, Im z)")
+        radius += 4
+    lo = math.floor(peak - p - radius)
+    hi = math.ceil(peak - p + radius)
+    acc = 0j
+    for n in range(lo, hi + 1):
+        m = n + p
+        acc += cmath.exp(TWO_PI_I * (0.5 * m * m * tau + m * (z + q)))
+    return acc
+
+
+def _scalar_theta_N(k, z, ctx):
+    N = ctx.N
+    return _scalar_theta_sum(0.5 - float(k) / N, N / 2.0, N * z, N * ctx.tau, ctx.tol)
+
+
+@pytest.mark.parametrize("N", [4, 11, 16])
+@pytest.mark.parametrize("im_tau", [0.4, 0.5, 1.0])
+@pytest.mark.parametrize("tol", [1e-10, 1e-11])
+def test_array_values_equal_scalar_sum(N, im_tau, tol):
+    rng = Random(N * 1000 + int(im_tau * 10) + int(-math.log10(tol)))
+    tau = complex(rng.uniform(-0.5, 0.5), im_tau)
+    ctx = ThetaContext(N, tau, tol)
+    zs = [0.05 + 0.9 * rng.random() + (0.05 + 0.9 * rng.random()) * tau for _ in range(24)]
+    # large |Im z|: the window moves off zero and widens past tail_radius
+    zs += [rng.uniform(-1, 1) + 1j * s * rng.uniform(1.5, 2.5) * im_tau for s in (1, -1) * 4]
+    zs += [0.0, 0.3, -0.7j]
+    ks = [0, 1, N - 1, N // 2, -1, -N - 3, 2 * N + 1, 0.5, -2.5, N - 0.5]
+    got = theta_N_eval(np.array(ks)[:, None], np.array(zs)[None, :], ctx)
+    assert got.shape == (len(ks), len(zs))
+    for a, k in enumerate(ks):
+        for c, z in enumerate(zs):
+            assert got[a, c] == _scalar_theta_N(k, z, ctx), (k, z)
+
+
+def test_block_boundaries_and_mixed_windows():
+    # more points than one kernel block, with windows of different widths
+    ctx = ThetaContext(5, 0.45 + 0.6j, 1e-11)
+    rng = Random(3)
+    zs = np.array([complex(rng.uniform(-2, 2), rng.uniform(-2.5, 2.5)) for _ in range(700)])
+    got = theta_N_eval(2, zs, ctx)
+    assert [complex(g) for g in got] == [_scalar_theta_N(2, z, ctx) for z in zs]
+
+
+def test_widened_windows_equal_scalar_sum():
+    # |Im z| large enough that the tail bound widens the radius past
+    # tail_radius, which only happens while exp(pi Im(z)^2 / Im tau) is finite
+    ctx = ThetaContext(4, 0.1 + 0.4j, 1e-10)
+    zs = [0.3 + 3.9j, 0.3 - 3.9j, -0.2 + 4.3j, 0.7 - 4.1j, 0.1 + 0.2j]
+    y, r0 = 1.6, tail_radius(ctx.tol, 1.6)
+    assert all(_window_radius(4 * z.imag, y, ctx.tol, r0) > r0 for z in zs[:4])
+    got = theta_N_eval(np.arange(4)[:, None], np.array(zs), ctx)
+    for k in range(4):
+        assert got[k].tolist() == [_scalar_theta_N(k, z, ctx) for z in zs]
+    jac = ThetaContext(1, 0.4j, 1e-11)
+    zs = [0.1 + 5.5j, -0.4 - 6.0j, 0.25 + 0.1j]
+    assert _window_radius(6.0, 0.4, jac.tol, tail_radius(jac.tol, 0.4)) > tail_radius(jac.tol, 0.4)
+    for i, (jp, jq) in enumerate(((0, 0.5), (0.5, 0.5), (0.5, 0), (0, 0))):
+        got = jacobi_theta_eval(i, np.array(zs), jac)
+        assert got.tolist() == [_scalar_theta_sum(jp, jq, z, 0.4j, jac.tol) for z in zs]
+
+
+def test_pq_and_jacobi_equal_scalar_sum():
+    rng = Random(7)
+    for _ in range(6):
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.5))
+        ctx = ThetaContext(1, tau, 1e-11)
+        zs = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(40)])
+        p, q = Fraction(rng.randint(-3, 3), 4), Fraction(rng.randint(-3, 3), 4)
+        got = theta_pq_eval(Characteristic(p, q), zs, ctx)
+        assert got.tolist() == [_scalar_theta_sum(float(p), float(q), z, tau, ctx.tol) for z in zs]
+        for i, (jp, jq) in enumerate(((0, 0.5), (0.5, 0.5), (0.5, 0), (0, 0))):
+            got = jacobi_theta_eval(i, zs, ctx)
+            assert got.tolist() == [_scalar_theta_sum(jp, jq, z, tau, ctx.tol) for z in zs]
+
+
+def test_shapes_and_types():
+    ctx = ThetaContext(6, 1j)
+    v = theta_N_eval(1, 0.2 + 0.1j, ctx)
+    assert type(v) is complex
+    assert v == _scalar_theta_N(1, 0.2 + 0.1j, ctx)
+    # exact z and half-integral k keep working and stay scalar
+    w = theta_N_eval(Fraction(1, 2), Fraction(1, 12), ctx)
+    assert type(w) is complex
+    assert w == _scalar_theta_sum(0.5 - 0.5 / 6, 3.0, Fraction(1, 2), 6j, ctx.tol)
+    assert type(theta_N_eval(np.int64(2), np.float64(0.1), ctx)) is complex
+    assert type(theta_pq_eval(Characteristic(0, 0), 0.0, ctx)) is complex
+    assert type(jacobi_theta_eval(3, 0.1, ctx)) is complex
+    ks = np.arange(6)
+    assert theta_N_eval(ks, 0.0, ctx).shape == (6,)
+    assert theta_N_eval(2, np.zeros(5), ctx).shape == (5,)
+    assert theta_N_eval(ks, np.zeros((3, 1)), ctx).shape == (3, 6)
+    assert theta_N_eval(ks, np.zeros((0, 1)), ctx).shape == (0, 6)
+    row = theta_N_eval(ks, 0.3 + 0.2j, ctx)
+    assert row.dtype == complex
+    assert row.tolist() == [theta_N_eval(k, 0.3 + 0.2j, ctx) for k in range(6)]
+
+
+def test_overflowing_amplitude_is_a_value_error():
+    ctx = ThetaContext(8, 1j)
+    with pytest.raises(ValueError, match="overflow"):
+        theta_N_eval(0, 200j, ctx)
+
+
+def test_on_curve_memory_stays_blocked():
+    ctx = ThetaContext(16, 0.5j, 1e-11)
+    forms = gen_even_basis(NullData.numeric(ctx)).full
+    verify_on_curve(forms, ctx, samples=2)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        rep = verify_on_curve(forms, ctx, samples=3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.samples == 3000
+    assert peak < 1 << 20, f"verify_on_curve peaked at {peak / 2**20:.2f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: mpmath's jtheta at 30 digits
+
+def _jtheta(mpmath, n, z, tau):
+    """Jacobi theta_n in the thetalab convention, from mpmath.jtheta."""
+    with mpmath.workdps(30):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+        return complex(mpmath.jtheta(n, mpmath.pi * mpmath.mpc(z), q))
+
+
+def _largest_term(b, y):
+    """max(1, exp(pi b^2 / y)): the size of the peak summand at Im z = b,
+    Im tau = y.  Rounding makes the sum's absolute error proportional to
+    it, so away from Im z = 0 the error can exceed the tail tolerance."""
+    return max(1.0, math.exp(math.pi * b * b / y))
+
+
+# thetalab's index i uses the characteristic (p, q) of _JACOBI_CHARS; the
+# matching mpmath function and constant factor: theta_(1/2,1/2) = -theta_1.
+_JACOBI_TO_MPMATH = {0: (4, 1), 1: (1, -1), 2: (2, 1), 3: (3, 1)}
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 0.9j, -0.4 + 0.45j, 0.1 + 0.4j, 0.05 + 0.15j])
+def test_jacobi_against_mpmath(tau):
+    mpmath = pytest.importorskip("mpmath")
+    ctx = ThetaContext(1, tau, 1e-12)
+    rng = Random(11)
+    zs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1) * tau.imag) for _ in range(6)]
+    # large |Im z|: values far from 1, where the window sits off the origin
+    zs += [0.2 + 2.5j * tau.imag, -0.3 - 3.0j * tau.imag]
+    for i, (n, sign) in _JACOBI_TO_MPMATH.items():
+        got = jacobi_theta_eval(i, np.array(zs), ctx)
+        for g, z in zip(got, zs):
+            want = sign * _jtheta(mpmath, n, z, tau)
+            assert abs(g - want) < 1e-10 * _largest_term(z.imag, tau.imag), (i, z, g, want)
+
+
+@pytest.mark.parametrize("N", [4, 5, 11, 16])
+@pytest.mark.parametrize("im_tau", [0.1, 0.4, 1.0])
+def test_theta_N_against_mpmath(N, im_tau):
+    """theta_k(z, tau) = e(p^2 T / 2 + p w) theta_3(pi (w + p T) | T) with
+    T = N tau, w = N z + q, p = 1/2 - k/N and q = N/2: the characteristic
+    shifts the argument of Jacobi's theta_3 and adds a phase."""
+    mpmath = pytest.importorskip("mpmath")
+    tau = complex(0.2, im_tau)
+    ctx = ThetaContext(N, tau, 1e-11)
+    rng = Random(N)
+    zs = [0.05 + 0.9 * rng.random() + (0.05 + 0.9 * rng.random()) * tau for _ in range(3)]
+    zs.append(0.4 - 1.8j * im_tau)
+    for k in (0, 1, N // 2, N - 1):
+        got = theta_N_eval(k, np.array(zs), ctx)
+        p, q = 0.5 - k / N, N / 2
+        for g, z in zip(got, zs):
+            with mpmath.workdps(30):
+                T = N * mpmath.mpc(tau)
+                w = N * mpmath.mpc(z) + q
+                phase = mpmath.exp(2j * mpmath.pi * (p * p * T / 2 + p * w))
+                nome = mpmath.exp(1j * mpmath.pi * T)
+                want = complex(phase * mpmath.jtheta(3, mpmath.pi * (w + p * T), nome))
+            assert abs(g - want) < 1e-10 * _largest_term(N * z.imag, N * im_tau), (N, k, z)
