@@ -97,7 +97,7 @@ def _power_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rows)
 
 
-def _reduce(m: int, vec: list) -> list:
+def reduce_vector(m: int, vec: list) -> list:
     """The power-basis vector of sum(vec[d] * z^d) modulo Phi_m."""
     phi = euler_phi(m)
     if len(vec) <= phi:
@@ -110,6 +110,41 @@ def _reduce(m: int, vec: list) -> list:
             for j, r in table[d % m]:
                 out[j] += c * r
     return out
+
+
+def embed_vector(order: int, num, m: int) -> list:
+    """The power-basis vector, in order m, of the element with vector num
+    in order `order`; m is a multiple of order."""
+    step = m // order
+    vec = [0] * (step * (len(num) - 1) + 1)
+    vec[::step] = num
+    return reduce_vector(m, vec)
+
+
+@lru_cache(maxsize=None)
+def _restriction(m: int, t: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer rows L and scale s with y = L x / s whenever x (order m) is
+    the embedding of y (order t); t divides m.
+
+    The embedding is an injective linear map E, so row reduction of
+    [E | I] over Q leaves [I | L] in its first phi(t) rows, with L E = I.
+    """
+    pt, pm = euler_phi(t), euler_phi(m)
+    # column d of E: the order-m vector of zeta_t^d = zeta_m^(d m / t)
+    cols = [CyclotomicNumber.zeta_power(m, d * (m // t)).num for d in range(pt)]
+    aug = [[Fraction(cols[d][r]) for d in range(pt)] + [Fraction(int(r == c)) for c in range(pm)]
+           for r in range(pm)]
+    for c in range(pt):
+        piv = next(r for r in range(c, pm) if aug[r][c])
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(pm):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    left = [row[pt:] for row in aug[:pt]]
+    scale = lcm(*(x.denominator for row in left for x in row))
+    return tuple(tuple(int(x * scale) for x in row) for row in left), scale
 
 
 def _mobius(n: int) -> int:
@@ -152,7 +187,7 @@ class CyclotomicNumber:
         """The element sum(coeffs[d] * z^d) for int or Fraction coeffs of any length."""
         cs = [_as_fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
-        self._set(order, _reduce(order, [c.numerator * (den // c.denominator) for c in cs]), den)
+        self._set(order, reduce_vector(order, [c.numerator * (den // c.denominator) for c in cs]), den)
 
     def _set(self, order: int, num, den: int) -> None:
         """Store num / den in lowest terms; zero gets den = 1."""
@@ -186,15 +221,23 @@ class CyclotomicNumber:
     # -- order manipulation -------------------------------------------
 
     def to_order(self, m: int) -> "CyclotomicNumber":
-        """Embed into Q(zeta_m); m must be a multiple of self.order."""
+        """The same element written in order m.
+
+        m is a multiple of self.order (an embedding into Q(zeta_m)), or a
+        divisor of it when the element lies in the subfield Q(zeta_m).
+        """
         if m == self.order:
             return self
         if m % self.order:
-            raise ValueError(f"cannot embed order {self.order} into {m}")
-        step = m // self.order
-        vec = [0] * (step * (len(self.num) - 1) + 1)
-        vec[::step] = self.num
-        return _make(m, _reduce(m, vec), self.den)
+            if self.order % m:
+                raise ValueError(f"cannot embed order {self.order} into {m}")
+            rows, scale = _restriction(self.order, m)
+            x = _make(m, [sum(a * b for a, b in zip(row, self.num)) for row in rows], self.den * scale)
+            back = x.to_order(self.order)
+            if (back.num, back.den) != (self.num, self.den):
+                raise ValueError(f"element does not lie in Q(zeta_{m})")
+            return x
+        return _make(m, embed_vector(self.order, self.num, m), self.den)
 
     @staticmethod
     def _aligned(a: "CyclotomicNumber", b) -> tuple["CyclotomicNumber", "CyclotomicNumber"]:
@@ -204,7 +247,7 @@ class CyclotomicNumber:
             raise TypeError(f"cannot combine CyclotomicNumber with {type(b).__name__}")
         if a.order == b.order:
             return a, b
-        m = lcm(a.order, b.order)
+        m = promoted_kind(scalar_kind(a), scalar_kind(b)) // 2
         return a.to_order(m), b.to_order(m)
 
     # -- ring operations ----------------------------------------------
@@ -237,7 +280,7 @@ class CyclotomicNumber:
             if x:
                 for j, y in bterms:
                     prod[i + j] += x * y
-        return _make(a.order, _reduce(a.order, prod), a.den * b.den)
+        return _make(a.order, reduce_vector(a.order, prod), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -344,6 +387,31 @@ class CyclotomicNumber:
 def zeta(m: int, k: int = 1) -> CyclotomicNumber:
     """The root of unity zeta_m^k as an exact cyclotomic number."""
     return CyclotomicNumber.zeta_power(m, k)
+
+
+# -- scalar kinds -----------------------------------------------------------
+
+
+def scalar_kind(x) -> int:
+    """The type and order of an exact scalar as one code: 1 for an int or
+    a Fraction, 2m for a CyclotomicNumber of order m."""
+    return 2 * x.order if isinstance(x, CyclotomicNumber) else 1
+
+
+# promoted_kind(*kinds): the kind of a sum or product of scalars of the
+# given kinds.  Arithmetic writes its result in the lcm of its operands'
+# orders and gives a Fraction only when every operand is one, which is the
+# lcm of the codes; the builtin itself keeps per-entry use in the matrix
+# product cheap.
+promoted_kind = lcm
+
+
+def scalar_of_kind(kind: int, order: int, num, den: int):
+    """The scalar of the given kind equal to sum(num[d] * z^d) / den, for
+    a power-basis vector num in an order that the kind's order divides."""
+    if kind == 1:
+        return Fraction(num[0], den)
+    return _make(order, num, den).to_order(kind // 2)
 
 
 def cyc_mul(a: CyclotomicNumber, b: CyclotomicNumber) -> CyclotomicNumber:

@@ -1,0 +1,72 @@
+"""Kronecker substitution: a vector of integers as one Python int.
+
+A vector v is packed as sum(v[i] * 2^(8*width*i)), so the product of two
+packed vectors is their packed convolution, and a sum of such products
+is the packed sum of the convolutions (Harvey 2009).  Slots are whole
+bytes, so packing and unpacking go through bytes objects; slots of 1,
+2, 4 or 8 bytes go through a numpy array of machine integers in one
+call.  Both the series product and the exact matrix product use it.
+
+Adding half of each slot's range to every slot (the bias) turns signed
+slots into non-negative ones, so they read off without borrows, and
+XOR with the bias turns a biased slot into its two's complement.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+# slot widths in bytes that numpy reads as one little-endian machine integer
+_DTYPES = {w: np.dtype(f"<i{w}") for w in (1, 2, 4, 8)}
+
+
+def slot_width(bound: int) -> int:
+    """Bytes per slot for signed values of magnitude at most bound: the
+    bits of bound plus one for the sign, rounded up to whole bytes."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _bias(width: int, n: int) -> int:
+    """Half of each slot's range in each of n slots."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
+def pack(slots, width: int) -> int:
+    """sum_i slots[i] * 2^(8*width*i); each |slots[i]| < 2^(8*width-1)."""
+    return pack_many([slots], width)[0]
+
+
+def pack_many(vectors: list, width: int) -> list:
+    """pack() of each of several vectors of one length."""
+    if not vectors:
+        return []
+    dtype = _DTYPES.get(width)
+    if dtype is not None:
+        # two's complement slots XOR the bias are the biased slots
+        size = width * len(vectors[0])
+        bias = _bias(width, len(vectors[0]))
+        raw = np.array(vectors, dtype).tobytes()
+        return [(int.from_bytes(raw[i:i + size], "little") ^ bias) - bias
+                for i in range(0, len(raw), size)]
+    zero = bytes(width)
+    out = []
+    for slots in vectors:
+        pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in slots)
+        neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in slots)
+        out.append(int.from_bytes(pos, "little") - int.from_bytes(neg, "little"))
+    return out
+
+
+def unpack(value: int, width: int, n: int) -> list:
+    """The n lowest slots of a packed value as signed ints.
+
+    Each of those slots must have magnitude below 2^(8*width-1); slots
+    from n up are cut by the mask.
+    """
+    size = width * n
+    bias = _bias(width, n)
+    raw = (((value + bias) & ((1 << (8 * size)) - 1)) ^ bias).to_bytes(size, "little")
+    dtype = _DTYPES.get(width)
+    if dtype is not None:
+        return np.frombuffer(raw, dtype).tolist()
+    return [int.from_bytes(raw[i:i + width], "little", signed=True) for i in range(0, size, width)]

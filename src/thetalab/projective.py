@@ -5,6 +5,11 @@ Two scalar backends share one interface: exact cyclotomic entries for
 group-relation checks (brittle under rounding) and complex entries for
 immersion checks (inherently numeric).  Equality always means equality
 of projective classes.
+
+Exact matrices are multiplied as integer vectors over one cyclotomic
+field, packed one int per entry (Kronecker substitution, see
+packing.py); inverses of monomial matrices and of the DFT matrix A0
+come in closed form, and Gauss-Jordan elimination serves the rest.
 """
 
 from __future__ import annotations
@@ -12,11 +17,23 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 from random import Random
 
 import numpy as np
 
-from .cyclotomic import CyclotomicNumber, zeta
+from .cyclotomic import (
+    CyclotomicNumber,
+    embed_vector,
+    euler_phi,
+    promoted_kind,
+    reduce_vector,
+    scalar_kind,
+    scalar_of_kind,
+    zeta,
+)
+from .packing import pack_many, slot_width, unpack
 from .theta import ThetaContext, sample_blocks, sample_points, theta_N_eval
 
 
@@ -54,11 +71,7 @@ class ProjectivePoint:
     def canonical(self) -> "ProjectivePoint":
         """Scale by the first nonzero (exact) or max-modulus (numeric) coord."""
         if self.exact:
-            pivot = next(c for c in self.coords if not _xzero(c))
-            if isinstance(pivot, CyclotomicNumber):
-                inv = pivot.inverse()
-            else:
-                inv = Fraction(1) / Fraction(pivot)
+            inv = _scalar_inverse(next(c for c in self.coords if not _xzero(c)))
             return ProjectivePoint(tuple(inv * c if not _xzero(c) else c * 0 for c in self.coords))
         i = max(range(len(self.coords)), key=lambda j: abs(self.coords[j]))
         pivot = self.coords[i]
@@ -114,18 +127,43 @@ def proj_resid_exact(u, v) -> bool:
 
 
 class ProjectiveMatrix:
-    """A class in PGL_N: an N x N matrix modulo nonzero scalars."""
+    """A class in PGL_N: an N x N matrix modulo nonzero scalars.
 
-    __slots__ = ("rows", "n", "exact")
+    An exact matrix is held as an _ExactBlock between products; its
+    `rows` of scalars are built only when read.  Each matrix computes
+    its inverse at most once and keeps it.
+    """
+
+    __slots__ = ("_rows", "_block", "_inv", "n", "exact")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        self.rows = rows
+        self._rows = rows
+        self._block = None
+        self._inv = None
         self.n = n
         self.exact = all(_is_exact(c) for r in rows for c in r)
+
+    @staticmethod
+    def _of_block(block: "_ExactBlock") -> "ProjectiveMatrix":
+        m = object.__new__(ProjectiveMatrix)
+        m._rows, m._block, m._inv = None, block, None
+        m.n, m.exact = block.ncols, True
+        return m
+
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            self._rows = self._block.scalars()
+        return self._rows
+
+    def _as_block(self) -> "_ExactBlock":
+        if self._block is None:
+            self._block = _ExactBlock.from_rows(self._rows)
+        return self._block
 
     @staticmethod
     def identity(n: int, exact: bool = True) -> "ProjectiveMatrix":
@@ -139,34 +177,44 @@ class ProjectiveMatrix:
         if isinstance(other, ProjectiveMatrix):
             if self.n != other.n:
                 raise ValueError("size mismatch")
+            if self.exact and other.exact:
+                return ProjectiveMatrix._of_block(self._as_block() @ other._as_block())
             cols = list(zip(*other.rows))
-            return ProjectiveMatrix(
-                [
-                    [_dot(row, col) for col in cols]
-                    for row in self.rows
-                ]
-            )
+            return ProjectiveMatrix([[_dot(row, col) for col in cols] for row in self.rows])
         if isinstance(other, ProjectivePoint):
+            if self.n != len(other):
+                raise ValueError("size mismatch")
+            if self.exact and other.exact:
+                col = _ExactBlock.from_rows([(c,) for c in other.coords])
+                return ProjectivePoint(row[0] for row in (self._as_block() @ col).scalars())
             return ProjectivePoint([_dot(row, other.coords) for row in self.rows])
         raise TypeError(f"cannot multiply ProjectiveMatrix by {type(other).__name__}")
 
     def power(self, k: int) -> "ProjectiveMatrix":
         if k < 0:
             return self.inverse().power(-k)
-        acc = ProjectiveMatrix.identity(self.n, self.exact)
-        base = self
-        while k:
+        if k == 0:
+            return ProjectiveMatrix.identity(self.n, self.exact)
+        acc, base = None, self
+        while True:
             if k & 1:
-                acc = acc @ base
+                acc = base if acc is None else acc @ base
             k >>= 1
-            if k:
-                base = base @ base
-        return acc
+            if not k:
+                return acc
+            base = base @ base
 
     def inverse(self) -> "ProjectiveMatrix":
-        if not self.exact:
-            return ProjectiveMatrix(np.linalg.inv(np.array(self.rows, dtype=complex)))
-        return _gauss_jordan_inverse(self.rows)
+        if self._inv is None:
+            if not self.exact:
+                self._inv = ProjectiveMatrix(np.linalg.inv(np.array(self.rows, dtype=complex)))
+            else:
+                perm = self._as_block().monomial_pattern()
+                if perm is None:
+                    self._inv = _gauss_jordan_inverse(self.rows)
+                else:
+                    self._inv = _monomial_inverse(self.rows, perm)
+        return self._inv
 
     def transpose(self) -> "ProjectiveMatrix":
         return ProjectiveMatrix(tuple(zip(*self.rows)))
@@ -210,6 +258,7 @@ class ProjectiveMatrix:
 
 
 def _dot(row, col):
+    """One entry of a product with complex (or mixed) entries."""
     acc = None
     for x, y in zip(row, col):
         if _xzero(x) or _xzero(y):
@@ -222,6 +271,25 @@ def _dot(row, col):
     return acc
 
 
+def _scalar_inverse(x):
+    return x.inverse() if isinstance(x, CyclotomicNumber) else Fraction(1) / Fraction(x)
+
+
+def _monomial_inverse(rows, perm) -> ProjectiveMatrix:
+    """The inverse of a matrix whose row r has its one nonzero entry in
+    column perm[r]: transpose the pattern and invert the entries.
+
+    Row perm[r] of the result is 1/rows[r][perm[r]] times the unit row e_r,
+    so every entry of it, zeros included, has that inverse's type, as
+    Gauss-Jordan elimination gives.
+    """
+    out = [None] * len(rows)
+    for r, c in enumerate(perm):
+        pinv = _scalar_inverse(rows[r][c])
+        out[c] = [pinv if j == r else pinv * 0 for j in range(len(rows))]
+    return ProjectiveMatrix(out)
+
+
 def _gauss_jordan_inverse(rows) -> ProjectiveMatrix:
     n = len(rows)
     a = [list(r) for r in rows]
@@ -232,8 +300,7 @@ def _gauss_jordan_inverse(rows) -> ProjectiveMatrix:
             raise ZeroDivisionError("singular matrix")
         a[col], a[piv] = a[piv], a[col]
         b[col], b[piv] = b[piv], b[col]
-        p = a[col][col]
-        pinv = p.inverse() if isinstance(p, CyclotomicNumber) else Fraction(1) / Fraction(p)
+        pinv = _scalar_inverse(a[col][col])
         a[col] = [pinv * x for x in a[col]]
         b[col] = [pinv * x for x in b[col]]
         for r in range(n):
@@ -243,6 +310,129 @@ def _gauss_jordan_inverse(rows) -> ProjectiveMatrix:
             a[r] = [x - f * y for x, y in zip(a[r], a[col])]
             b[r] = [x - f * y for x, y in zip(b[r], b[col])]
     return ProjectiveMatrix(b)
+
+
+# ---------------------------------------------------------------------------
+# the exact kernel
+
+
+class _ExactBlock:
+    """An exact r x c matrix written over one field Q(zeta_order) with one
+    common denominator.
+
+    Row i lists its nonzero entries as (j, num, kind): the entry is
+    sum(num[d] * z^d) / den in the power basis modulo Phi_order, and kind
+    (see cyclotomic.scalar_kind) is the type and order the entry has as a
+    scalar, which can be any divisor of the block's order.  Zero entries
+    are left out and read back as Fraction(0).
+    """
+
+    __slots__ = ("order", "den", "nz", "ncols", "_max")
+
+    def __init__(self, order: int, den: int, nz: tuple, ncols: int):
+        self.order, self.den, self.nz, self.ncols = order, den, nz, ncols
+        self._max = None
+
+    @staticmethod
+    def from_rows(rows) -> "_ExactBlock":
+        order = lcm(1, *(c.order for r in rows for c in r if isinstance(c, CyclotomicNumber)))
+        pad = [0] * (euler_phi(order) - 1)
+        entries = []
+        for r in rows:
+            row = []
+            for j, c in enumerate(r):
+                if _xzero(c):
+                    continue
+                if isinstance(c, CyclotomicNumber):
+                    w = c.to_order(order)
+                    row.append((j, w.num, w.den, scalar_kind(c)))
+                else:
+                    f = Fraction(c)
+                    row.append((j, [f.numerator] + pad, f.denominator, scalar_kind(c)))
+            entries.append(row)
+        den = lcm(1, *(d for row in entries for _, _, d, _ in row))
+        nz = tuple(
+            tuple((j, num if d == den else [x * (den // d) for x in num], k) for j, num, d, k in row)
+            for row in entries
+        )
+        return _ExactBlock(order, den, nz, len(rows[0]) if rows else 0)
+
+    def to_order(self, order: int) -> "_ExactBlock":
+        """The same matrix written over Q(zeta_order), a multiple of self.order."""
+        if order == self.order:
+            return self
+        nz = tuple(
+            tuple((j, embed_vector(self.order, num, order), k) for j, num, k in row)
+            for row in self.nz
+        )
+        return _ExactBlock(order, self.den, nz, self.ncols)
+
+    def packed(self, width: int) -> list:
+        """Rows of (j, packed num, kind) at the given slot width."""
+        ints = iter(pack_many([num for row in self.nz for _, num, _ in row], width))
+        return [[(j, next(ints), k) for j, _, k in row] for row in self.nz]
+
+    def max_abs(self) -> int:
+        if self._max is None:
+            nums = [x for row in self.nz for _, num, _ in row for x in num]
+            self._max = max(max(nums), -min(nums)) if nums else 0
+        return self._max
+
+    def __matmul__(self, other: "_ExactBlock") -> "_ExactBlock":
+        """The product: each entry a row-sparse sum of packed int products,
+        unpacked once and reduced modulo Phi once."""
+        order = lcm(self.order, other.order)
+        a, b = self.to_order(order), other.to_order(order)
+        phi = euler_phi(order)
+        nslots = 2 * phi - 1
+        inner = max((len(row) for row in a.nz), default=0)
+        # an output slot sums at most inner * phi coefficient products;
+        # a power-of-two width unpacks through an array in one call
+        bound = a.max_abs() * b.max_abs() * inner * phi
+        if not bound:
+            return _ExactBlock(order, 1, ((),) * len(a.nz), b.ncols)
+        width = 1 << (slot_width(bound) - 1).bit_length()
+        pa, pb = a.packed(width), b.packed(width)
+        nz = []
+        for row in pa:
+            acc = [0] * b.ncols
+            kinds = [1] * b.ncols
+            for k, x, kx in row:
+                for j, y, ky in pb[k]:
+                    acc[j] += x * y
+                    kinds[j] = promoted_kind(kinds[j], kx, ky)
+            out = []
+            for j, s in enumerate(acc):
+                if s:
+                    num = reduce_vector(order, unpack(s, width, nslots))
+                    if any(num):
+                        out.append((j, num, kinds[j]))
+            nz.append(tuple(out))
+        den = a.den * b.den
+        g = gcd(den, *(x for row in nz for _, num, _ in row for x in num))
+        if g > 1:
+            den //= g
+            nz = [tuple((j, [x // g for x in num], k) for j, num, k in row) for row in nz]
+        return _ExactBlock(order, den, tuple(nz), b.ncols)
+
+    def scalars(self) -> tuple:
+        """The entries as Fraction and CyclotomicNumber scalars of their kinds."""
+        zero = Fraction(0)
+        out = []
+        for row in self.nz:
+            vals = [zero] * self.ncols
+            for j, num, k in row:
+                vals[j] = scalar_of_kind(k, self.order, num, self.den)
+            out.append(tuple(vals))
+        return tuple(out)
+
+    def monomial_pattern(self) -> list | None:
+        """perm with row r's one nonzero entry in column perm[r], if every
+        row and every column has exactly one nonzero entry."""
+        if any(len(row) != 1 for row in self.nz):
+            return None
+        perm = [row[0][0] for row in self.nz]
+        return perm if len(set(perm)) == self.ncols == len(perm) else None
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +476,11 @@ class SL2Word:
         return m
 
     def evaluate_proj(self, A0: ProjectiveMatrix, B0: ProjectiveMatrix) -> ProjectiveMatrix:
-        acc = ProjectiveMatrix.identity(A0.n, A0.exact)
-        inverses = {}  # each generator is inverted at most once per word
+        acc = None
         for sym, k in self.letters:
-            g = A0 if sym == "A" else B0
-            if k < 0:
-                if sym not in inverses:
-                    inverses[sym] = g.inverse()
-                g, k = inverses[sym], -k
-            acc = acc @ g.power(k)
-        return acc
+            g = (A0 if sym == "A" else B0).power(k)
+            acc = g if acc is None else acc @ g
+        return ProjectiveMatrix.identity(A0.n, A0.exact) if acc is None else acc
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +504,29 @@ def _check_primitive(z: CyclotomicNumber, n: int):
         raise ValueError(f"root of unity does not have order {n}")
 
 
+# built once per (N, root of unity); the root is keyed by its exact
+# representation, since equal roots of different orders give matrices
+# whose complex values round differently
+_CANONICAL: dict = {}
+_GENERATORS: dict = {}
+
+
 def build_canonical_matrices(N: int, zeta_n: CyclotomicNumber | None = None) -> CanonicalMatrices:
     """The translation matrices M_S (cyclic shift), M_T = diag(zeta^i),
     and the inversion M_inv: X_k -> X_(-k)."""
     if zeta_n is None:
         zeta_n = zeta(N)
-    _check_primitive(zeta_n, N)
-    one, zero = Fraction(1), Fraction(0)
-    ms = [[one if i == (j + 1) % N else zero for j in range(N)] for i in range(N)]
-    mt = [[zeta_n**i if i == j else zero for j in range(N)] for i in range(N)]
-    mi = [[one if i == (-j) % N else zero for j in range(N)] for i in range(N)]
-    return CanonicalMatrices(ProjectiveMatrix(ms), ProjectiveMatrix(mt), ProjectiveMatrix(mi))
+    key = (N, zeta_n.order, zeta_n.num, zeta_n.den)
+    if key not in _CANONICAL:
+        _check_primitive(zeta_n, N)
+        one, zero = Fraction(1), Fraction(0)
+        ms = [[one if i == (j + 1) % N else zero for j in range(N)] for i in range(N)]
+        mt = [[zeta_n**i if i == j else zero for j in range(N)] for i in range(N)]
+        mi = [[one if i == (-j) % N else zero for j in range(N)] for i in range(N)]
+        _CANONICAL[key] = CanonicalMatrices(
+            ProjectiveMatrix(ms), ProjectiveMatrix(mt), ProjectiveMatrix(mi)
+        )
+    return _CANONICAL[key]
 
 
 @dataclass(frozen=True)
@@ -339,20 +536,28 @@ class RepGenerators:
 
 
 def build_rep_generators(N: int, zeta_2n: CyclotomicNumber | None = None) -> RepGenerators:
-    """A0 = [zeta^(ij)], B0 = Diag(zt^(i(N-i))) over Q(zeta_2N), zt^2 = zeta."""
+    """A0 = [zeta^(ij)], B0 = Diag(zt^(i(N-i))) over Q(zeta_2N), zt^2 = zeta.
+
+    A0 comes with its inverse N^(-1) [zeta^(-ij)] (a DFT matrix)."""
     if N % 2:
         raise ValueError("the projective representation generators need even N")
     if zeta_2n is None:
         zeta_2n = zeta(2 * N)
-    _check_primitive(zeta_2n, 2 * N)
-    zeta_n = zeta_2n * zeta_2n
-    a0 = [[zeta_n ** ((i * j) % N) for j in range(N)] for i in range(N)]
-    zero = Fraction(0)
-    b0 = [
-        [zeta_2n ** ((i * (N - i)) % (2 * N)) if i == j else zero for j in range(N)]
-        for i in range(N)
-    ]
-    return RepGenerators(ProjectiveMatrix(a0), ProjectiveMatrix(b0))
+    key = (N, zeta_2n.order, zeta_2n.num, zeta_2n.den)
+    if key not in _GENERATORS:
+        _check_primitive(zeta_2n, 2 * N)
+        zeta_n = zeta_2n * zeta_2n
+        powers = [zeta_n**k for k in range(N)]
+        scaled = [x * Fraction(1, N) for x in powers]
+        A0 = ProjectiveMatrix([[powers[i * j % N] for j in range(N)] for i in range(N)])
+        A0._inv = ProjectiveMatrix([[scaled[-i * j % N] for j in range(N)] for i in range(N)])
+        zero = Fraction(0)
+        b0 = [
+            [zeta_2n ** ((i * (N - i)) % (2 * N)) if i == j else zero for j in range(N)]
+            for i in range(N)
+        ]
+        _GENERATORS[key] = RepGenerators(A0, ProjectiveMatrix(b0))
+    return _GENERATORS[key]
 
 
 def kernel_word(N: int) -> SL2Word:
@@ -459,7 +664,8 @@ class RhoBar:
     Bbar_null: ProjectiveMatrix
 
 
-def _compress_expand(N: int):
+@lru_cache(maxsize=None)
+def _compress_expand(N: int) -> tuple[tuple, tuple]:
     h = N // 2
     zero, one, half = Fraction(0), Fraction(1), Fraction(1, 2)
     compress = [[zero] * N for _ in range(h + 1)]
@@ -474,16 +680,20 @@ def _compress_expand(N: int):
     for j in range(1, h):
         expand[j][j] = half
         expand[N - j][j] = half
-    return compress, expand
+    return tuple(map(tuple, compress)), tuple(map(tuple, expand))
 
 
 def restrict_to_fixed_space(mat: ProjectiveMatrix, N: int) -> ProjectiveMatrix:
     """Compress an H-stable N x N class to its (N/2+1) x (N/2+1) action."""
+    if mat.n != N:
+        raise ValueError(f"expected a {N} x {N} matrix, got {mat.n} x {mat.n}")
     compress, expand = _compress_expand(N)
+    if mat.exact:
+        me = mat._as_block() @ _ExactBlock.from_rows(expand)
+        return ProjectiveMatrix._of_block(_ExactBlock.from_rows(compress) @ me)
     # rectangular products, done by hand since ProjectiveMatrix is square-only
     me = [[_dot(row, col) for col in zip(*expand)] for row in mat.rows]
-    cme = [[_dot(row, col) for col in zip(*me)] for row in compress]
-    return ProjectiveMatrix(cme)
+    return ProjectiveMatrix([[_dot(row, col) for col in zip(*me)] for row in compress])
 
 
 def build_rho_bar(N: int) -> RhoBar:

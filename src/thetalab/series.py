@@ -21,9 +21,8 @@ factors are compressed by the gcd of their exponent offsets from their
 valuations, cut to the slots the product keeps, scaled to integers by
 their common denominators, and packed into one Python int each with
 signed byte slots wide enough for the largest possible product
-coefficient.  One big-integer product (Karatsuba in CPython) then
-yields every coefficient; a per-slot bias makes each slot non-negative
-so that they unpack without borrows.  Products with cyclotomic
+coefficient (see packing.py).  One big-integer product (Karatsuba in
+CPython) then yields every coefficient.  Products with cyclotomic
 coefficients use the schoolbook loop, which tests also use as the
 reference.  The inverse is a Newton iteration on top of the product
 (Brent & Kung 1978), so both coefficient kinds share it.
@@ -38,6 +37,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .cyclotomic import CyclotomicNumber
+from .packing import pack, slot_width, unpack
 
 
 def _is_zero_coeff(c) -> bool:
@@ -97,14 +97,6 @@ def _int_slots(offsets: list, g: int) -> tuple[list, int]:
     return slots, den
 
 
-def _pack(slots: list, width: int) -> int:
-    """sum_i slots[i] * 2^(8*width*i); each |slots[i]| < 2^(8*width)."""
-    zero = bytes(width)
-    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in slots)
-    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in slots)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
 def _packed_product(a: dict, va: int, b: dict, vb: int, t: int) -> dict:
     """Terms below t of the product of two nonempty Fraction term maps with
     valuations va and vb, by Kronecker substitution."""
@@ -120,18 +112,12 @@ def _packed_product(a: dict, va: int, b: dict, vb: int, t: int) -> dict:
     sb, db = _int_slots(pb, g)
     # every product slot sums at most min(len) pairs; one more bit for the sign
     bound = max(map(abs, sa)) * max(map(abs, sb)) * min(len(pa), len(pb))
-    width = (bound.bit_length() + 8) // 8
-    prod = _pack(sa, width) * _pack(sb, width)
-    # biased slots lie in [1, 2^(8*width) - 1], so the low n slots read off
-    # without borrows; slots from n up are cut by the mask
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    raw = ((prod + bias) & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
+    width = slot_width(bound)
+    prod = pack(sa, width) * pack(sb, width)
     den = da * db
     v = va + vb
     terms = {}
-    for i in range(n):
-        c = int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
+    for i, c in enumerate(unpack(prod, width, n)):
         if c:
             terms[v + i * g] = Fraction(c, den)
     return terms

@@ -90,6 +90,11 @@ def _theta_sum(p, q: float, z, tau: complex, tol: float) -> np.ndarray:
     floating-point operations as the scalar expression
     exp(2 pi i ((1/2) m^2 tau + m (z + q))), so each value is the one a
     scalar loop over n would give, bit for bit.
+
+    Error model: tol bounds only the tail left out of the window.
+    Rounding in the sum adds about 1e-16 * exp(pi Im(z)^2 / Im tau), the
+    size of the peak term, so at large |Im z| the absolute error can
+    exceed tol.
     """
     y = tau.imag
     if y <= 0:
@@ -178,9 +183,11 @@ def _as_output(vals: np.ndarray):
 
 
 def theta_pq_eval(ch: Characteristic, z, ctx: ThetaContext):
-    """theta with characteristic (p, q) at (z, ctx.tau), within ctx.tol.
+    """theta with characteristic (p, q) at (z, ctx.tau).
 
-    z may be an array; a scalar z gives a Python complex."""
+    The tail left out is below ctx.tol; rounding adds about
+    1e-16 * exp(pi Im(z)^2 / Im tau), the size of the peak term (see
+    _theta_sum).  z may be an array; a scalar z gives a Python complex."""
     return _as_output(_theta_sum(float(ch.p), float(ch.q), _as_points(z), ctx.tau, ctx.tol))
 
 
@@ -188,7 +195,9 @@ def theta_N_eval(k, z, ctx: ThetaContext):
     """theta_k of the degree-N family at (z, ctx.tau); k may be half-integral.
 
     k and z broadcast against each other (arrays of indices and of
-    points); scalar k and z give a Python complex."""
+    points); scalar k and z give a Python complex.  The tail left out is
+    below ctx.tol; rounding adds about 1e-16 * exp(pi N Im(z)^2 / Im tau),
+    the size of the peak term of the sum at (N z, N tau)."""
     N = ctx.N
     p = 0.5 - np.asarray(k, dtype=float) / N
     return _as_output(_theta_sum(p, N / 2.0, _as_points(z, N), N * ctx.tau, ctx.tol))
@@ -212,7 +221,10 @@ _JACOBI_CHARS = (
 
 
 def jacobi_theta_eval(i: int, z, ctx: ThetaContext):
-    """Jacobi's basic theta functions, indices 0..3; z may be an array."""
+    """Jacobi's basic theta functions, indices 0..3; z may be an array.
+
+    Same error model as theta_pq_eval: tail below ctx.tol, plus rounding
+    of about 1e-16 * exp(pi Im(z)^2 / Im tau)."""
     if not 0 <= i <= 3:
         raise ValueError("Jacobi theta index must be 0..3")
     p, q = _JACOBI_CHARS[i]

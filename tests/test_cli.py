@@ -65,6 +65,20 @@ def test_invariants(capsys):
     assert json.loads(out)["genus"] == 5
 
 
+def test_invariants_low_levels(capsys):
+    # Gamma(2) and Gamma(3) are torsion-free, so the genus formula applies
+    for N, want in (("2", (6, 3, 0)), ("3", (12, 4, 0))):
+        code, out, err = run_cli(capsys, "invariants", "--family", "gamma", "--N", N)
+        assert (code, err) == (0, "")
+        assert out == "index %d, cusps %d, genus %d\n" % want
+        code, out, _ = run_cli(
+            capsys, "invariants", "--family", "gamma", "--N", N, "--format", "json"
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert (data["index_psl"], data["cusps"], data["genus"]) == want
+
+
 def test_invariants_modulus_too_large(capsys):
     code, _, err = run_cli(capsys, "invariants", "--family", "gammaN2N", "--N", "13")
     assert code == 2

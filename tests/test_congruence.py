@@ -104,6 +104,28 @@ def test_subgroup_invariants_reference_values():
     assert subgroup_invariants(SubgroupSpec("gamma", 7)).genus == 3
 
 
+def _prime_divisors(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+def test_principal_subgroup_closed_forms():
+    # Diamond & Shurman, A First Course in Modular Forms, section 3.9:
+    # mu = N^3/2 prod_(p | N) (1 - p^-2) and cusps = mu/N for N >= 3,
+    # (6, 3) for N = 2; genus 1 + mu (N - 6) / (12 N) for N >= 3
+    for N in range(2, 13):
+        inv = subgroup_invariants(SubgroupSpec("gamma", N))
+        if N == 2:
+            mu, cusps, genus = 6, 3, 0
+        else:
+            mu = Fraction(N**3, 2)
+            for p in _prime_divisors(N):
+                mu *= 1 - Fraction(1, p * p)
+            cusps = mu / N
+            genus = 1 + mu * (N - 6) / (12 * N)
+        assert (inv.index_psl, inv.cusps, inv.genus) == (mu, cusps, genus), N
+        assert inv.contains_minus_one == (N == 2)
+
+
 def test_euler_characteristic_consistency():
     for spec in (
         SubgroupSpec("gamma", 4),

@@ -1,0 +1,304 @@
+"""Tests of the exact projective kernels: the packed matrix product and
+the closed-form inverses.
+
+The packed product is checked against a copy of the entry-by-entry
+product that exact matrices used before, and the closed-form inverses
+against a copy of Gauss-Jordan elimination, entry by entry, including
+each entry's type and cyclotomic order.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thetalab.cyclotomic import CyclotomicNumber, euler_phi, zeta
+from thetalab.packing import pack, slot_width, unpack
+from thetalab.projective import (
+    ProjectiveMatrix,
+    ProjectivePoint,
+    _ExactBlock,
+    build_canonical_matrices,
+    build_rep_generators,
+    build_rho_bar,
+    restrict_to_fixed_space,
+)
+
+KERNEL = settings(derandomize=True, database=None, deadline=None, max_examples=120)
+
+
+# ---------------------------------------------------------------------------
+# test-only references
+
+
+def is_zero(x):
+    return x.is_zero() if isinstance(x, CyclotomicNumber) else x == 0
+
+
+def reference_dot(row, col):
+    """One entry of a product, scalar by scalar, skipping zero terms."""
+    acc = None
+    for x, y in zip(row, col):
+        if is_zero(x) or is_zero(y):
+            continue
+        t = x * y
+        acc = t if acc is None else acc + t
+    if acc is None:
+        return row[0] * 0
+    return acc
+
+
+def reference_product(a, b):
+    cols = list(zip(*b))
+    return [[reference_dot(row, col) for col in cols] for row in a]
+
+
+def reference_inverse(rows):
+    """Gauss-Jordan elimination over the scalars."""
+    n = len(rows)
+    a = [list(r) for r in rows]
+    b = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if not is_zero(a[r][col]))
+        a[col], a[piv] = a[piv], a[col]
+        b[col], b[piv] = b[piv], b[col]
+        p = a[col][col]
+        pinv = p.inverse() if isinstance(p, CyclotomicNumber) else 1 / Fraction(p)
+        a[col] = [pinv * x for x in a[col]]
+        b[col] = [pinv * x for x in b[col]]
+        for r in range(n):
+            if r != col and not is_zero(a[r][col]):
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                b[r] = [x - f * y for x, y in zip(b[r], b[col])]
+    return b
+
+
+def to_complex(rows):
+    conv = [[c.complex_value() if isinstance(c, CyclotomicNumber) else complex(c) for c in r]
+            for r in rows]
+    return np.array(conv, dtype=complex)
+
+
+def same_scalar(x, y):
+    """Equal as elements, of one type, and of one order if cyclotomic."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, CyclotomicNumber):
+        return (x.order, x.num, x.den) == (y.order, y.num, y.den)
+    return x == y
+
+
+def assert_same_product(got, want):
+    """Equal entries, nonzero ones of one type and order, and bit-identical
+    complex values."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert len(g) == len(w)
+        for x, y in zip(g, w):
+            assert x == y
+            if not is_zero(y):
+                assert same_scalar(x, y), (x, y)
+    assert to_complex(got).tobytes() == to_complex(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+# an order m together with 2m mixes embeddings with and without reduction
+BASE_ORDERS = (1, 2, 3, 4, 5, 6, 8)
+
+fractions = st.builds(
+    Fraction,
+    st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40)),
+    st.one_of(st.integers(1, 12), st.integers(1, 2**20)),
+)
+
+
+@st.composite
+def scalars(draw, m):
+    kind = draw(st.sampled_from(("zero", "fraction", "cyclotomic", "cyclotomic2")))
+    if kind == "zero":
+        return draw(st.sampled_from((Fraction(0), CyclotomicNumber(m, []))))
+    if kind == "fraction":
+        return draw(fractions)
+    order = m if kind == "cyclotomic" else 2 * m
+    coeffs = draw(st.lists(fractions, max_size=euler_phi(order)))
+    return CyclotomicNumber(order, coeffs)
+
+
+@st.composite
+def matrices(draw, m, nrows, ncols):
+    rows = [[draw(scalars(m)) for _ in range(ncols)] for _ in range(nrows)]
+    # zero rows and columns, so that some entries get no term at all
+    if nrows > 1 and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [Fraction(0)] * ncols
+    if ncols > 1 and draw(st.booleans()):
+        j = draw(st.integers(0, ncols - 1))
+        for r in rows:
+            r[j] = CyclotomicNumber(m, [])
+    return rows
+
+
+@st.composite
+def products(draw, square=False):
+    m = draw(st.sampled_from(BASE_ORDERS))
+    r = draw(st.integers(1, 5))
+    k = r if square else draw(st.integers(1, 5))
+    c = r if square else draw(st.integers(1, 5))
+    return draw(matrices(m, r, k)), draw(matrices(m, k, c))
+
+
+# ---------------------------------------------------------------------------
+# the packed product
+
+
+@KERNEL
+@given(products())
+def test_packed_product_matches_reference(pair):
+    a, b = pair
+    got = (_ExactBlock.from_rows(a) @ _ExactBlock.from_rows(b)).scalars()
+    assert_same_product(got, reference_product(a, b))
+
+
+@KERNEL
+@given(products(square=True))
+def test_square_matrix_product_and_complex_array(pair):
+    a, b = pair
+    got = ProjectiveMatrix(a) @ ProjectiveMatrix(b)
+    # a product of a product whose rows were never read
+    again = got @ ProjectiveMatrix(b)
+    want = reference_product(a, b)
+    assert_same_product(got.rows, want)
+    assert got.complex_array().tobytes() == to_complex(want).tobytes()
+    assert_same_product(again.rows, reference_product(want, b))
+
+
+@KERNEL
+@given(products(square=True))
+def test_matrix_point_product(pair):
+    a, b = pair
+    col = [row[0] for row in b]
+    if all(is_zero(x) for x in col):
+        return
+    want = [reference_dot(row, col) for row in a]
+    if all(is_zero(x) for x in want):
+        return
+    got = ProjectiveMatrix(a) @ ProjectivePoint(col)
+    assert_same_product([got.coords], [want])
+
+
+@pytest.mark.parametrize("N", (2, 6, 8))
+def test_restrict_to_fixed_space(N):
+    gens = build_rep_generators(N)
+    h = N // 2
+    compress = [[Fraction(int(j in (i, N - i))) for j in range(N)] for i in range(h + 1)]
+    expand = [[Fraction(1 if i == j or N - i == j else 0) / (1 if j in (0, h) else 2)
+               for j in range(h + 1)] for i in range(N)]
+    for mat in (gens.A0, gens.B0, gens.A0 @ gens.B0):
+        want = reference_product(compress, reference_product(mat.rows, expand))
+        got = restrict_to_fixed_space(mat, N)
+        assert_same_product(got.rows, want)
+        # complex entries go through the scalar product
+        num = restrict_to_fixed_space(ProjectiveMatrix(mat.complex_array()), N)
+        assert not num.exact
+        assert np.allclose(num.complex_array(), got.complex_array(), rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        restrict_to_fixed_space(gens.A0, N + 2)
+
+
+def ones(order, c):
+    """c * (1 + z + ... + z^(phi-1)): every slot of it is c."""
+    return CyclotomicNumber(order, [c] * euler_phi(order))
+
+
+@pytest.mark.parametrize("order", (1, 4, 12))
+@pytest.mark.parametrize("inner", (1, 3))
+def test_slot_width_boundaries(order, inner):
+    # all-equal slots make one product slot reach the bound
+    # inner * phi * max|a| * max|b| exactly; sweep it across 2^(8w-1)
+    phi = euler_phi(order)
+    for w in (1, 2, 4, 8):
+        top = 2 ** (8 * w - 1)
+        base = top // (inner * phi)
+        for c in (base - 1, base, base + 1, -base, -base - 1):
+            a = [[ones(order, c)] * inner]
+            b = [[ones(order, 1)] for _ in range(inner)]
+            got = (_ExactBlock.from_rows(a) @ _ExactBlock.from_rows(b)).scalars()
+            assert_same_product(got, reference_product(a, b))
+
+
+def test_pack_roundtrip_at_byte_boundaries():
+    for width in (1, 2, 3, 4, 5, 8, 16):
+        top = 2 ** (8 * width - 1)
+        slots = [top - 1, -(top - 1), 0, 1, -1, top // 2]
+        assert slot_width(top - 1) == width
+        assert slot_width(top) == width + 1
+        value = pack(slots, width)
+        assert value == sum(c << (8 * width * i) for i, c in enumerate(slots))
+        assert unpack(value, width, len(slots)) == slots
+        # slots above the n read are cut, whatever their sign
+        assert unpack(value - (5 << (8 * width * len(slots))), width, len(slots)) == slots
+
+
+def test_power_without_identity():
+    gens = build_rep_generators(6)
+    a0 = gens.A0
+    acc = a0
+    for k in range(1, 9):
+        assert_same_product(a0.power(k).rows, acc.rows)
+        acc = acc @ a0
+    assert a0.power(0).proj_eq(ProjectiveMatrix.identity(6))
+    assert_same_product(a0.power(-3).rows, a0.inverse().power(3).rows)
+
+
+# ---------------------------------------------------------------------------
+# closed-form inverses
+
+
+def assert_same_inverse(mat):
+    got = mat.inverse().rows
+    want = reference_inverse(mat.rows)
+    for g, w in zip(got, want):
+        for x, y in zip(g, w):
+            assert same_scalar(x, y), (x, y)
+
+
+@pytest.mark.parametrize("N", range(2, 17))
+def test_closed_form_inverses_match_gauss_jordan(N):
+    for zeta_n in (zeta(N), zeta(2 * N) ** 2):
+        can = build_canonical_matrices(N, zeta_n)
+        for mat in (can.M_S, can.M_T, can.M_inv):
+            assert_same_inverse(mat)
+    if N % 2 == 0:
+        for zeta_2n in (zeta(2 * N), zeta(2 * N, 2 * N - 1)):
+            gens = build_rep_generators(N, zeta_2n)
+            assert_same_inverse(gens.A0)
+            assert_same_inverse(gens.B0)
+            ident = ProjectiveMatrix.identity(N).rows
+            assert (gens.A0 @ gens.A0.inverse()).rows == ident
+
+
+def test_inverse_is_kept():
+    gens = build_rep_generators(8)
+    assert gens.A0.inverse() is gens.A0.inverse()
+    assert build_rep_generators(8) is gens
+    assert build_canonical_matrices(8) is build_canonical_matrices(8)
+    # equal roots of different orders give different matrices
+    assert build_canonical_matrices(8) is not build_canonical_matrices(8, zeta(16) ** 2)
+
+
+def test_general_inverse():
+    # neither monomial nor a DFT matrix: Gauss-Jordan remains
+    rb = build_rho_bar(8)
+    for mat in (rb.Abar, rb.Abar_null, rb.Bbar, rb.Abar @ rb.Bbar):
+        inv = mat.inverse()
+        assert_same_inverse(mat)
+        ident = ProjectiveMatrix.identity(mat.n).rows
+        assert (mat @ inv).rows == ident
+        assert (inv @ mat).rows == ident
