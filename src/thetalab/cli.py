@@ -3,17 +3,14 @@
 Exit codes: 0 everything passed, 1 at least one check failed, 2 usage
 or configuration error.  Reports are deterministic for a fixed
 configuration: sampling is seeded and records are assembled in name
-order, independent of any parallelism (THETA_LAB_THREADS caps the
-worker count)."""
+order."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from random import Random
 
@@ -152,10 +149,14 @@ def _suite_quadrics(cfg: RunConfig) -> list[IdentityRecord]:
     nd = NullData.numeric(ctx)
     expected = N * (N - 3) // 2
     if N % 2:
-        forms = gen_odd_basis(nd)
+        forms, s_forms = gen_odd_basis(nd), []
     else:
-        forms = gen_even_basis(nd).full
-    rep = verify_on_curve(forms, ctx, cfg.samples, cfg.seed, cfg.tol * 10)
+        eb = gen_even_basis(nd)
+        sb = gen_even_s_basis(nd)
+        forms, s_forms = eb.full, sb.V0 + sb.V1
+    # one pass over the samples checks both form sets
+    both = verify_on_curve(forms + s_forms, ctx, cfg.samples, cfg.seed, cfg.tol * 10)
+    rep = both.part(0, len(forms))
     rank = rank_check(forms, N)
     out = [
         IdentityRecord(
@@ -171,9 +172,7 @@ def _suite_quadrics(cfg: RunConfig) -> list[IdentityRecord]:
         ),
     ]
     if N % 2 == 0:
-        sb = gen_even_s_basis(nd)
-        rep_s = verify_on_curve(sb.V0 + sb.V1, ctx, cfg.samples, cfg.seed, cfg.tol * 10)
-        eb = gen_even_basis(nd)
+        rep_s = both.part(len(forms), len(forms) + len(s_forms))
         r_a = rank_check(eb.V0, N)
         r_s = rank_check(sb.V0, N)
         r_both = rank_check(eb.V0 + sb.V0, N)
@@ -182,7 +181,7 @@ def _suite_quadrics(cfg: RunConfig) -> list[IdentityRecord]:
                 name="quadrics.s-basis.on-curve", level=N, kind="numeric-vanishing",
                 status="pass" if rep_s.passed else "fail", tolerance=cfg.tol * 10,
                 residual=rep_s.max_residual,
-                detail=f"{len(sb.V0) + len(sb.V1)} forms",
+                detail=f"{rep_s.n_forms} forms",
             )
         )
         out.append(
@@ -360,7 +359,7 @@ _SUITES = {
 
 def run_suites(cfg: RunConfig, suite: str) -> list[IdentityRecord]:
     if suite == "all":
-        tasks = []
+        records = []
         for name, fn in _SUITES.items():
             if name == "rep" and cfg.N % 2:
                 continue
@@ -370,14 +369,9 @@ def run_suites(cfg: RunConfig, suite: str) -> list[IdentityRecord]:
                 continue
             if name == "identities" and cfg.N not in (4, 5, 6, 7, 8):
                 continue
-            tasks.append(fn)
-        workers = max(1, int(os.environ.get("THETA_LAB_THREADS", "1")))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda f: _run_suite(f, cfg), tasks))
-        else:
-            results = [_run_suite(f, cfg) for f in tasks]
-        records = [r for chunk in results for r in chunk]
+            if name == "quadrics" and cfg.N < 4:
+                continue
+            records += _run_suite(fn, cfg)
     else:
         if suite not in _SUITES:
             raise ConfigError(f"unknown suite {suite!r}")

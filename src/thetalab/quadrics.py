@@ -134,9 +134,16 @@ def forms_proportional(f: QuadraticForm, g: QuadraticForm, tol: float | None = N
 
 
 def _dedupe(forms: list[QuadraticForm], tol: float | None) -> list[QuadraticForm]:
+    """The forms no earlier kept form is proportional to, in input order.
+
+    Forms with different supports are never proportional, so each form
+    is compared only with the kept forms of its own support."""
     kept: list[QuadraticForm] = []
+    by_support: dict[tuple, list[QuadraticForm]] = {}
     for f in forms:
-        if not any(forms_proportional(f, g, tol) for g in kept):
+        same = by_support.setdefault((f.N, frozenset(f.coeffs)), [])
+        if not any(forms_proportional(f, g, tol) for g in same):
+            same.append(f)
             kept.append(f)
     return kept
 
@@ -333,6 +340,20 @@ class OnCurveReport:
     n_forms: int
     max_residual: float
     passed: bool
+    rtol: float
+    form_residuals: tuple  # each form's worst normalized residual, in input order
+
+    @staticmethod
+    def of(N: int, samples: int, rtol: float, form_residuals) -> "OnCurveReport":
+        worst = float(np.max(form_residuals, initial=0.0))
+        return OnCurveReport(
+            N=N, samples=samples, n_forms=len(form_residuals), max_residual=worst,
+            passed=worst < rtol, rtol=rtol, form_residuals=tuple(form_residuals),
+        )
+
+    def part(self, start: int, stop: int) -> "OnCurveReport":
+        """The report of forms[start:stop] alone, equal to a separate call on them."""
+        return OnCurveReport.of(self.N, self.samples, self.rtol, self.form_residuals[start:stop])
 
 
 def verify_on_curve(
@@ -348,29 +369,31 @@ def verify_on_curve(
     (max coordinate magnitude)^2 so the check is scale-free.  The forms
     become one term table (coefficient, i, j per monomial, zero-padded)
     and are evaluated together on each block of samples, summing each
-    form's terms in its own monomial order."""
+    form's terms in its own monomial order.  A form's residual does not
+    depend on the other forms in the table, so several form sets can
+    share one pass over the samples and be read back with `part`."""
     N = ctx.N
-    live = [f for f in forms if f.coeffs]
-    width = max((len(f.coeffs) for f in live), default=0)
+    live = [col for col, f in enumerate(forms) if f.coeffs]
+    width = max((len(forms[col].coeffs) for col in live), default=0)
     coef = np.zeros((width, len(live)), dtype=complex)
     idx = np.zeros((2, width, len(live)), dtype=np.intp)
-    for col, f in enumerate(live):
-        for t, ((i, j), c) in enumerate(f.coeffs.items()):
-            coef[t, col] = _to_complex(c)
-            idx[:, t, col] = i, j
-    norm = np.array([f.max_coeff_abs() for f in live])
+    for slot, col in enumerate(live):
+        for t, ((i, j), c) in enumerate(forms[col].coeffs.items()):
+            coef[t, slot] = _to_complex(c)
+            idx[:, t, slot] = i, j
+    norm = np.array([forms[col].max_coeff_abs() for col in live])
     ks = np.arange(N)
-    worst = 0.0
+    worst = np.zeros(len(live))
     for z in sample_blocks(ctx.tau, samples, seed):
         x = theta_N_eval(ks, z[:, None], ctx)
         acc = np.zeros((len(z), len(live)), dtype=complex)
         for t in range(width):
             acc += coef[t] * x[:, idx[0, t]] * x[:, idx[1, t]]
         scale2 = np.max(np.abs(x), axis=1) ** 2
-        worst = float(np.max(np.abs(acc) / (norm * scale2[:, None]), initial=worst))
-    return OnCurveReport(
-        N=N, samples=samples, n_forms=len(forms), max_residual=worst, passed=worst < rtol
-    )
+        np.maximum(worst, np.max(np.abs(acc) / (norm * scale2[:, None]), axis=0), out=worst)
+    residuals = np.zeros(len(forms))  # a form without terms vanishes identically
+    residuals[live] = worst
+    return OnCurveReport.of(N, samples, rtol, residuals.tolist())
 
 
 def rank_check(forms: list[QuadraticForm], N: int, threshold: float = 1e-7) -> int:

@@ -85,11 +85,14 @@ def _theta_sum(p, q: float, z, tau: complex, tol: float) -> np.ndarray:
     p and z broadcast against each other; q and tau are shared.  Each
     point sums its own window [floor(peak - p - R), ceil(peak - p + R)]
     centred on its peak m = -Im z / Im tau, with R from _window_radius.
-    Points are summed BLOCK at a time, one masked vector add per window
-    offset in increasing n, and every term is formed with the same
-    floating-point operations as the scalar expression
-    exp(2 pi i ((1/2) m^2 tau + m (z + q))), so each value is the one a
-    scalar loop over n would give, bit for bit.
+    Points are summed BLOCK at a time: a block's terms form one
+    (window offset x point) table, built with one exp and with every
+    term formed by the same floating-point operations as the scalar
+    expression exp(2 pi i ((1/2) m^2 tau + m (z + q))).  Terms past a
+    point's own window are set to zero, and the rows are added in
+    increasing n, so each value is the one a scalar loop over n would
+    give, bit for bit.  (A reduction over the offset axis would not be:
+    numpy sums a contiguous axis pairwise.)
 
     Error model: tol bounds only the tail left out of the window.
     Rounding in the sum adds about 1e-16 * exp(pi Im(z)^2 / Im tau), the
@@ -99,16 +102,19 @@ def _theta_sum(p, q: float, z, tau: complex, tol: float) -> np.ndarray:
     y = tau.imag
     if y <= 0:
         raise ValueError("Im tau must be positive")
-    p, z = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(z, dtype=complex))
-    shape = p.shape
-    p, z = p.ravel(), z.ravel()
-    b = z.imag
+    p = np.asarray(p, dtype=float)
+    z = np.asarray(z, dtype=complex)
     r0 = tail_radius(tol, y)
-    # one radius per distinct Im z; a dict, since np.unique's sort alone
-    # raised the peak RSS of the numeric CLI runs by about 0.5 MB
-    im_z = b.tolist()
+    # one radius per distinct Im z, found before z is broadcast against p;
+    # a dict, since np.unique's sort alone raised the peak RSS of the
+    # numeric CLI runs by about 0.5 MB
+    im_z = z.imag.ravel().tolist()
     radius_at = {x: _window_radius(x, y, tol, r0) for x in set(im_z)}
-    radius = np.array([radius_at[x] for x in im_z], dtype=float)
+    radius = np.array([radius_at[x] for x in im_z], dtype=float).reshape(z.shape)
+    p, z, radius = np.broadcast_arrays(p, z, radius)
+    shape = p.shape
+    p, z, radius = p.ravel(), z.ravel(), radius.ravel()
+    b = z.imag
     peak = -b / y
     lo = np.floor(peak - p - radius)
     hi = np.ceil(peak - p + radius)
@@ -117,17 +123,19 @@ def _theta_sum(p, q: float, z, tau: complex, tol: float) -> np.ndarray:
     with np.errstate(over="raise", invalid="raise"):  # as cmath.exp raises, never inf
         for s in range(0, p.size, BLOCK):
             blk = slice(s, s + BLOCK)
-            pb, lob, hib, wr, wi, acc = p[blk], lo[blk], hi[blk], w_re[blk], b[blk], out[blk]
-            arg = np.empty(acc.shape, dtype=complex)
-            for j in range(int(np.max(hib - lob)) + 1):
-                n = lob + j
-                m = n + pb
-                half_m2 = 0.5 * m * m
-                # TWO_PI_I * (half_m2 * tau + m * (z + q)) in reals: numpy's complex
-                # product may fuse multiply-adds, which would move the last bit
-                arg.real = (half_m2 * tau.imag + m * wi) * -TWO_PI
-                arg.imag = (half_m2 * tau.real + m * wr) * TWO_PI
-                np.add(acc, np.exp(arg), out=acc, where=n <= hib)
+            lob, hib, acc = lo[blk], hi[blk], out[blk]
+            n = lob + np.arange(int(np.max(hib - lob)) + 1, dtype=float)[:, None]
+            m = n + p[blk]
+            half_m2 = 0.5 * m * m
+            # TWO_PI_I * (half_m2 * tau + m * (z + q)) in reals: numpy's complex
+            # product may fuse multiply-adds, which would move the last bit
+            terms = np.empty(m.shape, dtype=complex)
+            terms.real = (half_m2 * tau.imag + m * b[blk]) * -TWO_PI
+            terms.imag = (half_m2 * tau.real + m * w_re[blk]) * TWO_PI
+            np.exp(terms, out=terms)
+            np.copyto(terms, 0, where=n > hib)
+            for row in terms:
+                acc += row
     return out.reshape(shape)
 
 

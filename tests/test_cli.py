@@ -1,7 +1,17 @@
 import json
-import os
 
-from thetalab.cli import RunConfig, main, render_report, report_exit_code, run_suites
+import numpy as np
+
+import thetalab.quadrics
+import thetalab.theta
+from thetalab.cli import (
+    RunConfig,
+    _suite_quadrics,
+    main,
+    render_report,
+    report_exit_code,
+    run_suites,
+)
 from thetalab.identities import IdentityRecord
 
 
@@ -116,17 +126,11 @@ def test_exit_code_mapping():
     assert report_exit_code([]) == 0
 
 
-def test_report_determinism_and_threads():
+def test_report_determinism():
     cfg = RunConfig(N=4, samples=6, seed=0)
     r1 = render_report(run_suites(cfg, "all"), cfg, "json")
     r2 = render_report(run_suites(cfg, "all"), cfg, "json")
     assert r1 == r2
-    os.environ["THETA_LAB_THREADS"] = "4"
-    try:
-        r3 = render_report(run_suites(cfg, "all"), cfg, "json")
-    finally:
-        del os.environ["THETA_LAB_THREADS"]
-    assert r1 == r3
     parsed = json.loads(r1)
     assert parsed["schema"] == 1
     names = [r["name"] for r in parsed["records"]]
@@ -189,3 +193,41 @@ def test_verify_translation_and_transform_reject_level_one(capsys):
             assert code == 2
             assert out == ""
             assert "N >= 2" in err
+
+
+def test_verify_all_at_levels_below_four(capsys):
+    # the quadric systems need N >= 4; `all` runs the suites that apply
+    want = {
+        2: {"rep", "structures", "translation", "transform"},
+        3: {"translation", "transform"},
+    }
+    for n, suites in want.items():
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "all", "--N", str(n), "--samples", "5",
+            "--format", "json",
+        )
+        assert code == 0, err
+        records = json.loads(out)["records"]
+        assert {r["name"].split(".")[0] for r in records} == suites
+        assert all(r["status"] == "pass" and r["level"] == n for r in records)
+    code, _, err = run_cli(capsys, "verify", "--suite", "quadrics", "--N", "3")
+    assert code == 2 and "N >= 4" in err
+
+
+def test_quadrics_suite_samples_each_point_once(monkeypatch):
+    # both form sets of the even-N suite share one pass over the samples
+    seen = []
+    inner = thetalab.theta.theta_N_eval
+
+    def counting(k, z, ctx):
+        seen.append(np.broadcast(np.asarray(k), np.asarray(z)).size)
+        return inner(k, z, ctx)
+
+    monkeypatch.setattr(thetalab.theta, "theta_N_eval", counting)
+    monkeypatch.setattr(thetalab.quadrics, "theta_N_eval", counting)
+    for N in (4, 8, 12):
+        seen.clear()
+        records = _suite_quadrics(RunConfig(N=N, samples=150, seed=2))
+        assert {r.name for r in records} >= {"quadrics.on-curve", "quadrics.s-basis.on-curve"}
+        # null values a_k and s_k, then every sample once
+        assert sum(seen) == 2 * N + 150 * N

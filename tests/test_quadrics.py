@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+import thetalab.quadrics
 from thetalab.quadrics import (
     NullData,
     QuadraticForm,
+    _dedupe,
     forms_proportional,
     gen_even_basis,
     gen_even_s_basis,
@@ -177,6 +179,68 @@ def test_origin_substitution_vanishes_exactly():
         nd = NullData.exact(N, 50)
         for f in gen_odd_basis(nd):
             assert substitute_nulls(f, nd).is_zero()
+
+
+def _quadratic_dedupe(forms, tol):
+    """Test-only copy of the dedupe that compares every pair of forms."""
+    kept = []
+    for f in forms:
+        if not any(forms_proportional(f, g, tol) for g in kept):
+            kept.append(f)
+    return kept
+
+
+@pytest.mark.parametrize("source", ["numeric", "series"])
+def test_dedupe_matches_pairwise_dedupe(source, monkeypatch):
+    def same_support_only(f, g, tol=None):
+        assert set(f.coeffs) == set(g.coeffs), "compared forms with different supports"
+        return forms_proportional(f, g, tol)
+
+    monkeypatch.setattr(thetalab.quadrics, "forms_proportional", same_support_only)
+    for N in range(4, 17):
+        nd = numeric_nulls(N) if source == "numeric" else NullData.exact(N, N + 2)
+        tol = 1e-9 if source == "numeric" else None
+        if N % 2:
+            if N < 5:
+                continue
+            base = gen_odd_basis(nd)[: (N - 3) // 2]
+        else:
+            eb = gen_even_basis(nd)
+            base = eb.V0 + eb.V1
+        forms = [f.shift(s) for s in range(N) for f in base]
+        got = _dedupe(forms, tol)
+        want = _quadratic_dedupe(forms, tol)
+        assert [id(f) for f in got] == [id(f) for f in want], (source, N)
+        assert len(got) == N * (N - 3) // 2
+    # proportional forms with one support, and forms with different supports
+    f = QuadraticForm(6, {(0, 0): Fraction(1), (1, 5): Fraction(2)})
+    g = QuadraticForm(6, {(0, 0): Fraction(3), (1, 5): Fraction(6)})
+    h = QuadraticForm(6, {(0, 0): Fraction(1), (2, 4): Fraction(2)})
+    empty = QuadraticForm(6, {})
+    forms = [f, h, g, empty, QuadraticForm(6, {}), h.shift(6)]
+    assert _dedupe(forms, None) == _quadratic_dedupe(forms, None) == [f, h, empty]
+
+
+@pytest.mark.parametrize("N, tau, tol", [(8, 0.3 + 1.1j, 1e-10), (12, 1j, 1e-10), (16, 0.5j, 1e-11)])
+def test_one_pass_residuals_equal_separate_calls(N, tau, tol):
+    ctx = ThetaContext(N, tau, tol)
+    nd = NullData.numeric(ctx)
+    forms = gen_even_basis(nd).full
+    sb = gen_even_s_basis(nd)
+    s_forms = sb.V0 + sb.V1
+    everything = forms + s_forms
+    both = verify_on_curve(everything, ctx, samples=130, seed=4, rtol=tol * 10)
+    for part, alone in (
+        (both.part(0, len(forms)), verify_on_curve(forms, ctx, 130, 4, tol * 10)),
+        (both.part(len(forms), len(everything)), verify_on_curve(s_forms, ctx, 130, 4, tol * 10)),
+    ):
+        assert part == alone
+        assert part.max_residual > 0
+    assert both.max_residual == max(both.form_residuals)
+    # a form's residual does not depend on the forms beside it
+    for i in (0, len(forms) - 1, len(forms) + 1):
+        alone = verify_on_curve([everything[i]], ctx, 130, 4)
+        assert alone.max_residual == both.form_residuals[i]
 
 
 def test_constant_zero_form_passes_trivially():

@@ -117,6 +117,28 @@ def test_pq_and_jacobi_equal_scalar_sum():
             assert got.tolist() == [_scalar_theta_sum(jp, jq, z, tau, ctx.tol) for z in zs]
 
 
+def test_single_point_equals_scalar_sum():
+    # demo 02's quasi-periodicity point: one point per call, so the term
+    # table has a single column; summing it with a reduction over the
+    # offset axis (pairwise in numpy) moves the last bits of the value
+    N, tau = 6, 0.3 + 1.1j
+    ctx = ThetaContext(N, tau, 1e-10)
+    z = 0.23 + 0.17j + tau
+    assert theta_N_eval(1, z, ctx) == _scalar_theta_N(1, z, ctx)
+    assert theta_N_eval(1, np.array([z]), ctx).tolist() == [_scalar_theta_N(1, z, ctx)]
+
+
+def test_terms_past_a_window_are_left_out():
+    # at small Im tau and a loose tol the terms just past a window are not
+    # negligible, so a point must not pick up the extra offsets that a wider
+    # window elsewhere in its block adds to the term table
+    tau, tol = 0.2 + 0.02j, 1e-3
+    ctx = ThetaContext(1, tau, tol)
+    zs = [0.1, 0.3 + 0.01j, -0.2 + 0.03j, 0.45 - 0.04j, 0.05 + 0.3j]
+    got = theta_pq_eval(Characteristic(0, 0), np.array(zs), ctx)
+    assert got.tolist() == [_scalar_theta_sum(0.0, 0.0, z, tau, tol) for z in zs]
+
+
 def test_shapes_and_types():
     ctx = ThetaContext(6, 1j)
     v = theta_N_eval(1, 0.2 + 0.1j, ctx)
