@@ -764,9 +764,9 @@ def translation_check(
     worst_s = 0.0
     worst_t = {1: 0.0, -1: 0.0}
     for z in sample_blocks(tau, samples, seed):
-        base = theta_N_eval(ks, z[:, None], ctx)
-        ts = theta_N_eval(ks, (z + tau / N)[:, None], ctx)
-        tt = theta_N_eval(ks, (z + 1.0 / N)[:, None], ctx)
+        # each point and its two translates in one kernel call
+        pts = np.stack([z, z + tau / N, z + 1.0 / N])
+        base, ts, tt = theta_N_eval(ks, pts[:, :, None], ctx)
         worst_s = max(worst_s, proj_residual(base @ ms.T, ts))
         worst_t[1] = max(worst_t[1], proj_residual(base @ mt.T, tt))
         worst_t[-1] = max(worst_t[-1], proj_residual(base @ mt_inv.T, tt))

@@ -76,9 +76,6 @@ class QuadraticForm:
             return values[0] * values[0] * 0  # typed zero for the empty form
         return acc
 
-    def complex_row(self, monomials) -> list[complex]:
-        return [_to_complex(self.coeffs.get(m, 0)) for m in monomials]
-
     def max_coeff_abs(self) -> float:
         return max(abs(_to_complex(c)) for c in self.coeffs.values())
 
@@ -403,8 +400,11 @@ def rank_check(forms: list[QuadraticForm], N: int, threshold: float = 1e-7) -> i
     below threshold * (largest singular value) count as zero."""
     if not forms:
         return 0
-    mons = monomial_basis(N)
-    mat = np.array([f.complex_row(mons) for f in forms], dtype=complex)
+    col = {m: c for c, m in enumerate(monomial_basis(N))}
+    mat = np.zeros((len(forms), len(col)), dtype=complex)
+    for row, f in zip(mat, forms):  # only the nonzero coefficients
+        for m, c in f.coeffs.items():
+            row[col[m]] = _to_complex(c)
     # scale rows to unit max to keep the pivot threshold meaningful
     norms = np.max(np.abs(mat), axis=1)
     norms[norms == 0] = 1.0

@@ -9,8 +9,10 @@ with e(x) = exp(2 pi i x), and the degree-N family
     theta_k(z, tau) = theta_(1/2 - k/N, N/2)(N z, N tau),
 
 indexed by k mod N (integers or half-integers).  Numeric sums are
-truncated with an explicit Gaussian tail bound; the exact q-expansions
-of the null values theta_k(0, tau) are produced as Puiseux series.
+truncated point by point, where a Gaussian tail bound puts the rest
+below the tolerance and below rounding of the peak term; the exact
+q-expansions of the null values theta_k(0, tau) are produced as
+Puiseux series.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ TWO_PI_I = 2j * math.pi
 TWO_PI = TWO_PI_I.imag
 
 MAX_RADIUS = 4096
-BLOCK = 256  # points summed together by one pass of _theta_sum
+BLOCK = 512  # points summed together by one pass of _theta_sum
 
 
 def e(x) -> complex:
@@ -38,45 +40,51 @@ def e(x) -> complex:
     return cmath.exp(TWO_PI_I * x)
 
 
-def tail_radius(tol: float, im_tau: float) -> int:
-    """Summation cutoff for the defining series at a given tolerance.
+def window_radii(b: np.ndarray, y: float, tol: float) -> np.ndarray:
+    """Summation radius around the peak for each point with Im z = b.
 
-    Gaussian tail: terms at distance u from the peak have magnitude
-    <= C exp(-pi Im(tau) u^2), so a radius ~ sqrt(ln(1/tol)/(pi Im tau))
-    suffices; a fixed guard band of 6 absorbs the constant C for the
-    z-ranges used here.
+    The summand at m = n + p has magnitude
+    amp * exp(-pi y (m + b/y)^2) with amp = exp(pi b^2 / y) and
+    y = Im tau, so the terms further than R from the peak add up to at
+    most the geometric majorant
+
+        2 amp exp(-pi y R^2) / (1 - exp(-2 pi y R)).
+
+    Each radius is the smallest integer R >= 1 at which this is below
+    min(tol, 2^-60 amp): the tail left out is below tol and below double
+    rounding of the peak term (the pointwise truncation of Deconinck et
+    al., Computing Riemann theta functions, Math. Comp. 73, 2004).  The
+    radii are found for the whole array at once, stepping up from a
+    Gaussian lower bound.  Returned as floats with the shape of b.
     """
-    if im_tau <= 0:
-        raise ValueError("Im tau must be positive")
-    r = math.ceil(math.sqrt(max(0.0, math.log(1.0 / tol)) / (math.pi * im_tau))) + 6
-    if r > MAX_RADIUS:
-        raise ValueError("tolerance unreachable at this Im tau; raise tol or Im tau")
-    return r
-
-
-def _window_radius(b: float, y: float, tol: float, radius: int) -> int:
-    """Summation radius around the peak for a point with Im z = b.
-
-    The summand magnitude is exp(-pi y (m + b/y)^2) * exp(pi b^2 / y)
-    with m = n + p and y = Im tau, so starting from `radius` we widen in
-    steps of 4 until the geometric-majorant tail bound
-    2 C exp(-pi y R^2)/(1 - exp(-2 pi y R)) drops below tol.
-    """
-    try:
-        amp = math.exp(math.pi * b * b / y)
-    except OverflowError:
-        raise ValueError(
-            f"theta terms overflow double precision at Im z = {b:.3g}, Im tau = {y:.3g}"
-            " (N z and N tau for the degree-N family); lower Im tau"
-        ) from None
-    while True:
-        decay = math.exp(-math.pi * y * radius * radius)
-        denom = 1.0 - math.exp(-2.0 * math.pi * y * radius)
-        if 2.0 * amp * decay / denom < tol:
-            return radius
-        if radius >= MAX_RADIUS:
-            raise ValueError("tail bound unreachable at this (tol, Im tau, Im z)")
-        radius += 4
+    shape = np.shape(b)
+    b = np.asarray(b, dtype=float).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_amp = math.pi * b * b / y
+        amp = np.exp(log_amp)
+        if not np.isfinite(amp).all():
+            bad = b[np.argmin(np.isfinite(amp))]
+            raise ValueError(
+                f"theta terms overflow double precision at Im z = {bad:.3g}, Im tau = {y:.3g}"
+                " (N z and N tau for the degree-N family); lower Im tau"
+            )
+        limit = np.minimum(tol, 2.0**-60 * amp)
+        # the majorant exceeds 2 amp exp(-pi y R^2), so no radius below
+        # sqrt(log(2 amp / limit) / (pi y)) proves the bound; the margin
+        # keeps rounding from starting a point past its radius
+        log_ratio = np.maximum(log_amp - math.log(tol), 60 * math.log(2))
+        start = np.sqrt((log_ratio + math.log(2)) / (math.pi * y)) - 1e-9
+        radius = np.maximum(1.0, np.ceil(start))
+        todo = np.arange(b.size)
+        while todo.size:
+            r = radius[todo]
+            if r.max() > MAX_RADIUS:
+                raise ValueError("tail bound unreachable at this (tol, Im tau, Im z)")
+            decay = np.exp(-math.pi * y * r * r)
+            denom = 1.0 - np.exp(-2.0 * math.pi * y * r)
+            todo = todo[~(2.0 * amp[todo] * decay / denom < limit[todo])]
+            radius[todo] += 1
+    return radius.reshape(shape)
 
 
 def _theta_sum(p, q: float, z, tau: complex, tol: float) -> np.ndarray:
@@ -84,7 +92,7 @@ def _theta_sum(p, q: float, z, tau: complex, tol: float) -> np.ndarray:
 
     p and z broadcast against each other; q and tau are shared.  Each
     point sums its own window [floor(peak - p - R), ceil(peak - p + R)]
-    centred on its peak m = -Im z / Im tau, with R from _window_radius.
+    centred on its peak m = -Im z / Im tau, with R from window_radii.
     Points are summed BLOCK at a time: a block's terms form one
     (window offset x point) table, built with one exp and with every
     term formed by the same floating-point operations as the scalar
@@ -104,13 +112,8 @@ def _theta_sum(p, q: float, z, tau: complex, tol: float) -> np.ndarray:
         raise ValueError("Im tau must be positive")
     p = np.asarray(p, dtype=float)
     z = np.asarray(z, dtype=complex)
-    r0 = tail_radius(tol, y)
-    # one radius per distinct Im z, found before z is broadcast against p;
-    # a dict, since np.unique's sort alone raised the peak RSS of the
-    # numeric CLI runs by about 0.5 MB
-    im_z = z.imag.ravel().tolist()
-    radius_at = {x: _window_radius(x, y, tol, r0) for x in set(im_z)}
-    radius = np.array([radius_at[x] for x in im_z], dtype=float).reshape(z.shape)
+    # radii depend on Im z alone, so find them before z is broadcast against p
+    radius = window_radii(z.imag, y, tol)
     p, z, radius = np.broadcast_arrays(p, z, radius)
     shape = p.shape
     p, z, radius = p.ravel(), z.ravel(), radius.ravel()
@@ -155,9 +158,9 @@ class Characteristic:
 class ThetaContext:
     """Evaluation context: level N, modulus tau, target absolute error.
 
-    The derived n_radius is the summation cutoff for the inner sum at
-    N*tau (the tau actually used by the degree-N family); evaluations at
-    z with large |Im z| widen the window further as needed.
+    The derived n_radius is the kernel's summation radius at Im z = 0
+    for the inner sum at N*tau (the tau actually used by the degree-N
+    family); points with larger |Im z| get wider windows (window_radii).
     """
 
     N: int
@@ -172,7 +175,11 @@ class ThetaContext:
             raise ValueError("Im tau must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        object.__setattr__(self, "n_radius", tail_radius(self.tol, self.N * self.tau.imag))
+        try:
+            radius = window_radii(0.0, self.N * self.tau.imag, self.tol)
+        except ValueError:
+            raise ValueError("tolerance unreachable at this Im tau; raise tol or Im tau") from None
+        object.__setattr__(self, "n_radius", int(radius))
 
     def with_tau(self, tau: complex) -> "ThetaContext":
         return ThetaContext(self.N, tau, self.tol)

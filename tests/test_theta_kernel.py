@@ -3,7 +3,10 @@
 `_scalar_theta_sum` below is the one-point-at-a-time summation the
 kernel replaced, kept here as a test-only reference: the array kernel
 must reproduce it exactly (==), point by point, including the window
-and radius rule.  mpmath's jtheta gives an independent check of the
+and radius rule.  `_guard_band_theta_sum` keeps the radius rule before
+per-point radii (the Gaussian radius plus a guard band of 6, widened in
+steps of 4), whose values the kernel still gives bit for bit at the
+CLI's settings.  mpmath's jtheta gives an independent check of the
 values themselves."""
 
 import cmath
@@ -21,28 +24,45 @@ from thetalab.theta import (
     TWO_PI_I,
     Characteristic,
     ThetaContext,
-    _window_radius,
     jacobi_theta_eval,
-    tail_radius,
+    sample_points,
     theta_N_eval,
     theta_pq_eval,
+    transform_check,
+    window_radii,
 )
 
 
-def _scalar_theta_sum(p, q, z, tau, tol):
-    y = tau.imag
-    b = z.imag
-    radius = tail_radius(tol, y)
-    peak = -b / y
+def _tail_bound(amp, y, radius):
+    """The geometric majorant of the terms further than radius from the peak."""
+    decay = math.exp(-math.pi * y * radius * radius)
+    denom = 1.0 - math.exp(-2.0 * math.pi * y * radius)
+    return 2.0 * amp * decay / denom
+
+
+def _scalar_radius(b, y, tol):
+    """The least radius R >= 1 whose tail bound is below min(tol, 2^-60 amp)."""
     amp = math.exp(math.pi * b * b / y)
-    while True:
-        decay = math.exp(-math.pi * y * radius * radius)
-        denom = 1.0 - math.exp(-2.0 * math.pi * y * radius)
-        if 2.0 * amp * decay / denom < tol:
-            break
+    limit = min(tol, 2.0**-60 * amp)
+    radius = 1
+    while not _tail_bound(amp, y, radius) < limit:
         if radius >= MAX_RADIUS:
             raise ValueError("tail bound unreachable at this (tol, Im tau, Im z)")
+        radius += 1
+    return radius
+
+
+def _guard_band_radius(b, y, tol):
+    """The former rule: Gaussian radius plus 6, widened in steps of 4 below tol."""
+    radius = math.ceil(math.sqrt(max(0.0, math.log(1.0 / tol)) / (math.pi * y))) + 6
+    amp = math.exp(math.pi * b * b / y)
+    while not _tail_bound(amp, y, radius) < tol:
         radius += 4
+    return radius
+
+
+def _window_sum(p, q, z, tau, radius):
+    peak = -z.imag / tau.imag
     lo = math.floor(peak - p - radius)
     hi = math.ceil(peak - p + radius)
     acc = 0j
@@ -50,6 +70,14 @@ def _scalar_theta_sum(p, q, z, tau, tol):
         m = n + p
         acc += cmath.exp(TWO_PI_I * (0.5 * m * m * tau + m * (z + q)))
     return acc
+
+
+def _scalar_theta_sum(p, q, z, tau, tol):
+    return _window_sum(p, q, z, tau, _scalar_radius(z.imag, tau.imag, tol))
+
+
+def _guard_band_theta_sum(p, q, z, tau, tol):
+    return _window_sum(p, q, z, tau, _guard_band_radius(z.imag, tau.imag, tol))
 
 
 def _scalar_theta_N(k, z, ctx):
@@ -86,18 +114,17 @@ def test_block_boundaries_and_mixed_windows():
 
 
 def test_widened_windows_equal_scalar_sum():
-    # |Im z| large enough that the tail bound widens the radius past
-    # tail_radius, which only happens while exp(pi Im(z)^2 / Im tau) is finite
+    # |Im z| large enough that the tail bound widens the radius past the
+    # one at Im z = 0, while exp(pi Im(z)^2 / Im tau) is still finite
     ctx = ThetaContext(4, 0.1 + 0.4j, 1e-10)
     zs = [0.3 + 3.9j, 0.3 - 3.9j, -0.2 + 4.3j, 0.7 - 4.1j, 0.1 + 0.2j]
-    y, r0 = 1.6, tail_radius(ctx.tol, 1.6)
-    assert all(_window_radius(4 * z.imag, y, ctx.tol, r0) > r0 for z in zs[:4])
+    assert all(window_radii(4 * z.imag, 1.6, ctx.tol) > ctx.n_radius for z in zs[:4])
     got = theta_N_eval(np.arange(4)[:, None], np.array(zs), ctx)
     for k in range(4):
         assert got[k].tolist() == [_scalar_theta_N(k, z, ctx) for z in zs]
     jac = ThetaContext(1, 0.4j, 1e-11)
     zs = [0.1 + 5.5j, -0.4 - 6.0j, 0.25 + 0.1j]
-    assert _window_radius(6.0, 0.4, jac.tol, tail_radius(jac.tol, 0.4)) > tail_radius(jac.tol, 0.4)
+    assert window_radii(6.0, 0.4, jac.tol) > jac.n_radius
     for i, (jp, jq) in enumerate(((0, 0.5), (0.5, 0.5), (0.5, 0), (0, 0))):
         got = jacobi_theta_eval(i, np.array(zs), jac)
         assert got.tolist() == [_scalar_theta_sum(jp, jq, z, 0.4j, jac.tol) for z in zs]
@@ -131,12 +158,58 @@ def test_single_point_equals_scalar_sum():
 def test_terms_past_a_window_are_left_out():
     # at small Im tau and a loose tol the terms just past a window are not
     # negligible, so a point must not pick up the extra offsets that a wider
-    # window elsewhere in its block adds to the term table
+    # window elsewhere in its block adds to the term table; at 0.2 + 0.001j
+    # the imaginary part nearly cancels, so even terms below rounding of
+    # the peak term move its last bits, and 0.2 - 0.8j widens the block
     tau, tol = 0.2 + 0.02j, 1e-3
     ctx = ThetaContext(1, tau, tol)
-    zs = [0.1, 0.3 + 0.01j, -0.2 + 0.03j, 0.45 - 0.04j, 0.05 + 0.3j]
+    zs = [0.1, 0.3 + 0.01j, -0.2 + 0.03j, 0.45 - 0.04j, 0.05 + 0.3j, 0.2 + 0.001j, 0.2 - 0.8j]
+    assert window_radii(-0.8, tau.imag, tol) > window_radii(0.001, tau.imag, tol)
     got = theta_pq_eval(Characteristic(0, 0), np.array(zs), ctx)
     assert got.tolist() == [_scalar_theta_sum(0.0, 0.0, z, tau, tol) for z in zs]
+
+
+def test_radius_is_the_least_that_proves_the_bound():
+    # each radius proves the tail bound below min(tol, 2^-60 amp) in scalar
+    # arithmetic, and one less does not unless it is already 1
+    rng = Random(5)
+    for y in (0.02, 0.1, 0.4, 1.6, 4.4, 8.0, 40.0):
+        for tol in (1e-3, 1e-10, 1e-12, 1e-15):
+            bmax = math.sqrt(700 * y / math.pi)  # exp(pi b^2 / y) stays finite
+            bs = [0.0] + [rng.uniform(-bmax, bmax) for _ in range(20)]
+            bs += [rng.uniform(-1, 1) * y for _ in range(20)]
+            radii = window_radii(np.array(bs), y, tol)
+            assert radii.shape == (len(bs),)
+            for b, r in zip(bs, radii.tolist()):
+                amp = math.exp(math.pi * b * b / y)
+                limit = min(tol, 2.0**-60 * amp)
+                assert r == int(r) >= 1
+                assert _tail_bound(amp, y, r) < limit, (y, tol, b, r)
+                assert r == 1 or not _tail_bound(amp, y, r - 1) < limit, (y, tol, b, r)
+                assert window_radii(b, y, tol) == r
+            assert window_radii(0.0, y, tol) == ThetaContext(1, 1j * y, tol).n_radius
+    assert window_radii(np.zeros((2, 3)), 1.0, 1e-10).shape == (2, 3)
+    with pytest.raises(ValueError, match="unreachable"):
+        window_radii(np.zeros(2), 1e-8, 1e-10)
+    with pytest.raises(ValueError, match="unreachable at this Im tau"):
+        ThetaContext(4, 1e-8j)
+
+
+@pytest.mark.parametrize("N", [4, 11, 16])
+@pytest.mark.parametrize("im_tau", [0.4, 1.0, 2.5])
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_values_equal_guard_band_rule_at_cli_settings(N, im_tau, tol):
+    # at the CLI's tolerances and moduli the terms that per-point radii leave
+    # out, and the guard band summed, are too small to move any bit
+    rng = Random(N * 100 + int(im_tau * 10) + int(-math.log10(tol)))
+    tau = complex(rng.uniform(-0.5, 0.5), im_tau)
+    ctx = ThetaContext(N, tau, tol)
+    z = sample_points(rng, tau, 12)
+    pts = np.concatenate([z, z + tau / N, z + 1.0 / N, -z, [0.0]])
+    got = theta_N_eval(np.arange(N)[:, None], pts[None, :], ctx)
+    for k in range(N):
+        want = [_guard_band_theta_sum(0.5 - k / N, N / 2.0, N * w, N * tau, tol) for w in pts]
+        assert got[k].tolist() == want, k
 
 
 def test_shapes_and_types():
@@ -218,12 +291,22 @@ def test_jacobi_against_mpmath(tau):
             assert abs(g - want) < 1e-10 * _largest_term(z.imag, tau.imag), (i, z, g, want)
 
 
+def _mp_theta_N(mpmath, N, k, z, tau):
+    """theta_k(z, tau) = e(p^2 T / 2 + p w) theta_3(pi (w + p T) | T) with
+    T = N tau, w = N z + q, p = 1/2 - k/N and q = N/2: the characteristic
+    shifts the argument of Jacobi's theta_3 and adds a phase.  An mpc at
+    the caller's working precision."""
+    p, q = mpmath.mpf(1) / 2 - mpmath.mpf(k) / N, mpmath.mpf(N) / 2
+    T = N * mpmath.mpc(tau)
+    w = N * mpmath.mpc(z) + q
+    phase = mpmath.exp(2j * mpmath.pi * (p * p * T / 2 + p * w))
+    nome = mpmath.exp(1j * mpmath.pi * T)
+    return phase * mpmath.jtheta(3, mpmath.pi * (w + p * T), nome)
+
+
 @pytest.mark.parametrize("N", [4, 5, 11, 16])
 @pytest.mark.parametrize("im_tau", [0.1, 0.4, 1.0])
 def test_theta_N_against_mpmath(N, im_tau):
-    """theta_k(z, tau) = e(p^2 T / 2 + p w) theta_3(pi (w + p T) | T) with
-    T = N tau, w = N z + q, p = 1/2 - k/N and q = N/2: the characteristic
-    shifts the argument of Jacobi's theta_3 and adds a phase."""
     mpmath = pytest.importorskip("mpmath")
     tau = complex(0.2, im_tau)
     ctx = ThetaContext(N, tau, 1e-11)
@@ -232,12 +315,46 @@ def test_theta_N_against_mpmath(N, im_tau):
     zs.append(0.4 - 1.8j * im_tau)
     for k in (0, 1, N // 2, N - 1):
         got = theta_N_eval(k, np.array(zs), ctx)
-        p, q = 0.5 - k / N, N / 2
         for g, z in zip(got, zs):
             with mpmath.workdps(30):
-                T = N * mpmath.mpc(tau)
-                w = N * mpmath.mpc(z) + q
-                phase = mpmath.exp(2j * mpmath.pi * (p * p * T / 2 + p * w))
-                nome = mpmath.exp(1j * mpmath.pi * T)
-                want = complex(phase * mpmath.jtheta(3, mpmath.pi * (w + p * T), nome))
+                want = complex(_mp_theta_N(mpmath, N, k, z, tau))
             assert abs(g - want) < 1e-10 * _largest_term(N * z.imag, N * im_tau), (N, k, z)
+
+
+@pytest.mark.parametrize("N", [4, 5, 8])
+def test_transform_ratios_against_mpmath(N):
+    """transform_check's r_k and r'_k against the same ratios formed from
+    mpmath values at 30 digits, which are themselves k-independent."""
+    mpmath = pytest.importorskip("mpmath")
+    tau = 0.15 + 0.95j
+    ctx = ThetaContext(N, tau, 1e-12)
+    for z in (0.1 + 0.05j, 0.37 - 0.21j, 0.62 + 0.5j):
+        rep = transform_check(z, ctx)
+        # error scale: the largest summand of the sums at (z, tau), (z/tau, -1/tau)
+        scale = max(
+            _largest_term(N * z.imag, N * tau.imag),
+            _largest_term(N * (z / tau).imag, N * (-1 / tau).imag),
+        )
+        with mpmath.workdps(30):
+            mz, mt = mpmath.mpc(z), mpmath.mpc(tau)
+            th = [_mp_theta_N(mpmath, N, j, mz, mt) for j in range(N)]
+            zeta = mpmath.exp(2j * mpmath.pi / N)
+            pre = mpmath.exp(1j * mpmath.pi * mz) * mpmath.sqrt(mt / N)
+            want = [
+                _mp_theta_N(mpmath, N, k, mz / mt, -1 / mt)
+                / (pre * mpmath.fsum(zeta ** (-j * k) * th[j] for j in range(N)))
+                for k in range(N)
+            ]
+            want_shift = [
+                _mp_theta_N(mpmath, N, k, mz, mt + 1)
+                / (mpmath.exp(-1j * mpmath.pi * k * (N - k) / N) * th[k])
+                for k in range(N)
+            ]
+            for ratios in (want, want_shift):
+                assert max(abs(r - ratios[0]) for r in ratios) < 1e-20 * abs(ratios[0])
+            want = [complex(r) for r in want]
+            want_shift = [complex(r) for r in want_shift]
+        for got, ref in ((rep.ratios, want), (rep.ratios_shift, want_shift)):
+            for k in range(N):
+                assert abs(got[k] - ref[k]) < 1e-9 * scale * abs(ref[k]), (N, z, k)
+        assert rep.passed
