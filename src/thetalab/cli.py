@@ -129,7 +129,7 @@ def _suite_identities(cfg: RunConfig) -> list[IdentityRecord]:
     out: list[IdentityRecord] = []
     if N in (4, 6, 7, 8):
         out += theta_null_curve_check(N, order)
-    out += [r for r in eta_quotient_check(order) if r.level == N]
+    out += eta_quotient_check(order, N)
     if N in (6, 8):
         out += quotient_model_check(N, order)
     if N == 6:

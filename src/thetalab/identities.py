@@ -135,20 +135,21 @@ def lam_series(order: int) -> PuiseuxSeries:
     return a[0] * a[2] / (a[1] * a[1])
 
 
+@lru_cache(maxsize=None)
 def x6_series(order: int) -> PuiseuxSeries:
     """Level-6 coordinate X = 2 a_1 a_2 / (a_0 a_3)."""
     a = nulls(6, order)
     return 2 * a[1] * a[2] / (a[0] * a[3])
 
 
+@lru_cache(maxsize=None)
 def y6_series(order: int) -> PuiseuxSeries:
     """Level-6 coordinate Y = (a_0^2 a_1^2 - a_2^2 a_3^2)/(a_0^2 a_2^2 - a_1^2 a_3^2)."""
-    a = nulls(6, order)
-    num = a[0] ** 2 * a[1] ** 2 - a[2] ** 2 * a[3] ** 2
-    den = a[0] ** 2 * a[2] ** 2 - a[1] ** 2 * a[3] ** 2
-    return num / den
+    a0s, a1s, a2s, a3s = (c ** 2 for c in nulls(6, order)[:4])
+    return (a0s * a1s - a2s * a3s) / (a0s * a2s - a1s * a3s)
 
 
+@lru_cache(maxsize=None)
 def mu6_series(order: int) -> PuiseuxSeries:
     """Three times the Hesse parameter: 3 mu = (Y^2 - 3)/X."""
     x = x6_series(order)
@@ -227,32 +228,24 @@ def theta_null_curve_check(N: int, order: int) -> list[IdentityRecord]:
 # eta quotients and displayed expansions
 
 
-def eta_quotient_check(order: int = 80) -> list[IdentityRecord]:
-    """Closed eta-product forms and displayed expansions of the named
-    modular functions; the sign of the level-8 b_4 eta quotient is
-    resolved by the exact series themselves, never assumed."""
-    if order < 20:
-        raise ValueError("order too small to reach the displayed terms")
-    out = []
-    e1 = eta_series(order)
-    e2 = eta_scaled(2, order)
-    e3 = eta_scaled(3, order)
-    e4 = eta_scaled(4, order)
-    e6 = eta_scaled(6, order)
-    e8 = eta_scaled(8, order)
-
+def _lambda_records(order: int) -> list[IdentityRecord]:
+    e1, e2, e4 = (eta_scaled(m, order) for m in (1, 2, 4))
     lam = lam_series(order)
     lam_eta = 2 * (e1 * e4 ** 2 / e2 ** 3) ** 2
-    out.append(_series_record("lambda.eta", 4, lam - lam_eta, order, "series-equality"))
-    out.append(
+    return [
+        _series_record("lambda.eta", 4, lam - lam_eta, order, "series-equality"),
         _leading_record(
             "lambda.leading", 4, lam,
             [(Fraction(1, 4), 2), (Fraction(5, 4), -4), (Fraction(9, 4), 10),
              (Fraction(13, 4), -20), (Fraction(17, 4), 36)],
             order,
-        )
-    )
+        ),
+    ]
 
+
+def _xy_records(order: int) -> list[IdentityRecord]:
+    e1, e2, e3, e6 = (eta_scaled(m, order) for m in (1, 2, 3, 6))
+    out = []
     x = x6_series(order)
     x_eta = e2 * e3 ** 3 / (e1 * e6 ** 3)
     out.append(_series_record("X.eta", 6, x - x_eta, order, "series-equality"))
@@ -281,7 +274,12 @@ def eta_quotient_check(order: int = 80) -> list[IdentityRecord]:
             order,
         )
     )
+    return out
 
+
+def _b_records(order: int) -> list[IdentityRecord]:
+    e1, e2, e4, e8 = (eta_scaled(m, order) for m in (1, 2, 4, 8))
+    out = []
     b1 = b1_series(order)
     b1_eta = e2 ** 4 * e8 ** 2 / (e1 * e4 ** 5)
     out.append(_series_record("b1.eta", 8, b1 - b1_eta, order, "series-equality"))
@@ -321,29 +319,62 @@ def eta_quotient_check(order: int = 80) -> list[IdentityRecord]:
             order,
         )
     )
+    return out
 
-    phi = phi5_series(order)
-    out.append(
+
+def _phi_records(order: int) -> list[IdentityRecord]:
+    return [
         _leading_record(
-            "phi.leading", 5, phi,
+            "phi.leading", 5, phi5_series(order),
             [(Fraction(1, 5), 1), (Fraction(6, 5), -1), (Fraction(11, 5), 1),
              (Fraction(21, 5), -1), (Fraction(26, 5), 1), (Fraction(31, 5), -1)],
             order,
         )
-    )
+    ]
 
+
+def _mu_records(order: int) -> list[IdentityRecord]:
+    x = x6_series(order)
     mu = mu6_series(order)
     mu_alt = x * x - 2 / x
-    out.append(_series_record("mu.two-expressions", 6, mu - mu_alt, order, "series-equality"))
-    out.append(
+    return [
+        _series_record("mu.two-expressions", 6, mu - mu_alt, order, "series-equality"),
         _leading_record(
             "mu.leading", 6, mu,
             [(Fraction(-2, 3), 1), (Fraction(4, 3), 5), (Fraction(10, 3), -7),
              (Fraction(16, 3), 3), (Fraction(22, 3), 15), (Fraction(28, 3), -32),
              (Fraction(34, 3), 9)],
             order,
-        )
-    )
+        ),
+    ]
+
+
+# (level, builder) in report order; level 6 has two groups
+_ETA_QUOTIENT_GROUPS = (
+    (4, _lambda_records),
+    (6, _xy_records),
+    (8, _b_records),
+    (5, _phi_records),
+    (6, _mu_records),
+)
+
+
+def eta_quotient_check(order: int = 80, level: int | None = None) -> list[IdentityRecord]:
+    """Closed eta-product forms and displayed expansions of the named
+    modular functions; the sign of the level-8 b_4 eta quotient is
+    resolved by the exact series themselves, never assumed.
+
+    With ``level`` given, only that level's records are built, together
+    with the eta factors and named series they read; they equal the
+    records of that level in the full list, in the same order.  Levels
+    4, 5, 6 and 8 have records; any other level gives an empty list.
+    ``None`` builds all 16 records."""
+    if order < 20:
+        raise ValueError("order too small to reach the displayed terms")
+    out = []
+    for lvl, build in _ETA_QUOTIENT_GROUPS:
+        if level is None or lvl == level:
+            out += build(order)
     return out
 
 
@@ -355,25 +386,33 @@ def quotient_model_check(N: int, order: int = 80) -> list[IdentityRecord]:
     """Models of X(6) and X(8) through the fixed-field generators."""
     out = []
     if N == 6:
+        # A value is shared only between identical expressions: reshaping a
+        # product can change the depth it is known to (y has negative
+        # valuation), so y ** 4 is never (y * y) * (y * y).
         x = x6_series(order)
         y = y6_series(order)
+        xx = x * x
+        yy = y * y
         out.append(
-            _series_record("level6.weierstrass-model", 6, y * y - x ** 3 - 1, order)
+            _series_record("level6.weierstrass-model", 6, yy - x ** 3 - 1, order)
         )
         a = nulls(6, order)
-        alpha = [a[k] / a[0] for k in range(6)]
+        a0inv = a[0].inverse()
+        alpha = [a[k] * a0inv for k in range(6)]
         a3inv = alpha[3].inverse()
         b1 = alpha[1] * alpha[3] + alpha[2] * a3inv * a3inv
         b2 = alpha[2] + alpha[1] * a3inv
         b3 = alpha[3] ** 2 + a3inv ** 2
         out.append(
-            _series_record("level6.b1-from-XY", 6, 4 * y * b1 - x * x * (y * y - 3), order)
+            _series_record("level6.b1-from-XY", 6, 4 * y * b1 - xx * (yy - 3), order)
         )
-        out.append(_series_record("level6.b2-from-XY", 6, 2 * b2 - x * x, order))
+        out.append(_series_record("level6.b2-from-XY", 6, 2 * b2 - xx, order))
         # the closed form of b3 is resolved exactly between the two
         # single-typo candidates: 4Y b3 = Y^4 - 6*{X^2 or Y^2} - 3
-        cand_x = (4 * y * b3 - (y ** 4 - 6 * x * x - 3)).is_zero()
-        cand_y = (4 * y * b3 - (y ** 4 - 6 * y * y - 3)).is_zero()
+        yb3 = 4 * y * b3
+        y4 = y ** 4
+        cand_x = (yb3 - (y4 - 6 * x * x - 3)).is_zero()
+        cand_y = (yb3 - (y4 - 6 * y * y - 3)).is_zero()
         which = "Y^2" if cand_y else ("X^2" if cand_x else "none")
         out.append(
             IdentityRecord(
@@ -382,13 +421,15 @@ def quotient_model_check(N: int, order: int = 80) -> list[IdentityRecord]:
                 detail=f"4Y b3 = Y^4 - 6*{which} - 3, resolved exactly",
             )
         )
-        s = b1 * b1 + b2 * b2 - b1 * b2 * b3
+        b1b1 = b1 * b1
+        b2b2 = b2 * b2
+        num = b2 * (2 * b1 - b2 * b3)
+        den = b1b1 - b2b2
+        s = b1b1 + b2b2 - b1 * b2 * b3
         t = b3 * b3 - 4
         out.append(
             _series_record(
-                "level6.bsystem.1", 6,
-                b3 * s * s + b2 * (2 * b1 - b2 * b3) * (b1 * b1 - b2 * b2) * t - b1 * t * t,
-                order,
+                "level6.bsystem.1", 6, b3 * s * s + num * den * t - b1 * t * t, order,
             )
         )
         out.append(
@@ -398,10 +439,9 @@ def quotient_model_check(N: int, order: int = 80) -> list[IdentityRecord]:
             _series_record("level6.X-from-b", 6, x * t + 2 * s, order)
         )
         # sign of the Y expression resolved exactly
-        num = b2 * (2 * b1 - b2 * b3)
-        den = b1 * b1 - b2 * b2
-        plus = (y * den - num).is_zero()
-        minus = (y * den + num).is_zero()
+        yden = y * den
+        plus = (yden - num).is_zero()
+        minus = (yden + num).is_zero()
         sign = "+1" if plus else ("-1" if minus else "none")
         out.append(
             IdentityRecord(
@@ -412,7 +452,8 @@ def quotient_model_check(N: int, order: int = 80) -> list[IdentityRecord]:
         )
     elif N == 8:
         a = nulls(8, order)
-        alpha = [a[k] / a[2] for k in range(8)]
+        a2inv = a[2].inverse()
+        alpha = [a[k] * a2inv for k in range(8)]
         b0 = alpha[0] + alpha[4]
         b1 = alpha[1] * alpha[3]
         ratio = alpha[1] / alpha[3]
@@ -432,14 +473,13 @@ def quotient_model_check(N: int, order: int = 80) -> list[IdentityRecord]:
             )
         )
         out.append(_series_record("level8.b3-eq-inv-b4sq", 8, b3 * b4 * b4 - 1, order))
+        b1_4 = b1 ** 4
         out.append(
-            _series_record("level8.x8-model", 8, b1 ** 4 - 4 * b4 ** 6 - b4 * b4, order)
+            _series_record("level8.x8-model", 8, b1_4 - 4 * b4 ** 6 - b4 * b4, order)
         )
-        a1s, a2s = b1, 2 * b4 * b4
+        a2s = 2 * b4 * b4
         out.append(
-            _series_record(
-                "level8.two-to-one", 8, a2s * (1 + a2s * a2s) - 2 * a1s ** 4, order
-            )
+            _series_record("level8.two-to-one", 8, a2s * (1 + a2s * a2s) - 2 * b1_4, order)
         )
     else:
         raise ValueError("quotient models are available for N = 6 and N = 8")

@@ -21,11 +21,27 @@ factors are compressed by the gcd of their exponent offsets from their
 valuations, cut to the slots the product keeps, scaled to integers by
 their common denominators, and packed into one Python int each with
 signed byte slots wide enough for the largest possible product
-coefficient (see packing.py).  One big-integer product (Karatsuba in
-CPython) then yields every coefficient.  Products with cyclotomic
-coefficients use the schoolbook loop, which tests also use as the
-reference.  The inverse is a Newton iteration on top of the product
-(Brent & Kung 1978), so both coefficient kinds share it.
+coefficient (see packing.py); widths below 8 bytes are rounded up to 1,
+2, 4 or 8, which pack through numpy in one call.  One big-integer
+product (Karatsuba in CPython) then yields every coefficient.  Products
+with cyclotomic coefficients use the schoolbook loop, which tests also
+use as the reference.  A factor with a single term needs neither: the
+product is the other factor with its exponents shifted and its
+coefficients scaled (or only shifted, for ``one * base`` in
+``__pow__``).  The inverse is a Newton iteration on top of the product
+(Brent & Kung 1978), so both coefficient kinds share it; it starts at
+the precision the leading coefficient alone gives, the gcd of the unit
+part's exponents.
+
+The public constructor canonicalises its terms one by one: ints become
+Fractions, rational-valued cyclotomic numbers are demoted, zero
+coefficients and exponents at or past the truncation are dropped.  A
+kernel result whose terms are canonical by construction skips that pass
+through the private constructor ``_canonical``: negation, ``rescale``,
+``_with_ram`` and the Newton steps of any series, and sums, differences
+and products whose operands have only Fraction coefficients.  Those that
+involve a cyclotomic coefficient can come out rational-valued, so they
+still go through the public constructor.
 """
 
 from __future__ import annotations
@@ -34,6 +50,7 @@ import cmath
 import json
 import math
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, isqrt, lcm
 
 from .cyclotomic import CyclotomicNumber
@@ -64,7 +81,7 @@ def _as_coeff(c):
 
 
 def _all_fractions(terms: dict) -> bool:
-    return all(isinstance(c, Fraction) for c in terms.values())
+    return all(map(isinstance, terms.values(), repeat(Fraction)))
 
 
 def _schoolbook_product(a: dict, b: dict, t: int) -> dict:
@@ -87,40 +104,54 @@ def _schoolbook_product(a: dict, b: dict, t: int) -> dict:
     return terms
 
 
-def _int_slots(offsets: list, g: int) -> tuple[list, int]:
-    """Dense integer slots of (offset, Fraction) pairs on the stride g, and
-    the common denominator they were scaled by."""
-    den = lcm(*(c.denominator for _, c in offsets))
-    slots = [0] * (max(d for d, _ in offsets) // g + 1)
-    for d, c in offsets:
-        slots[d // g] = c.numerator * (den // c.denominator)
+def _int_slots(terms: dict, v: int, offsets: list, g: int) -> tuple[list, int]:
+    """Dense integer slots, on the stride g, of the Fraction coefficients at
+    the exponents v + offsets, and the common denominator they were scaled
+    by."""
+    ratios = [terms[v + d].as_integer_ratio() for d in offsets]
+    den = lcm(*[q for _, q in ratios])
+    slots = [0] * (max(offsets) // g + 1)
+    for d, (p, q) in zip(offsets, ratios):
+        slots[d // g] = p * (den // q)
     return slots, den
+
+
+def _monomial_product(a: dict, b: dict, t: int) -> dict:
+    """Terms below t of the product of two nonempty term maps, one of them
+    a single term: the other map shifted and scaled."""
+    if len(a) == 1:
+        a, b = b, a
+    ((kb, cb),) = b.items()
+    if cb == 1:  # one * base in __pow__
+        return {k + kb: c for k, c in a.items() if k + kb < t}
+    return {k + kb: c * cb for k, c in a.items() if k + kb < t}
 
 
 def _packed_product(a: dict, va: int, b: dict, vb: int, t: int) -> dict:
     """Terms below t of the product of two nonempty Fraction term maps with
     valuations va and vb, by Kronecker substitution."""
     # only terms below these bounds meet a partner term below t
-    pa = [(k - va, c) for k, c in a.items() if k < t - vb]
-    pb = [(k - vb, c) for k, c in b.items() if k < t - va]
-    g = gcd(*(d for d, _ in pa), *(d for d, _ in pb))
-    if g == 0:  # two monomials
+    oa = [k - va for k in a if k < t - vb]
+    ob = [k - vb for k in b if k < t - va]
+    g = gcd(*oa, *ob)
+    if g == 0:  # both factors cut to a single term
         g, n = 1, 1
     else:
         n = -(-(t - va - vb) // g)  # product slots below t
-    sa, da = _int_slots(pa, g)
-    sb, db = _int_slots(pb, g)
+    sa, da = _int_slots(a, va, oa, g)
+    sb, db = _int_slots(b, vb, ob, g)
     # every product slot sums at most min(len) pairs; one more bit for the sign
-    bound = max(map(abs, sa)) * max(map(abs, sb)) * min(len(pa), len(pb))
+    bound = max(map(abs, sa)) * max(map(abs, sb)) * min(len(oa), len(ob))
     width = slot_width(bound)
+    if width < 8:  # 1, 2, 4 and 8 bytes pack through numpy, the rest slot by slot
+        width = 1 << (width - 1).bit_length()
     prod = pack(sa, width) * pack(sb, width)
     den = da * db
     v = va + vb
-    terms = {}
-    for i, c in enumerate(unpack(prod, width, n)):
-        if c:
-            terms[v + i * g] = Fraction(c, den)
-    return terms
+    coeffs = unpack(prod, width, n)
+    if den == 1:
+        return {v + i * g: Fraction(c) for i, c in enumerate(coeffs) if c}
+    return {v + i * g: Fraction(c, den) for i, c in enumerate(coeffs) if c}
 
 
 class PuiseuxSeries:
@@ -138,6 +169,17 @@ class PuiseuxSeries:
             for k, c in terms.items()
             if k < trunc and not _is_zero_coeff(c)
         }
+
+    @staticmethod
+    def _canonical(ram: int, terms: dict, trunc: int) -> "PuiseuxSeries":
+        """A series from terms that are canonical already: int exponents
+        below trunc, nonzero Fraction or non-rational cyclotomic
+        coefficients.  The map is kept, not copied."""
+        s = object.__new__(PuiseuxSeries)
+        s.ram = ram
+        s.terms = terms
+        s.trunc = trunc
+        return s
 
     # -- constructors -------------------------------------------------
 
@@ -166,7 +208,9 @@ class PuiseuxSeries:
         if ram % self.ram:
             raise ValueError("can only grow ramification by integer factor")
         f = ram // self.ram
-        return PuiseuxSeries(ram, {k * f: c for k, c in self.terms.items()}, self.trunc * f)
+        return PuiseuxSeries._canonical(
+            ram, {k * f: c for k, c in self.terms.items()}, self.trunc * f
+        )
 
     @staticmethod
     def _common(a: "PuiseuxSeries", b: "PuiseuxSeries"):
@@ -217,7 +261,8 @@ class PuiseuxSeries:
 
     # -- ring operations -------------------------------------------------
 
-    def __add__(self, other):
+    def _sum(self, other, negate: bool) -> "PuiseuxSeries":
+        """self + other, or self - other when negate is set."""
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
             other = PuiseuxSeries.constant(other, self.trunc, self.ram)
         a, b = self._common(self, other)
@@ -227,24 +272,29 @@ class PuiseuxSeries:
             if k >= t:
                 continue
             if k in terms:
-                s = terms[k] + c
+                s = terms[k] - c if negate else terms[k] + c
                 if _is_zero_coeff(s):
                     del terms[k]
                 else:
                     terms[k] = s
             else:
-                terms[k] = c
+                terms[k] = -c if negate else c
+        if _all_fractions(a.terms) and _all_fractions(b.terms):
+            return PuiseuxSeries._canonical(a.ram, terms, t)
         return PuiseuxSeries(a.ram, terms, t)
+
+    def __add__(self, other):
+        return self._sum(other, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxSeries(self.ram, {k: -c for k, c in self.terms.items()}, self.trunc)
+        return PuiseuxSeries._canonical(
+            self.ram, {k: -c for k, c in self.terms.items()}, self.trunc
+        )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            other = PuiseuxSeries.constant(other, self.trunc, self.ram)
-        return self + (-other)
+        return self._sum(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -258,10 +308,17 @@ class PuiseuxSeries:
         va = min(a.terms) if a.terms else a.trunc
         vb = min(b.terms) if b.terms else b.trunc
         t = min(a.trunc + vb, b.trunc + va)
-        if a.terms and b.terms and _all_fractions(a.terms) and _all_fractions(b.terms):
+        if not (a.terms and b.terms):
+            return PuiseuxSeries._canonical(a.ram, {}, t)
+        rational = _all_fractions(a.terms) and _all_fractions(b.terms)
+        if len(a.terms) == 1 or len(b.terms) == 1:
+            terms = _monomial_product(a.terms, b.terms, t)
+        elif rational:
             terms = _packed_product(a.terms, va, b.terms, vb, t)
         else:
             terms = _schoolbook_product(a.terms, b.terms, t)
+        if rational:
+            return PuiseuxSeries._canonical(a.ram, terms, t)
         return PuiseuxSeries(a.ram, terms, t)
 
     __rmul__ = __mul__
@@ -286,12 +343,13 @@ class PuiseuxSeries:
         by the square of its leading part).
 
         The unit part u = q^(-v) * self is known below n = trunc - v, and
-        so is its inverse h.  Newton iteration finds h from g = 1/u[0]:
-        if g = h + E with E below q^p, the step g <- g*(2 - u*g), computed
-        as g + g*(1 - u*g), gives h - u*E^2, which is right below q^(2p).
-        Each step therefore first sets g's working truncation to the new
-        precision min(2p, n) and cuts u to it; the product rule alone
-        would only ever certify g to its old precision.
+        so is its inverse h.  Newton iteration finds h from g = 1/u[0],
+        which is right below q^s when every exponent of u is a multiple
+        of s: if g = h + E with E below q^p, the step g <- g*(2 - u*g),
+        computed as g + g*(1 - u*g), gives h - u*E^2, which is right below
+        q^(2p).  Each step therefore first sets g's working truncation to
+        the new precision min(2p, n) and cuts u to it; the product rule
+        alone would only ever certify g to its old precision.
         """
         if not self.terms:
             raise ZeroDivisionError("inverse of a series that is zero to truncation")
@@ -299,13 +357,17 @@ class PuiseuxSeries:
         v = min(self.terms)
         n = self.trunc - v
         unit = {k - v: c for k, c in self.terms.items()}
-        g = PuiseuxSeries(ram, {0: _coeff_inv(unit[0])}, 1)
-        p = 1
+        s = gcd(*unit)  # 0 for a single term, whose inverse is exact
+        p = min(s, n) if s else n
+        g = PuiseuxSeries(ram, {0: _coeff_inv(unit[0])}, p)
         while p < n:
             p = min(2 * p, n)
-            g = PuiseuxSeries(ram, g.terms, p)
-            g = g + g * (1 - PuiseuxSeries(ram, unit, p) * g)
-        return PuiseuxSeries(ram, {k - v: c for k, c in g.terms.items()}, self.trunc - 2 * v)
+            g = PuiseuxSeries._canonical(ram, g.terms, p)
+            u = PuiseuxSeries._canonical(ram, {k: c for k, c in unit.items() if k < p}, p)
+            g = g + g * (1 - u * g)
+        return PuiseuxSeries._canonical(
+            ram, {k - v: c for k, c in g.terms.items()}, self.trunc - 2 * v
+        )
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
@@ -319,7 +381,7 @@ class PuiseuxSeries:
         """Substitute q -> q^(num/den), i.e. tau -> (num/den) tau."""
         if num <= 0 or den <= 0:
             raise ValueError("rescale factor must be positive")
-        return PuiseuxSeries(
+        return PuiseuxSeries._canonical(
             self.ram * den, {k * num: c for k, c in self.terms.items()}, self.trunc * num
         )
 

@@ -150,6 +150,24 @@ def test_verify_identities_level8(capsys):
     assert {"level8.null-curve.1", "level8.x8-model", "level8.two-to-one"} <= names
 
 
+def test_verify_identities_odd_levels(capsys):
+    # only the level's own records are built: phi at N = 5, the Klein
+    # quartic at N = 7, and nothing at N = 3
+    for n, names in (("5", ["phi.leading"]), ("7", ["klein.quartic"])):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "identities", "--N", n, "--order", "80",
+            "--format", "json",
+        )
+        assert code == 0
+        recs = json.loads(out)["records"]
+        assert [r["name"] for r in recs] == names
+        assert all(r["status"] == "pass" for r in recs)
+    code, out, err = run_cli(capsys, "verify", "--suite", "identities", "--N", "3")
+    assert code == 2
+    assert out == ""
+    assert "no series identities catalogued" in err
+
+
 def test_verify_all_level4_aggregate(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--N", "4", "--samples", "8")
     assert code == 0

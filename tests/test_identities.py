@@ -45,6 +45,16 @@ def test_eta_quotients_stable_under_doubling(order):
     assert_all_pass(eta_quotient_check(order))
 
 
+@pytest.mark.parametrize("order", (40, 120))
+def test_eta_quotients_by_level_match_the_full_list(order):
+    full = eta_quotient_check(order)
+    assert len(full) == 16
+    for level in (4, 5, 6, 7, 8):
+        got = [r.to_dict() for r in eta_quotient_check(order, level)]
+        assert got == [r.to_dict() for r in full if r.level == level]
+    assert eta_quotient_check(order, 7) == []
+
+
 @pytest.mark.parametrize("order", (50, 100))
 def test_quotient_models_stable_under_doubling(order):
     assert_all_pass(quotient_model_check(6, order))
