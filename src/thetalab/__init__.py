@@ -6,7 +6,7 @@ out the degree-N curve, the finite projective representation attached
 to even levels, and the explicit modular-curve models at levels 4-8.
 """
 
-from .cyclotomic import CyclotomicNumber, cyc_embed_complex, cyc_inv, cyc_mul, zeta
+from .cyclotomic import CyclotomicNumber, zeta
 from .series import PuiseuxSeries, eta_series
 from .theta import (
     Characteristic,

@@ -13,16 +13,22 @@ import math
 import sys
 from dataclasses import dataclass
 from random import Random
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .congruence import SubgroupSpec, group_tower_check, subgroup_invariants, enum_structures_above
+from .congruence import MAX_LEVEL, SubgroupSpec, enum_structures_above, group_tower_check, subgroup_invariants
 from .identities import (
+    HESSE_LEVEL,
+    NULL_CURVE_RELATIONS,
+    QUOTIENT_MODELS,
+    SERIES_LEVELS,
     IdentityRecord,
     b1_series,
     b4_series,
     degenerate_fibers_level4,
     eta_quotient_check,
+    has_null_invariance,
     hesse_check,
     lam_series,
     mu6_series,
@@ -54,6 +60,11 @@ class ConfigError(Exception):
 MIN_TOL = 1e-15  # numeric checks pass below 10 * tol; a smaller tol asks for less than rounding error
 
 
+def default_order(order: int | None, level: int) -> int:
+    """The series order asked for, or the default for a level."""
+    return order if order is not None else max(50, 8 * level)
+
+
 @dataclass
 class RunConfig:
     N: int = 4
@@ -65,58 +76,53 @@ class RunConfig:
     fmt: str = "text"
 
     def series_order(self) -> int:
-        if self.order is not None:
-            return self.order
-        return max(50, 8 * self.N)
+        return default_order(self.order, self.N)
 
     def context(self) -> ThetaContext:
         return ThetaContext(self.N, self.tau, min(self.tol, 1e-10))
 
-    def validate(self, need_series: bool = False):
+    def validate(self):
         if not (math.isfinite(self.tau.real) and math.isfinite(self.tau.imag)):
             raise ConfigError("--tau-re and --tau-im must be finite")
         if self.tau.imag < 0.4:
             raise ConfigError("Im tau must be >= 0.4 (raise tol and use the API directly)")
         if not (math.isfinite(self.tol) and self.tol >= MIN_TOL):
             raise ConfigError(f"--tol must be a finite number >= {MIN_TOL:g} (double precision)")
-        if need_series and self.series_order() < 8 * self.N:
-            raise ConfigError(f"order must be >= {8 * self.N} for N = {self.N}")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
 
 
-_QEXP_LEVEL = {"lambda": 4, "phi5": 5, "X6": 6, "Y6": 6, "mu6": 6, "b1": 8, "b4": 8}
+# qexp objects: (level, build(order, N, k)).  The level sets the default
+# order and the least one, 8 * level; theta-null is at level N, and eta
+# has none.  Each builder is looked up by name when called, so a rebinding
+# of the module's names (as perfbench/tracer.py does) reaches it.
+_QEXP_OBJECTS = {
+    "theta-null": (None, lambda order, N, k: theta_null_series(N, k, order)),
+    "eta": (0, lambda order, N, k: eta_series(order)),
+    "lambda": (4, lambda order, N, k: lam_series(order)),
+    "X6": (6, lambda order, N, k: x6_series(order)),
+    "Y6": (6, lambda order, N, k: y6_series(order)),
+    "b1": (8, lambda order, N, k: b1_series(order)),
+    "b4": (8, lambda order, N, k: b4_series(order)),
+    "phi5": (5, lambda order, N, k: phi5_series(order)),
+    "mu6": (6, lambda order, N, k: mu6_series(order)),  # prints the 3*mu expansion
+}
 
 
-def series_for_object(obj: str, cfg: RunConfig, k: int | None) -> PuiseuxSeries:
-    order = cfg.order if cfg.order is not None else max(50, 8 * _QEXP_LEVEL.get(obj, 4))
-    if obj == "eta":
-        if order < 1:
-            raise ConfigError("order must be >= 1 for object eta")
-        return eta_series(order)
-    if obj == "theta-null":
-        if k is None:
-            raise ConfigError("theta-null needs --k")
-        if cfg.N < 2:
-            raise ConfigError("theta-null needs --N >= 2")
-        if order < 8 * cfg.N:
-            raise ConfigError(f"order must be >= {8 * cfg.N} for N = {cfg.N}")
-        return theta_null_series(cfg.N, k, order)
-    builders = {
-        "lambda": lam_series,
-        "X6": x6_series,
-        "Y6": y6_series,
-        "mu6": mu6_series,  # prints the 3*mu expansion
-        "b1": b1_series,
-        "b4": b4_series,
-        "phi5": phi5_series,
-    }
-    if obj not in builders:
+def series_for_object(obj: str, N: int, order: int | None, k: int | None) -> PuiseuxSeries:
+    if obj not in _QEXP_OBJECTS:
         raise ConfigError(f"unknown object {obj!r}")
-    lvl = _QEXP_LEVEL[obj]
-    if order < 8 * lvl:
-        raise ConfigError(f"order must be >= {8 * lvl} for object {obj}")
-    return builders[obj](order)
+    level, build = _QEXP_OBJECTS[obj]
+    if level is None:
+        if k is None:
+            raise ConfigError(f"{obj} needs --k")
+        if N < 2:
+            raise ConfigError(f"{obj} needs --N >= 2")
+        level = N
+    order = default_order(order, level)
+    if order < max(1, 8 * level):
+        raise ConfigError(f"order must be >= {max(1, 8 * level)} for object {obj}")
+    return build(order, N, k)
 
 
 # ---------------------------------------------------------------------------
@@ -127,24 +133,20 @@ def _suite_identities(cfg: RunConfig) -> list[IdentityRecord]:
     N = cfg.N
     order = cfg.series_order()
     out: list[IdentityRecord] = []
-    if N in (4, 6, 7, 8):
+    if N in NULL_CURVE_RELATIONS:
         out += theta_null_curve_check(N, order)
     out += eta_quotient_check(order, N)
-    if N in (6, 8):
+    if N in QUOTIENT_MODELS:
         out += quotient_model_check(N, order)
-    if N == 6:
+    if N == HESSE_LEVEL:
         out.append(hesse_check(order, cfg.context(), cfg.samples, cfg.seed))
-    if N % 2 == 0:
+    if has_null_invariance(N):
         out.append(null_invariance_check(N, cfg.tau))
-    if not out:
-        raise ConfigError(f"no series identities catalogued for N = {N}")
     return out
 
 
 def _suite_quadrics(cfg: RunConfig) -> list[IdentityRecord]:
     N = cfg.N
-    if N < 4:
-        raise ConfigError("quadric systems need N >= 4")
     ctx = cfg.context()
     nd = NullData.numeric(ctx)
     expected = N * (N - 3) // 2
@@ -196,8 +198,6 @@ def _suite_quadrics(cfg: RunConfig) -> list[IdentityRecord]:
 
 def _suite_rep(cfg: RunConfig) -> list[IdentityRecord]:
     N = cfg.N
-    if N < 2 or N % 2:
-        raise ConfigError("the projective representation suite needs even N >= 2")
     rep = verify_presentation(N)
     names = {"braid": "(A0 B0)^3 = A0^2", "order4": "A0^4 = I",
              "kernel_word": "kernel word = I",
@@ -222,8 +222,6 @@ def _suite_rep(cfg: RunConfig) -> list[IdentityRecord]:
 
 def _suite_translation(cfg: RunConfig) -> list[IdentityRecord]:
     N = cfg.N
-    if N < 2:
-        raise ConfigError("the translation suite needs N >= 2")
     ctx = cfg.context()
     tr = translation_check(ctx, cfg.samples, cfg.seed, cfg.tol * 10)
     out = [
@@ -266,8 +264,6 @@ def _suite_translation(cfg: RunConfig) -> list[IdentityRecord]:
 
 def _suite_transform(cfg: RunConfig) -> list[IdentityRecord]:
     N = cfg.N
-    if N < 2:
-        raise ConfigError("the transform suite needs N >= 2")
     ctx = cfg.context()
     rng = Random(cfg.seed)
     worst = 0.0
@@ -303,8 +299,6 @@ def _suite_transform(cfg: RunConfig) -> list[IdentityRecord]:
 
 
 def _suite_weierstrass(cfg: RunConfig) -> list[IdentityRecord]:
-    if cfg.N != 4:
-        raise ConfigError("the Weierstrass suite is specific to N = 4")
     ctx = cfg.context()
     return [
         weierstrass_check_level4(ctx, cfg.samples, cfg.seed, max(cfg.tol * 100, 1e-7)),
@@ -314,8 +308,6 @@ def _suite_weierstrass(cfg: RunConfig) -> list[IdentityRecord]:
 
 def _suite_structures(cfg: RunConfig) -> list[IdentityRecord]:
     N = cfg.N
-    if N < 2 or N % 2:
-        raise ConfigError("refined structures need even N >= 2")
     res = enum_structures_above(N)
     out = [
         IdentityRecord(
@@ -357,25 +349,50 @@ _SUITES = {
 }
 
 
+class Scope(NamedTuple):
+    applies: Callable[[int], bool]  # of the level N
+    error: str  # the ConfigError for any other N; {N} is filled in
+    series: bool = False  # reads exact series, known to order >= 8N
+
+
+# where each suite applies: `all` runs the suites that apply at N, and a
+# single suite outside its levels is a configuration error
+_SCOPES = {
+    "identities": Scope(
+        lambda N: N in SERIES_LEVELS, "no series identities catalogued for N = {N}", series=True
+    ),
+    "quadrics": Scope(lambda N: N >= 4, "quadric systems need N >= 4"),
+    "rep": Scope(
+        lambda N: N >= 2 and N % 2 == 0, "the projective representation suite needs even N >= 2"
+    ),
+    "translation": Scope(lambda N: N >= 2, "the translation suite needs N >= 2"),
+    "transform": Scope(lambda N: N >= 2, "the transform suite needs N >= 2"),
+    "weierstrass": Scope(lambda N: N == 4, "the Weierstrass suite is specific to N = 4"),
+    "structures": Scope(
+        lambda N: 2 <= N <= MAX_LEVEL and N % 2 == 0,
+        f"refined structures need even N >= 2 and N <= {MAX_LEVEL}",
+    ),
+}
+
+
 def run_suites(cfg: RunConfig, suite: str) -> list[IdentityRecord]:
+    """The records of one suite, or of every suite that applies at N for
+    "all", in name order.  A suite outside its levels is a ConfigError."""
     if suite == "all":
-        records = []
-        for name, fn in _SUITES.items():
-            if name == "rep" and cfg.N % 2:
-                continue
-            if name == "structures" and cfg.N % 2:
-                continue
-            if name == "weierstrass" and cfg.N != 4:
-                continue
-            if name == "identities" and cfg.N not in (4, 5, 6, 7, 8):
-                continue
-            if name == "quadrics" and cfg.N < 4:
-                continue
-            records += _run_suite(fn, cfg)
+        names = [name for name in _SUITES if _SCOPES[name].applies(cfg.N)]
+        if not names:
+            raise ConfigError(f"no verification suite applies at N = {cfg.N}")
+    elif suite in _SUITES:
+        if not _SCOPES[suite].applies(cfg.N):
+            raise ConfigError(_SCOPES[suite].error.format(N=cfg.N))
+        names = [suite]
     else:
-        if suite not in _SUITES:
-            raise ConfigError(f"unknown suite {suite!r}")
-        records = _run_suite(_SUITES[suite], cfg)
+        raise ConfigError(f"unknown suite {suite!r}")
+    if any(_SCOPES[name].series for name in names) and cfg.series_order() < 8 * cfg.N:
+        raise ConfigError(f"order must be >= {8 * cfg.N} for N = {cfg.N}")
+    records = []
+    for name in names:
+        records += _run_suite(_SUITES[name], cfg)
     return sorted(records, key=lambda r: r.name)
 
 
@@ -426,61 +443,55 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, series=False):
+    def command(name, help):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--N", type=int, default=4)
-        sp.add_argument("--order", type=int, default=None)
-        sp.add_argument("--tau-re", type=float, default=0.0)
-        sp.add_argument("--tau-im", type=float, default=1.0)
-        sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--samples", type=int, default=25)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
+        return sp
 
-    q = sub.add_parser("qexp", help="print an exact q-expansion")
-    common(q)
-    q.add_argument(
-        "--object",
-        required=True,
-        choices=("theta-null", "eta", "lambda", "X6", "Y6", "b1", "b4", "phi5", "mu6"),
-    )
+    q = command("qexp", "print an exact q-expansion")
+    q.add_argument("--order", type=int, default=None)
+    q.add_argument("--object", required=True, choices=tuple(_QEXP_OBJECTS))
     q.add_argument("--k", type=int, default=None)
 
-    v = sub.add_parser("verify", help="run a verification suite")
-    common(v)
+    v = command("verify", "run a verification suite")
+    v.add_argument("--order", type=int, default=None)
+    v.add_argument("--tau-re", type=float, default=0.0)
+    v.add_argument("--tau-im", type=float, default=1.0)
+    v.add_argument("--tol", type=float, default=1e-9)
+    v.add_argument("--samples", type=int, default=25)
+    v.add_argument("--seed", type=int, default=0)
     v.add_argument("--suite", required=True, choices=tuple(_SUITES) + ("all",))
 
-    i = sub.add_parser("invariants", help="congruence subgroup invariants")
-    common(i)
+    i = command("invariants", "congruence subgroup invariants")
     i.add_argument("--family", required=True, choices=("gamma", "gammaN2N"))
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        N=args.N,
-        order=args.order,
-        tau=complex(args.tau_re, args.tau_im),
-        tol=args.tol,
-        samples=args.samples,
-        seed=args.seed,
-        fmt=args.fmt,
-    )
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "qexp":
-            series = series_for_object(args.object, cfg, args.k)
-            print(series.to_json() if cfg.fmt == "json" else str(series))
+            series = series_for_object(args.object, args.N, args.order, args.k)
+            print(series.to_json() if args.fmt == "json" else str(series))
             return 0
         if args.command == "verify":
-            cfg.validate(need_series=args.suite in ("identities", "all"))
+            cfg = RunConfig(
+                N=args.N,
+                order=args.order,
+                tau=complex(args.tau_re, args.tau_im),
+                tol=args.tol,
+                samples=args.samples,
+                seed=args.seed,
+                fmt=args.fmt,
+            )
+            cfg.validate()
             records = run_suites(cfg, args.suite)
             print(render_report(records, cfg, cfg.fmt))
             return report_exit_code(records)
         if args.command == "invariants":
-            spec = SubgroupSpec(args.family, args.N)
-            inv = subgroup_invariants(spec)
-            if cfg.fmt == "json":
+            inv = subgroup_invariants(SubgroupSpec(args.family, args.N))
+            if args.fmt == "json":
                 print(
                     json.dumps(
                         {

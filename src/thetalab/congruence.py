@@ -20,12 +20,15 @@ from .cyclotomic import CyclotomicNumber, zeta
 # SL_2(Z/m)
 
 
+MAX_LEVEL = 12  # the largest level enumerated; sl2_mod stops at m = 2 * MAX_LEVEL
+
+
 @lru_cache(maxsize=None)
 def sl2_mod(m: int) -> tuple:
     """All (a, b, c, d) mod m with ad - bc = 1."""
     if m < 1:
         raise ValueError("modulus must be positive")
-    if m > 24:
+    if m > 2 * MAX_LEVEL:
         raise ValueError("modulus too large for brute-force enumeration")
     out = []
     rng = range(m)
@@ -96,8 +99,8 @@ def subgroup_invariants(spec: SubgroupSpec) -> SubgroupInvariants:
     residue a + d = 2 (mod N) already rules those out; for N = 2 and 3
     the congruence mod 4 and mod 9 is what settles it.
     """
-    if not 2 <= spec.N <= 12:
-        raise ValueError("N out of the supported enumeration range 2..12")
+    if not 2 <= spec.N <= MAX_LEVEL:
+        raise ValueError(f"N out of the supported enumeration range 2..{MAX_LEVEL}")
     m = spec.modulus()
     group = sl2_mod(m)
     image = [g for g in group if spec.contains_residue(g)]
@@ -152,8 +155,8 @@ def group_tower_check(N: int) -> TowerReport:
     and (1,0;N,1), and that the bottom quotient has order 2 generated by
     (1+N,0;0,1+N).  The lower inclusion needs no check: Gamma(2N) is the
     kernel of reduction mod 2N, hence normal in SL_2(Z)."""
-    if N % 2 or N > 12:
-        raise ValueError("even N <= 12 required")
+    if N % 2 or N > MAX_LEVEL:
+        raise ValueError(f"even N <= {MAX_LEVEL} required")
     m = 2 * N
     big = sl2_mod(m)
     g1 = [g for g in big if all(x % N == y for x, y in zip(g, (1, 0, 0, 1)))]

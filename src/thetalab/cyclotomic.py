@@ -413,16 +413,3 @@ def scalar_of_kind(kind: int, order: int, num, den: int):
         return Fraction(num[0], den)
     return _make(order, num, den).to_order(kind // 2)
 
-
-def cyc_mul(a: CyclotomicNumber, b: CyclotomicNumber) -> CyclotomicNumber:
-    if a.order != b.order:
-        raise ValueError("order mismatch: embed into a common order first")
-    return a * b
-
-
-def cyc_inv(a: CyclotomicNumber) -> CyclotomicNumber:
-    return a.inverse()
-
-
-def cyc_embed_complex(a: CyclotomicNumber) -> complex:
-    return a.complex_value()

@@ -179,49 +179,37 @@ def phi5_series(order: int) -> PuiseuxSeries:
 # theta-null curve models
 
 
-_LEVEL8_RELATION_NAMES = (
-    "a0a4(a0^2+a4^2)=2a2^4",
-    "a0a4(a1^2+a3^2)=2a1a3a2^2",
-    "a0a2a4(a0+a4)=2a1^2a3^2",
-    "a2^3(a0+a4)=a1a3(a1^2+a3^2)",
-    "a1a3(a0^2+a4^2)=a2^2(a1^2+a3^2)",
-    "a2(a0^3+a4^3)=a1^4+a3^4",
-)
-
-
-def theta_null_curve_check(N: int, order: int) -> list[IdentityRecord]:
-    """The polynomial models cut out by the theta nulls at each level."""
-    if N not in (4, 6, 7, 8):
-        raise ValueError("supported levels are 4, 6, 7, 8")
-    if order < 8 * N:
-        raise ValueError("order must be at least 8N for a meaningful check")
-    a = nulls(N, order)
-    out = []
-    if N == 4:
-        rel = a[0] * a[2] * (a[0] ** 2 + a[2] ** 2) - 2 * a[1] ** 4
-        out.append(_series_record("level4.null-curve", 4, rel, order))
-    elif N == 6:
-        r1 = a[1] ** 4 + a[2] ** 4 - a[0] ** 3 * a[2] - a[1] * a[3] ** 3
-        r2 = a[0] * a[3] * (a[0] * a[1] + a[2] * a[3]) - 2 * a[1] ** 2 * a[2] ** 2
-        out.append(_series_record("level6.null-curve.1", 6, r1, order))
-        out.append(_series_record("level6.null-curve.2", 6, r2, order))
-    elif N == 7:
-        rel = a[1] ** 3 * a[2] - a[2] ** 3 * a[3] - a[1] * a[3] ** 3
-        out.append(_series_record("klein.quartic", 7, rel, order))
-    else:
-        rels = (
+# The quartic theta-null models, keyed by level: each entry names the
+# relations among the nulls a = (a_0, ..., a_(N-1)) that vanish identically.
+NULL_CURVE_RELATIONS = {
+    4: lambda a: {"level4.null-curve": a[0] * a[2] * (a[0] ** 2 + a[2] ** 2) - 2 * a[1] ** 4},
+    6: lambda a: {
+        "level6.null-curve.1": a[1] ** 4 + a[2] ** 4 - a[0] ** 3 * a[2] - a[1] * a[3] ** 3,
+        "level6.null-curve.2":
+            a[0] * a[3] * (a[0] * a[1] + a[2] * a[3]) - 2 * a[1] ** 2 * a[2] ** 2,
+    },
+    7: lambda a: {"klein.quartic": a[1] ** 3 * a[2] - a[2] ** 3 * a[3] - a[1] * a[3] ** 3},
+    8: lambda a: {
+        f"level8.null-curve.{i}": rel for i, rel in enumerate((
             a[0] * a[4] * (a[0] ** 2 + a[4] ** 2) - 2 * a[2] ** 4,
             a[0] * a[4] * (a[1] ** 2 + a[3] ** 2) - 2 * a[1] * a[3] * a[2] ** 2,
             a[0] * a[2] * a[4] * (a[0] + a[4]) - 2 * a[1] ** 2 * a[3] ** 2,
             a[2] ** 3 * (a[0] + a[4]) - a[1] * a[3] * (a[1] ** 2 + a[3] ** 2),
             a[1] * a[3] * (a[0] ** 2 + a[4] ** 2) - a[2] ** 2 * (a[1] ** 2 + a[3] ** 2),
             a[2] * (a[0] ** 3 + a[4] ** 3) - (a[1] ** 4 + a[3] ** 4),
-        )
-        for i, rel in enumerate(rels):
-            out.append(
-                _series_record(f"level8.null-curve.{i + 1}", 8, rel, order)
-            )
-    return out
+        ), 1)
+    },
+}
+
+
+def theta_null_curve_check(N: int, order: int) -> list[IdentityRecord]:
+    """The polynomial models cut out by the theta nulls at each level."""
+    if N not in NULL_CURVE_RELATIONS:
+        raise ValueError(f"supported levels are {', '.join(map(str, NULL_CURVE_RELATIONS))}")
+    if order < 8 * N:
+        raise ValueError("order must be at least 8N for a meaningful check")
+    relations = NULL_CURVE_RELATIONS[N](nulls(N, order))
+    return [_series_record(name, N, rel, order) for name, rel in relations.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +321,20 @@ def _phi_records(order: int) -> list[IdentityRecord]:
     ]
 
 
+# the displayed leading terms of 3 mu, read by mu.leading and level6.hesse
+_MU_LEADING = (
+    (Fraction(-2, 3), 1), (Fraction(4, 3), 5), (Fraction(10, 3), -7), (Fraction(16, 3), 3),
+    (Fraction(22, 3), 15), (Fraction(28, 3), -32), (Fraction(34, 3), 9),
+)
+
+
 def _mu_records(order: int) -> list[IdentityRecord]:
     x = x6_series(order)
     mu = mu6_series(order)
     mu_alt = x * x - 2 / x
     return [
         _series_record("mu.two-expressions", 6, mu - mu_alt, order, "series-equality"),
-        _leading_record(
-            "mu.leading", 6, mu,
-            [(Fraction(-2, 3), 1), (Fraction(4, 3), 5), (Fraction(10, 3), -7),
-             (Fraction(16, 3), 3), (Fraction(22, 3), 15), (Fraction(28, 3), -32),
-             (Fraction(34, 3), 9)],
-            order,
-        ),
+        _leading_record("mu.leading", 6, mu, _MU_LEADING, order),
     ]
 
 
@@ -366,9 +355,8 @@ def eta_quotient_check(order: int = 80, level: int | None = None) -> list[Identi
 
     With ``level`` given, only that level's records are built, together
     with the eta factors and named series they read; they equal the
-    records of that level in the full list, in the same order.  Levels
-    4, 5, 6 and 8 have records; any other level gives an empty list.
-    ``None`` builds all 16 records."""
+    records of that level in the full list, in the same order; a level
+    without records gives an empty list.  ``None`` builds all 16 records."""
     if order < 20:
         raise ValueError("order too small to reach the displayed terms")
     out = []
@@ -382,108 +370,124 @@ def eta_quotient_check(order: int = 80, level: int | None = None) -> list[Identi
 # quotient models of the modular curves
 
 
+def _x6_model(order: int) -> list[IdentityRecord]:
+    """X(6): Y^2 = X^3 + 1 and the fixed-field generators b_1, b_2, b_3."""
+    out = []
+    # A value is shared only between identical expressions: reshaping a
+    # product can change the depth it is known to (y has negative
+    # valuation), so y ** 4 is never (y * y) * (y * y).
+    x = x6_series(order)
+    y = y6_series(order)
+    xx = x * x
+    yy = y * y
+    out.append(
+        _series_record("level6.weierstrass-model", 6, yy - x ** 3 - 1, order)
+    )
+    a = nulls(6, order)
+    a0inv = a[0].inverse()
+    alpha = [a[k] * a0inv for k in range(6)]
+    a3inv = alpha[3].inverse()
+    b1 = alpha[1] * alpha[3] + alpha[2] * a3inv * a3inv
+    b2 = alpha[2] + alpha[1] * a3inv
+    b3 = alpha[3] ** 2 + a3inv ** 2
+    out.append(
+        _series_record("level6.b1-from-XY", 6, 4 * y * b1 - xx * (yy - 3), order)
+    )
+    out.append(_series_record("level6.b2-from-XY", 6, 2 * b2 - xx, order))
+    # the closed form of b3 is resolved exactly between the two
+    # single-typo candidates: 4Y b3 = Y^4 - 6*{X^2 or Y^2} - 3
+    yb3 = 4 * y * b3
+    y4 = y ** 4
+    cand_x = (yb3 - (y4 - 6 * x * x - 3)).is_zero()
+    cand_y = (yb3 - (y4 - 6 * y * y - 3)).is_zero()
+    which = "Y^2" if cand_y else ("X^2" if cand_x else "none")
+    out.append(
+        IdentityRecord(
+            name="level6.b3-from-XY", level=6, kind="series-equality",
+            status="pass" if cand_x != cand_y else "fail", order=order,
+            detail=f"4Y b3 = Y^4 - 6*{which} - 3, resolved exactly",
+        )
+    )
+    b1b1 = b1 * b1
+    b2b2 = b2 * b2
+    num = b2 * (2 * b1 - b2 * b3)
+    den = b1b1 - b2b2
+    s = b1b1 + b2b2 - b1 * b2 * b3
+    t = b3 * b3 - 4
+    out.append(
+        _series_record(
+            "level6.bsystem.1", 6, b3 * s * s + num * den * t - b1 * t * t, order,
+        )
+    )
+    out.append(
+        _series_record("level6.bsystem.2", 6, b2 * t * t - 2 * s * s, order)
+    )
+    out.append(
+        _series_record("level6.X-from-b", 6, x * t + 2 * s, order)
+    )
+    # sign of the Y expression resolved exactly
+    yden = y * den
+    plus = (yden - num).is_zero()
+    minus = (yden + num).is_zero()
+    sign = "+1" if plus else ("-1" if minus else "none")
+    out.append(
+        IdentityRecord(
+            name="level6.Y-from-b", level=6, kind="series-equality",
+            status="pass" if plus != minus else "fail", order=order,
+            detail=f"Y = ({sign}) * b2(2b1 - b2 b3)/(b1^2 - b2^2), resolved exactly",
+        )
+    )
+    return out
+
+
+def _x8_model(order: int) -> list[IdentityRecord]:
+    """X(8): b_1^4 = 4 b_4^6 + b_4^2 and its two-to-one map to level 4."""
+    a = nulls(8, order)
+    a2inv = a[2].inverse()
+    alpha = [a[k] * a2inv for k in range(8)]
+    b0 = alpha[0] + alpha[4]
+    b1 = alpha[1] * alpha[3]
+    ratio = alpha[1] / alpha[3]
+    b3 = ratio + ratio.inverse()
+    b4 = b1 * (alpha[0] - alpha[4]) / ((alpha[1] + alpha[3]) * (alpha[1] - alpha[3]))
+    # b0 in terms of b1 and b3: the exponent of b1 is resolved exactly
+    # (the defining system forces b0 = b1^2 b3 via
+    #  alpha_0 + alpha_4 = alpha_1 alpha_3 (alpha_1^2 + alpha_3^2))
+    lin = (b0 - b1 * b3).is_zero()
+    quad = (b0 - b1 * b1 * b3).is_zero()
+    form = "b1^2*b3" if quad else ("b1*b3" if lin else "none")
+    b1_4 = b1 ** 4
+    a2s = 2 * b4 * b4
+    return [
+        IdentityRecord(
+            name="level8.b0-from-b1-b3", level=8, kind="series-equality",
+            status="pass" if lin != quad else "fail", order=order,
+            detail=f"b0 = {form}, resolved exactly",
+        ),
+        _series_record("level8.b3-eq-inv-b4sq", 8, b3 * b4 * b4 - 1, order),
+        _series_record("level8.x8-model", 8, b1_4 - 4 * b4 ** 6 - b4 * b4, order),
+        _series_record("level8.two-to-one", 8, a2s * (1 + a2s * a2s) - 2 * b1_4, order),
+    ]
+
+
+# the quotient models, keyed by level
+QUOTIENT_MODELS = {6: _x6_model, 8: _x8_model}
+
+
 def quotient_model_check(N: int, order: int = 80) -> list[IdentityRecord]:
     """Models of X(6) and X(8) through the fixed-field generators."""
-    out = []
-    if N == 6:
-        # A value is shared only between identical expressions: reshaping a
-        # product can change the depth it is known to (y has negative
-        # valuation), so y ** 4 is never (y * y) * (y * y).
-        x = x6_series(order)
-        y = y6_series(order)
-        xx = x * x
-        yy = y * y
-        out.append(
-            _series_record("level6.weierstrass-model", 6, yy - x ** 3 - 1, order)
-        )
-        a = nulls(6, order)
-        a0inv = a[0].inverse()
-        alpha = [a[k] * a0inv for k in range(6)]
-        a3inv = alpha[3].inverse()
-        b1 = alpha[1] * alpha[3] + alpha[2] * a3inv * a3inv
-        b2 = alpha[2] + alpha[1] * a3inv
-        b3 = alpha[3] ** 2 + a3inv ** 2
-        out.append(
-            _series_record("level6.b1-from-XY", 6, 4 * y * b1 - xx * (yy - 3), order)
-        )
-        out.append(_series_record("level6.b2-from-XY", 6, 2 * b2 - xx, order))
-        # the closed form of b3 is resolved exactly between the two
-        # single-typo candidates: 4Y b3 = Y^4 - 6*{X^2 or Y^2} - 3
-        yb3 = 4 * y * b3
-        y4 = y ** 4
-        cand_x = (yb3 - (y4 - 6 * x * x - 3)).is_zero()
-        cand_y = (yb3 - (y4 - 6 * y * y - 3)).is_zero()
-        which = "Y^2" if cand_y else ("X^2" if cand_x else "none")
-        out.append(
-            IdentityRecord(
-                name="level6.b3-from-XY", level=6, kind="series-equality",
-                status="pass" if cand_x != cand_y else "fail", order=order,
-                detail=f"4Y b3 = Y^4 - 6*{which} - 3, resolved exactly",
-            )
-        )
-        b1b1 = b1 * b1
-        b2b2 = b2 * b2
-        num = b2 * (2 * b1 - b2 * b3)
-        den = b1b1 - b2b2
-        s = b1b1 + b2b2 - b1 * b2 * b3
-        t = b3 * b3 - 4
-        out.append(
-            _series_record(
-                "level6.bsystem.1", 6, b3 * s * s + num * den * t - b1 * t * t, order,
-            )
-        )
-        out.append(
-            _series_record("level6.bsystem.2", 6, b2 * t * t - 2 * s * s, order)
-        )
-        out.append(
-            _series_record("level6.X-from-b", 6, x * t + 2 * s, order)
-        )
-        # sign of the Y expression resolved exactly
-        yden = y * den
-        plus = (yden - num).is_zero()
-        minus = (yden + num).is_zero()
-        sign = "+1" if plus else ("-1" if minus else "none")
-        out.append(
-            IdentityRecord(
-                name="level6.Y-from-b", level=6, kind="series-equality",
-                status="pass" if plus != minus else "fail", order=order,
-                detail=f"Y = ({sign}) * b2(2b1 - b2 b3)/(b1^2 - b2^2), resolved exactly",
-            )
-        )
-    elif N == 8:
-        a = nulls(8, order)
-        a2inv = a[2].inverse()
-        alpha = [a[k] * a2inv for k in range(8)]
-        b0 = alpha[0] + alpha[4]
-        b1 = alpha[1] * alpha[3]
-        ratio = alpha[1] / alpha[3]
-        b3 = ratio + ratio.inverse()
-        b4 = b1 * (alpha[0] - alpha[4]) / ((alpha[1] + alpha[3]) * (alpha[1] - alpha[3]))
-        # b0 in terms of b1 and b3: the exponent of b1 is resolved exactly
-        # (the defining system forces b0 = b1^2 b3 via
-        #  alpha_0 + alpha_4 = alpha_1 alpha_3 (alpha_1^2 + alpha_3^2))
-        lin = (b0 - b1 * b3).is_zero()
-        quad = (b0 - b1 * b1 * b3).is_zero()
-        form = "b1^2*b3" if quad else ("b1*b3" if lin else "none")
-        out.append(
-            IdentityRecord(
-                name="level8.b0-from-b1-b3", level=8, kind="series-equality",
-                status="pass" if lin != quad else "fail", order=order,
-                detail=f"b0 = {form}, resolved exactly",
-            )
-        )
-        out.append(_series_record("level8.b3-eq-inv-b4sq", 8, b3 * b4 * b4 - 1, order))
-        b1_4 = b1 ** 4
-        out.append(
-            _series_record("level8.x8-model", 8, b1_4 - 4 * b4 ** 6 - b4 * b4, order)
-        )
-        a2s = 2 * b4 * b4
-        out.append(
-            _series_record("level8.two-to-one", 8, a2s * (1 + a2s * a2s) - 2 * b1_4, order)
-        )
-    else:
-        raise ValueError("quotient models are available for N = 6 and N = 8")
-    return out
+    if N not in QUOTIENT_MODELS:
+        raise ValueError(f"quotient models are available for N in {sorted(QUOTIENT_MODELS)}")
+    return QUOTIENT_MODELS[N](order)
+
+
+# The level of the Hesse cubic, and the levels with a series identity,
+# at which the identities suite runs.
+HESSE_LEVEL = 6
+SERIES_LEVELS = frozenset(
+    [*NULL_CURVE_RELATIONS, *(lvl for lvl, _ in _ETA_QUOTIENT_GROUPS), *QUOTIENT_MODELS,
+     HESSE_LEVEL]
+)
 
 
 # ---------------------------------------------------------------------------
@@ -499,14 +503,8 @@ def hesse_check(
     Series part: the displayed 3mu expansion; numeric part: the cubic
     X_0^3 + X_2^3 + X_4^3 = 3mu X_0 X_2 X_4 at sampled curve points."""
     if ctx is None:
-        ctx = ThetaContext(6, 1j, 1e-10)
-    lead = _leading_record(
-        "level6.hesse-mu", 6, mu6_series(order),
-        [(Fraction(-2, 3), 1), (Fraction(4, 3), 5), (Fraction(10, 3), -7),
-         (Fraction(16, 3), 3), (Fraction(22, 3), 15), (Fraction(28, 3), -32),
-         (Fraction(34, 3), 9)],
-        order,
-    )
+        ctx = ThetaContext(HESSE_LEVEL, 1j, 1e-10)
+    lead = _leading_record("level6.hesse-mu", 6, mu6_series(order), _MU_LEADING, order)
     ks = np.arange(6)
     a = theta_N_eval(ks, 0.0, ctx).tolist()
     xm = 2 * a[1] * a[2] / (a[0] * a[3])
@@ -643,11 +641,16 @@ def degenerate_fibers_level4() -> IdentityRecord:
     )
 
 
+def has_null_invariance(N: int) -> bool:
+    """Whether null_invariance_check applies: its statement is for even N."""
+    return N % 2 == 0
+
+
 def null_invariance_check(N: int, tau: complex = 1j, rtol: float = 1e-8) -> IdentityRecord:
     """Numeric invariance of the null vector under the two extra
     generators: tau -> tau + N twists by alternating signs, and
     tau -> tau/(N tau + 1) reverses the index order."""
-    if N % 2:
+    if not has_null_invariance(N):
         raise ValueError("the invariance statement is for even N")
     from .projective import proj_residual
 

@@ -405,15 +405,6 @@ class PuiseuxSeries:
         """Sorted (exponent: Fraction, coefficient) pairs."""
         return [(Fraction(k, self.ram), c) for k, c in sorted(self.terms.items())]
 
-    def eval_complex(self, q: complex) -> complex:
-        """Numeric value: substitute a complex q with |q| < 1."""
-        qr = q ** (1.0 / self.ram) if self.ram > 1 else q
-        acc = 0j
-        for k, c in self.terms.items():
-            cc = c.complex_value() if isinstance(c, CyclotomicNumber) else complex(c)
-            acc += cc * qr**k
-        return acc
-
     def eval_at_tau(self, tau: complex) -> complex:
         """Numeric value at q = e(tau) = exp(2*pi*i*tau)."""
         acc = 0j

@@ -274,11 +274,6 @@ def theta_null_series(N: int, k: int, order: int) -> PuiseuxSeries:
     return PuiseuxSeries(ram, terms, trunc)
 
 
-def theta_null_numeric(N: int, k: int, ctx: ThetaContext) -> complex:
-    """Numeric a_k = theta_k(0, tau), keeping the true global scalar."""
-    return theta_N_eval(k, 0.0, ctx)
-
-
 def theta_zero_points(N: int, k: int, tau: complex, count: int = 5) -> list[complex]:
     """Representative zeros of theta_k from its known zero lattice.
 

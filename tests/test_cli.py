@@ -1,7 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
+import thetalab.cli
 import thetalab.quadrics
 import thetalab.theta
 from thetalab.cli import (
@@ -13,6 +15,7 @@ from thetalab.cli import (
     run_suites,
 )
 from thetalab.identities import IdentityRecord
+from thetalab.theta import theta_null_series
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +108,8 @@ def test_verify_rejects_bad_combinations(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "verify", "--suite", "weierstrass", "--N", "6")
     assert code == 2
+    code, _, err = run_cli(capsys, "verify", "--suite", "structures", "--N", "14")
+    assert code == 2 and "N <= 12" in err
     code, _, err = run_cli(capsys, "verify", "--suite", "identities", "--N", "4", "--tau-im", "0.1")
     assert code == 2
 
@@ -213,23 +218,77 @@ def test_verify_translation_and_transform_reject_level_one(capsys):
             assert "N >= 2" in err
 
 
-def test_verify_all_at_levels_below_four(capsys):
-    # the quadric systems need N >= 4; `all` runs the suites that apply
+def test_verify_all_at_levels_below_four(capsys, monkeypatch):
+    # `all` runs exactly the suites that apply at N: the quadric systems
+    # need N >= 4, and the structures enumeration stops at N = 12
+    ran = []
+
+    def recording(name, fn):
+        def suite(cfg):
+            ran.append(name)
+            return fn(cfg)
+        return suite
+
+    for name, fn in list(thetalab.cli._SUITES.items()):
+        monkeypatch.setitem(thetalab.cli._SUITES, name, recording(name, fn))
     want = {
         2: {"rep", "structures", "translation", "transform"},
         3: {"translation", "transform"},
+        4: {"identities", "quadrics", "rep", "translation", "transform", "weierstrass",
+            "structures"},
+        5: {"identities", "quadrics", "translation", "transform"},
+        12: {"quadrics", "rep", "translation", "transform", "structures"},
+        13: {"quadrics", "translation", "transform"},
+        14: {"quadrics", "rep", "translation", "transform"},
     }
     for n, suites in want.items():
+        ran.clear()
         code, out, err = run_cli(
             capsys, "verify", "--suite", "all", "--N", str(n), "--samples", "5",
             "--format", "json",
         )
         assert code == 0, err
+        assert set(ran) == suites, n
         records = json.loads(out)["records"]
-        assert {r["name"].split(".")[0] for r in records} == suites
+        if not suites & {"identities", "weierstrass"}:  # their records are named by level
+            assert {r["name"].split(".")[0] for r in records} == suites
         assert all(r["status"] == "pass" and r["level"] == n for r in records)
     code, _, err = run_cli(capsys, "verify", "--suite", "quadrics", "--N", "3")
     assert code == 2 and "N >= 4" in err
+    for n in ("0", "1"):  # no suite applies
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--N", n)
+        assert (code, out) == (2, "")
+        assert f"N = {n}" in err
+
+
+def test_verify_all_checks_the_order_only_for_series(capsys):
+    # no series identity is catalogued at N = 12, so its order bound is moot
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "all", "--N", "12", "--order", "60", "--samples", "5",
+    )
+    assert (code, err) == (0, "")
+    assert "checks passed" in out
+    code, _, err = run_cli(capsys, "verify", "--suite", "all", "--N", "8", "--order", "60")
+    assert code == 2 and "order must be >= 64" in err
+
+
+def test_qexp_theta_null_default_order_follows_n(capsys):
+    code, out, err = run_cli(capsys, "qexp", "--object", "theta-null", "--N", "8", "--k", "1")
+    assert (code, err) == (0, "")
+    assert out == str(theta_null_series(8, 1, 64)) + "\n"
+
+
+def test_commands_reject_flags_they_do_not_read(capsys):
+    for argv in (
+        ("invariants", "--family", "gamma", "--N", "4", "--seed", "1"),
+        ("invariants", "--family", "gamma", "--N", "4", "--order", "40"),
+        ("qexp", "--object", "lambda", "--tau-im", "2"),
+        ("qexp", "--object", "lambda", "--samples", "5"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_quadrics_suite_samples_each_point_once(monkeypatch):
