@@ -93,8 +93,9 @@ class RunConfig:
 
 
 # qexp objects: (level, build(order, N, k)).  The level sets the default
-# order and the least one, 8 * level; theta-null is at level N, and eta
-# has none.  Each builder is looked up by name when called, so a rebinding
+# order and the least one, 8 * level; theta-null is at level N (4 unless
+# --N is given), the only object that reads --N and --k, and eta has
+# none.  Each builder is looked up by name when called, so a rebinding
 # of the module's names (as perfbench/tracer.py does) reaches it.
 _QEXP_OBJECTS = {
     "theta-null": (None, lambda order, N, k: theta_null_series(N, k, order)),
@@ -109,11 +110,16 @@ _QEXP_OBJECTS = {
 }
 
 
-def series_for_object(obj: str, N: int, order: int | None, k: int | None) -> PuiseuxSeries:
+def series_for_object(obj: str, N: int | None, order: int | None, k: int | None) -> PuiseuxSeries:
     if obj not in _QEXP_OBJECTS:
         raise ConfigError(f"unknown object {obj!r}")
     level, build = _QEXP_OBJECTS[obj]
-    if level is None:
+    if level is not None:
+        for flag, value in (("--N", N), ("--k", k)):
+            if value is not None:
+                raise ConfigError(f"{flag} is read only by theta-null, not by {obj}")
+    else:
+        N = 4 if N is None else N
         if k is None:
             raise ConfigError(f"{obj} needs --k")
         if N < 2:
@@ -377,7 +383,8 @@ _SCOPES = {
 
 def run_suites(cfg: RunConfig, suite: str) -> list[IdentityRecord]:
     """The records of one suite, or of every suite that applies at N for
-    "all", in name order.  A suite outside its levels is a ConfigError."""
+    "all", in name order.  A suite outside its levels is a ConfigError, and
+    so is --order for a single suite that reads no series."""
     if suite == "all":
         names = [name for name in _SUITES if _SCOPES[name].applies(cfg.N)]
         if not names:
@@ -385,6 +392,8 @@ def run_suites(cfg: RunConfig, suite: str) -> list[IdentityRecord]:
     elif suite in _SUITES:
         if not _SCOPES[suite].applies(cfg.N):
             raise ConfigError(_SCOPES[suite].error.format(N=cfg.N))
+        if cfg.order is not None and not _SCOPES[suite].series:
+            raise ConfigError(f"the {suite} suite does not read --order")
         names = [suite]
     else:
         raise ConfigError(f"unknown suite {suite!r}")
@@ -443,13 +452,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, help):
+    def command(name, help, N=4):
         sp = sub.add_parser(name, help=help)
-        sp.add_argument("--N", type=int, default=4)
+        sp.add_argument("--N", type=int, default=N)
         sp.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
         return sp
 
-    q = command("qexp", "print an exact q-expansion")
+    q = command("qexp", "print an exact q-expansion", N=None)
     q.add_argument("--order", type=int, default=None)
     q.add_argument("--object", required=True, choices=tuple(_QEXP_OBJECTS))
     q.add_argument("--k", type=int, default=None)

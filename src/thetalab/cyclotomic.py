@@ -121,32 +121,6 @@ def embed_vector(order: int, num, m: int) -> list:
     return reduce_vector(m, vec)
 
 
-@lru_cache(maxsize=None)
-def _restriction(m: int, t: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Integer rows L and scale s with y = L x / s whenever x (order m) is
-    the embedding of y (order t); t divides m.
-
-    The embedding is an injective linear map E, so row reduction of
-    [E | I] over Q leaves [I | L] in its first phi(t) rows, with L E = I.
-    """
-    pt, pm = euler_phi(t), euler_phi(m)
-    # column d of E: the order-m vector of zeta_t^d = zeta_m^(d m / t)
-    cols = [CyclotomicNumber.zeta_power(m, d * (m // t)).num for d in range(pt)]
-    aug = [[Fraction(cols[d][r]) for d in range(pt)] + [Fraction(int(r == c)) for c in range(pm)]
-           for r in range(pm)]
-    for c in range(pt):
-        piv = next(r for r in range(c, pm) if aug[r][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        aug[c] = [x / aug[c][c] for x in aug[c]]
-        for r in range(pm):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    left = [row[pt:] for row in aug[:pt]]
-    scale = lcm(*(x.denominator for row in left for x in row))
-    return tuple(tuple(int(x * scale) for x in row) for row in left), scale
-
-
 def _mobius(n: int) -> int:
     mu, p = 1, 2
     while p * p <= n:
@@ -221,22 +195,12 @@ class CyclotomicNumber:
     # -- order manipulation -------------------------------------------
 
     def to_order(self, m: int) -> "CyclotomicNumber":
-        """The same element written in order m.
-
-        m is a multiple of self.order (an embedding into Q(zeta_m)), or a
-        divisor of it when the element lies in the subfield Q(zeta_m).
-        """
+        """The same element written in order m, a multiple of self.order
+        (an embedding into Q(zeta_m))."""
         if m == self.order:
             return self
         if m % self.order:
-            if self.order % m:
-                raise ValueError(f"cannot embed order {self.order} into {m}")
-            rows, scale = _restriction(self.order, m)
-            x = _make(m, [sum(a * b for a, b in zip(row, self.num)) for row in rows], self.den * scale)
-            back = x.to_order(self.order)
-            if (back.num, back.den) != (self.num, self.den):
-                raise ValueError(f"element does not lie in Q(zeta_{m})")
-            return x
+            raise ValueError(f"cannot embed order {self.order} into {m}")
         return _make(m, embed_vector(self.order, self.num, m), self.den)
 
     @staticmethod
@@ -247,7 +211,7 @@ class CyclotomicNumber:
             raise TypeError(f"cannot combine CyclotomicNumber with {type(b).__name__}")
         if a.order == b.order:
             return a, b
-        m = promoted_kind(scalar_kind(a), scalar_kind(b)) // 2
+        m = lcm(a.order, b.order)
         return a.to_order(m), b.to_order(m)
 
     # -- ring operations ----------------------------------------------
@@ -389,27 +353,39 @@ def zeta(m: int, k: int = 1) -> CyclotomicNumber:
     return CyclotomicNumber.zeta_power(m, k)
 
 
-# -- scalar kinds -----------------------------------------------------------
+# -- exact scalars -----------------------------------------------------------
+# An exact scalar is an int, a Fraction or a CyclotomicNumber.
 
 
-def scalar_kind(x) -> int:
-    """The type and order of an exact scalar as one code: 1 for an int or
-    a Fraction, 2m for a CyclotomicNumber of order m."""
-    return 2 * x.order if isinstance(x, CyclotomicNumber) else 1
+def scalar_is_zero(x) -> bool:
+    """Whether an exact scalar is zero; `not x` is the fast test for a Fraction."""
+    if isinstance(x, CyclotomicNumber):
+        return x.is_zero()
+    return not x
 
 
-# promoted_kind(*kinds): the kind of a sum or product of scalars of the
-# given kinds.  Arithmetic writes its result in the lcm of its operands'
-# orders and gives a Fraction only when every operand is one, which is the
-# lcm of the codes; the builtin itself keeps per-entry use in the matrix
-# product cheap.
-promoted_kind = lcm
+def scalar_inverse(x):
+    """1 / x for a nonzero exact scalar, of x's own field."""
+    if isinstance(x, CyclotomicNumber):
+        return x.inverse()
+    return Fraction(1) / x
 
 
-def scalar_of_kind(kind: int, order: int, num, den: int):
-    """The scalar of the given kind equal to sum(num[d] * z^d) / den, for
-    a power-basis vector num in an order that the kind's order divides."""
-    if kind == 1:
+def field_scalar(order: int, num, den: int):
+    """The scalar of Q(zeta_order) equal to sum(num[d] * z^d) / den, for a
+    reduced power-basis vector num: a Fraction at order 1, else a
+    CyclotomicNumber of that order."""
+    if order == 1:
         return Fraction(num[0], den)
-    return _make(order, num, den).to_order(kind // 2)
+    return _make(order, num, den)
 
+
+def scalar_json(x):
+    """The JSON value of an exact scalar: "p/q" for a rational value (a
+    rational-valued CyclotomicNumber included), else the list of its
+    power-basis coefficients as "p/q"."""
+    if isinstance(x, CyclotomicNumber):
+        if not x.is_rational():
+            return [f"{c.numerator}/{c.denominator}" for c in x.coeffs]
+        x = x.rational_value()
+    return f"{x.numerator}/{x.denominator}"

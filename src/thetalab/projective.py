@@ -1,15 +1,20 @@
 """Projective points and matrices, and the finite matrix groups acting
 on the theta coordinates.
 
-Two scalar backends share one interface: exact cyclotomic entries for
-group-relation checks (brittle under rounding) and complex entries for
-immersion checks (inherently numeric).  Equality always means equality
-of projective classes.
+Matrices are exact: the translation matrices and the generators of the
+projective representation have cyclotomic entries, and group relations
+are brittle under rounding.  A matrix is held as one _ExactBlock over
+one field Q(zeta_m), m the lcm of its entries' orders, and its entries
+read back as scalars of that field: a Fraction when m = 1, a
+CyclotomicNumber of order m otherwise, and Fraction(0) for zero.  A
+product is written in the lcm of its operands' orders.  The immersion
+checks read matrices as complex arrays (`complex_array`); points may be
+numeric.  Equality always means equality of projective classes.
 
-Exact matrices are multiplied as integer vectors over one cyclotomic
-field, packed one int per entry (Kronecker substitution, see
-packing.py); inverses of monomial matrices and of the DFT matrix A0
-come in closed form, and Gauss-Jordan elimination serves the rest.
+Exact matrices are multiplied as integer vectors over their field,
+packed one int per entry (Kronecker substitution, see packing.py);
+inverses of monomial matrices and of the DFT matrix A0 come in closed
+form, and Gauss-Jordan elimination serves the rest.
 """
 
 from __future__ import annotations
@@ -27,10 +32,11 @@ from .cyclotomic import (
     CyclotomicNumber,
     embed_vector,
     euler_phi,
-    promoted_kind,
+    field_scalar,
     reduce_vector,
-    scalar_kind,
-    scalar_of_kind,
+    scalar_inverse,
+    scalar_is_zero,
+    scalar_json,
     zeta,
 )
 from .packing import pack_many, slot_width, unpack
@@ -41,18 +47,14 @@ def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction, CyclotomicNumber))
 
 
-def _xzero(x) -> bool:
-    if isinstance(x, CyclotomicNumber):
-        return x.is_zero()
-    return not x
-
-
 # ---------------------------------------------------------------------------
 # projective points
 
 
 class ProjectivePoint:
-    """A point of P^(N-1): coordinates modulo a global nonzero scalar."""
+    """A point of P^(N-1): coordinates modulo a global nonzero scalar.
+
+    The coordinates are exact scalars or numeric (complex) values."""
 
     __slots__ = ("coords", "exact")
 
@@ -61,7 +63,7 @@ class ProjectivePoint:
         if not coords:
             raise ValueError("empty coordinate vector")
         self.exact = all(_is_exact(c) for c in coords)
-        if self.exact and all(_xzero(c) for c in coords):
+        if self.exact and all(scalar_is_zero(c) for c in coords):
             raise ValueError("all-zero coordinate vector")
         self.coords = coords
 
@@ -71,8 +73,8 @@ class ProjectivePoint:
     def canonical(self) -> "ProjectivePoint":
         """Scale by the first nonzero (exact) or max-modulus (numeric) coord."""
         if self.exact:
-            inv = _scalar_inverse(next(c for c in self.coords if not _xzero(c)))
-            return ProjectivePoint(tuple(inv * c if not _xzero(c) else c * 0 for c in self.coords))
+            inv = scalar_inverse(next(c for c in self.coords if not scalar_is_zero(c)))
+            return ProjectivePoint(tuple(inv * c if not scalar_is_zero(c) else c * 0 for c in self.coords))
         i = max(range(len(self.coords)), key=lambda j: abs(self.coords[j]))
         pivot = self.coords[i]
         if pivot == 0:
@@ -110,14 +112,14 @@ def proj_resid_exact(u, v) -> bool:
     """Exact projective equality via cross-multiplication."""
     pivot = None
     for i, x in enumerate(u):
-        if not _xzero(x):
+        if not scalar_is_zero(x):
             pivot = i
             break
-    if pivot is None or _xzero(v[pivot]):
+    if pivot is None or scalar_is_zero(v[pivot]):
         return False
     a, b = u[pivot], v[pivot]
     for x, y in zip(u, v):
-        if not _xzero(x * b - y * a):
+        if not scalar_is_zero(x * b - y * a):
             return False
     return True
 
@@ -127,31 +129,29 @@ def proj_resid_exact(u, v) -> bool:
 
 
 class ProjectiveMatrix:
-    """A class in PGL_N: an N x N matrix modulo nonzero scalars.
+    """A class in PGL_N: an exact N x N matrix modulo nonzero scalars.
 
-    An exact matrix is held as an _ExactBlock between products; its
-    `rows` of scalars are built only when read.  Each matrix computes
-    its inverse at most once and keeps it.
+    The matrix is held as one _ExactBlock; its `rows` of scalars are
+    read back from the block, by the rule in the module docstring, when
+    first asked for.  Each matrix computes its inverse at most once and
+    keeps it.  An entry that is not an int, a Fraction or a
+    CyclotomicNumber raises TypeError.
     """
 
-    __slots__ = ("_rows", "_block", "_inv", "n", "exact")
+    __slots__ = ("_block", "_rows", "_inv", "n")
 
     def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
+        rows = [tuple(r) for r in rows]
+        if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
-        self._rows = rows
-        self._block = None
-        self._inv = None
-        self.n = n
-        self.exact = all(_is_exact(c) for r in rows for c in r)
+        self._block, self._rows, self._inv = _ExactBlock.from_rows(rows), None, None
+        self.n = len(rows)
 
     @staticmethod
     def _of_block(block: "_ExactBlock") -> "ProjectiveMatrix":
         m = object.__new__(ProjectiveMatrix)
-        m._rows, m._block, m._inv = None, block, None
-        m.n, m.exact = block.ncols, True
+        m._block, m._rows, m._inv = block, None, None
+        m.n = block.ncols
         return m
 
     @property
@@ -160,41 +160,29 @@ class ProjectiveMatrix:
             self._rows = self._block.scalars()
         return self._rows
 
-    def _as_block(self) -> "_ExactBlock":
-        if self._block is None:
-            self._block = _ExactBlock.from_rows(self._rows)
-        return self._block
-
     @staticmethod
-    def identity(n: int, exact: bool = True) -> "ProjectiveMatrix":
-        one = Fraction(1) if exact else 1.0 + 0j
-        zero = Fraction(0) if exact else 0j
-        return ProjectiveMatrix(
-            [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
+    def identity(n: int) -> "ProjectiveMatrix":
+        one, zero = Fraction(1), Fraction(0)
+        return ProjectiveMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     def __matmul__(self, other):
+        """The product with a matrix or with an exact point."""
         if isinstance(other, ProjectiveMatrix):
             if self.n != other.n:
                 raise ValueError("size mismatch")
-            if self.exact and other.exact:
-                return ProjectiveMatrix._of_block(self._as_block() @ other._as_block())
-            cols = list(zip(*other.rows))
-            return ProjectiveMatrix([[_dot(row, col) for col in cols] for row in self.rows])
+            return ProjectiveMatrix._of_block(self._block @ other._block)
         if isinstance(other, ProjectivePoint):
             if self.n != len(other):
                 raise ValueError("size mismatch")
-            if self.exact and other.exact:
-                col = _ExactBlock.from_rows([(c,) for c in other.coords])
-                return ProjectivePoint(row[0] for row in (self._as_block() @ col).scalars())
-            return ProjectivePoint([_dot(row, other.coords) for row in self.rows])
+            col = _ExactBlock.from_rows([(c,) for c in other.coords])
+            return ProjectivePoint(row[0] for row in (self._block @ col).scalars())
         raise TypeError(f"cannot multiply ProjectiveMatrix by {type(other).__name__}")
 
     def power(self, k: int) -> "ProjectiveMatrix":
         if k < 0:
             return self.inverse().power(-k)
         if k == 0:
-            return ProjectiveMatrix.identity(self.n, self.exact)
+            return ProjectiveMatrix.identity(self.n)
         acc, base = None, self
         while True:
             if k & 1:
@@ -206,30 +194,20 @@ class ProjectiveMatrix:
 
     def inverse(self) -> "ProjectiveMatrix":
         if self._inv is None:
-            if not self.exact:
-                self._inv = ProjectiveMatrix(np.linalg.inv(np.array(self.rows, dtype=complex)))
+            perm = self._block.monomial_pattern()
+            if perm is None:
+                self._inv = _gauss_jordan_inverse(self.rows)
             else:
-                perm = self._as_block().monomial_pattern()
-                if perm is None:
-                    self._inv = _gauss_jordan_inverse(self.rows)
-                else:
-                    self._inv = _monomial_inverse(self.rows, perm)
+                self._inv = _monomial_inverse(self.rows, perm)
         return self._inv
 
-    def transpose(self) -> "ProjectiveMatrix":
-        return ProjectiveMatrix(tuple(zip(*self.rows)))
-
-    def proj_eq(self, other: "ProjectiveMatrix", rtol: float = 1e-9) -> bool:
+    def proj_eq(self, other: "ProjectiveMatrix") -> bool:
         """Equality as classes in PGL."""
         if self.n != other.n:
             return False
-        if self.exact and other.exact:
-            flat_a = [c for r in self.rows for c in r]
-            flat_b = [c for r in other.rows for c in r]
-            return proj_resid_exact(flat_a, flat_b)
-        a = np.array(self.rows, dtype=complex).ravel()
-        b = np.array(other.rows, dtype=complex).ravel()
-        return proj_residual(a, b) < rtol
+        return proj_resid_exact(
+            [c for r in self.rows for c in r], [c for r in other.rows for c in r]
+        )
 
     def complex_array(self) -> np.ndarray:
         def conv(c):
@@ -240,53 +218,25 @@ class ProjectiveMatrix:
         return np.array([[conv(c) for c in row] for row in self.rows], dtype=complex)
 
     def to_json(self) -> str:
-        def enc(c):
-            if isinstance(c, CyclotomicNumber) and c.is_rational():
-                c = c.rational_value()
-            if isinstance(c, CyclotomicNumber):
-                return [f"{x.numerator}/{x.denominator}" for x in c.coeffs]
-            if isinstance(c, (int, Fraction)):
-                f = Fraction(c)
-                return f"{f.numerator}/{f.denominator}"
-            return [c.real, c.imag]
-
-        return json.dumps([[enc(c) for c in row] for row in self.rows], sort_keys=True)
+        return json.dumps([[scalar_json(c) for c in row] for row in self.rows], sort_keys=True)
 
     def __repr__(self):
-        kind = "exact" if self.exact else "numeric"
-        return f"ProjectiveMatrix({self.n}x{self.n}, {kind})"
-
-
-def _dot(row, col):
-    """One entry of a product with complex (or mixed) entries."""
-    acc = None
-    for x, y in zip(row, col):
-        if _xzero(x) or _xzero(y):
-            continue
-        t = x * y
-        acc = t if acc is None else acc + t
-    if acc is None:
-        for x in row:
-            return x * 0
-    return acc
-
-
-def _scalar_inverse(x):
-    return x.inverse() if isinstance(x, CyclotomicNumber) else Fraction(1) / Fraction(x)
+        return f"ProjectiveMatrix({self.n}x{self.n})"
 
 
 def _monomial_inverse(rows, perm) -> ProjectiveMatrix:
     """The inverse of a matrix whose row r has its one nonzero entry in
     column perm[r]: transpose the pattern and invert the entries.
 
-    Row perm[r] of the result is 1/rows[r][perm[r]] times the unit row e_r,
-    so every entry of it, zeros included, has that inverse's type, as
-    Gauss-Jordan elimination gives.
+    The entries of the result read back in the field of the inverted
+    entries, by the one rule of the module docstring, as they do from
+    Gauss-Jordan elimination.
     """
+    zero = Fraction(0)
     out = [None] * len(rows)
     for r, c in enumerate(perm):
-        pinv = _scalar_inverse(rows[r][c])
-        out[c] = [pinv if j == r else pinv * 0 for j in range(len(rows))]
+        pinv = scalar_inverse(rows[r][c])
+        out[c] = [pinv if j == r else zero for j in range(len(rows))]
     return ProjectiveMatrix(out)
 
 
@@ -295,16 +245,16 @@ def _gauss_jordan_inverse(rows) -> ProjectiveMatrix:
     a = [list(r) for r in rows]
     b = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if not _xzero(a[r][col])), None)
+        piv = next((r for r in range(col, n) if not scalar_is_zero(a[r][col])), None)
         if piv is None:
             raise ZeroDivisionError("singular matrix")
         a[col], a[piv] = a[piv], a[col]
         b[col], b[piv] = b[piv], b[col]
-        pinv = _scalar_inverse(a[col][col])
+        pinv = scalar_inverse(a[col][col])
         a[col] = [pinv * x for x in a[col]]
         b[col] = [pinv * x for x in b[col]]
         for r in range(n):
-            if r == col or _xzero(a[r][col]):
+            if r == col or scalar_is_zero(a[r][col]):
                 continue
             f = a[r][col]
             a[r] = [x - f * y for x, y in zip(a[r], a[col])]
@@ -320,11 +270,12 @@ class _ExactBlock:
     """An exact r x c matrix written over one field Q(zeta_order) with one
     common denominator.
 
-    Row i lists its nonzero entries as (j, num, kind): the entry is
-    sum(num[d] * z^d) / den in the power basis modulo Phi_order, and kind
-    (see cyclotomic.scalar_kind) is the type and order the entry has as a
-    scalar, which can be any divisor of the block's order.  Zero entries
-    are left out and read back as Fraction(0).
+    Row i lists its nonzero entries as (j, num): the entry is
+    sum(num[d] * z^d) / den in the power basis modulo Phi_order.  Zero
+    entries are left out.  `scalars` reads every entry back as a scalar
+    of the block's field: a Fraction when the order is 1, a
+    CyclotomicNumber of the block's order otherwise, and Fraction(0) for
+    zero.
     """
 
     __slots__ = ("order", "den", "nz", "ncols", "_max")
@@ -335,24 +286,30 @@ class _ExactBlock:
 
     @staticmethod
     def from_rows(rows) -> "_ExactBlock":
-        order = lcm(1, *(c.order for r in rows for c in r if isinstance(c, CyclotomicNumber)))
+        """The block of rows of exact scalars, over the lcm of their orders."""
+        order = 1
+        for r in rows:
+            for c in r:
+                if isinstance(c, CyclotomicNumber):
+                    order = lcm(order, c.order)
+                elif not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"matrix entries must be exact scalars, not {type(c).__name__}")
         pad = [0] * (euler_phi(order) - 1)
         entries = []
         for r in rows:
             row = []
             for j, c in enumerate(r):
-                if _xzero(c):
+                if scalar_is_zero(c):
                     continue
                 if isinstance(c, CyclotomicNumber):
                     w = c.to_order(order)
-                    row.append((j, w.num, w.den, scalar_kind(c)))
+                    row.append((j, w.num, w.den))
                 else:
-                    f = Fraction(c)
-                    row.append((j, [f.numerator] + pad, f.denominator, scalar_kind(c)))
+                    row.append((j, [c.numerator] + pad, c.denominator))
             entries.append(row)
-        den = lcm(1, *(d for row in entries for _, _, d, _ in row))
+        den = lcm(1, *(d for row in entries for _, _, d in row))
         nz = tuple(
-            tuple((j, num if d == den else [x * (den // d) for x in num], k) for j, num, d, k in row)
+            tuple((j, num if d == den else [x * (den // d) for x in num]) for j, num, d in row)
             for row in entries
         )
         return _ExactBlock(order, den, nz, len(rows[0]) if rows else 0)
@@ -362,25 +319,25 @@ class _ExactBlock:
         if order == self.order:
             return self
         nz = tuple(
-            tuple((j, embed_vector(self.order, num, order), k) for j, num, k in row)
-            for row in self.nz
+            tuple((j, embed_vector(self.order, num, order)) for j, num in row) for row in self.nz
         )
         return _ExactBlock(order, self.den, nz, self.ncols)
 
     def packed(self, width: int) -> list:
-        """Rows of (j, packed num, kind) at the given slot width."""
-        ints = iter(pack_many([num for row in self.nz for _, num, _ in row], width))
-        return [[(j, next(ints), k) for j, _, k in row] for row in self.nz]
+        """Rows of (j, packed num) at the given slot width."""
+        ints = iter(pack_many([num for row in self.nz for _, num in row], width))
+        return [[(j, next(ints)) for j, _ in row] for row in self.nz]
 
     def max_abs(self) -> int:
         if self._max is None:
-            nums = [x for row in self.nz for _, num, _ in row for x in num]
+            nums = [x for row in self.nz for _, num in row for x in num]
             self._max = max(max(nums), -min(nums)) if nums else 0
         return self._max
 
     def __matmul__(self, other: "_ExactBlock") -> "_ExactBlock":
-        """The product: each entry a row-sparse sum of packed int products,
-        unpacked once and reduced modulo Phi once."""
+        """The product over the lcm of the two orders: each entry a
+        row-sparse sum of packed int products, unpacked once and reduced
+        modulo Phi once."""
         order = lcm(self.order, other.order)
         a, b = self.to_order(order), other.to_order(order)
         phi = euler_phi(order)
@@ -396,33 +353,31 @@ class _ExactBlock:
         nz = []
         for row in pa:
             acc = [0] * b.ncols
-            kinds = [1] * b.ncols
-            for k, x, kx in row:
-                for j, y, ky in pb[k]:
+            for k, x in row:
+                for j, y in pb[k]:
                     acc[j] += x * y
-                    kinds[j] = promoted_kind(kinds[j], kx, ky)
             out = []
             for j, s in enumerate(acc):
                 if s:
                     num = reduce_vector(order, unpack(s, width, nslots))
                     if any(num):
-                        out.append((j, num, kinds[j]))
+                        out.append((j, num))
             nz.append(tuple(out))
         den = a.den * b.den
-        g = gcd(den, *(x for row in nz for _, num, _ in row for x in num))
+        g = gcd(den, *(x for row in nz for _, num in row for x in num))
         if g > 1:
             den //= g
-            nz = [tuple((j, [x // g for x in num], k) for j, num, k in row) for row in nz]
+            nz = [tuple((j, [x // g for x in num]) for j, num in row) for row in nz]
         return _ExactBlock(order, den, tuple(nz), b.ncols)
 
     def scalars(self) -> tuple:
-        """The entries as Fraction and CyclotomicNumber scalars of their kinds."""
+        """The entries as scalars of the block's field."""
         zero = Fraction(0)
         out = []
         for row in self.nz:
             vals = [zero] * self.ncols
-            for j, num, k in row:
-                vals[j] = scalar_of_kind(k, self.order, num, self.den)
+            for j, num in row:
+                vals[j] = field_scalar(self.order, num, self.den)
             out.append(tuple(vals))
         return tuple(out)
 
@@ -480,7 +435,7 @@ class SL2Word:
         for sym, k in self.letters:
             g = (A0 if sym == "A" else B0).power(k)
             acc = g if acc is None else acc @ g
-        return ProjectiveMatrix.identity(A0.n, A0.exact) if acc is None else acc
+        return ProjectiveMatrix.identity(A0.n) if acc is None else acc
 
 
 # ---------------------------------------------------------------------------
@@ -688,12 +643,8 @@ def restrict_to_fixed_space(mat: ProjectiveMatrix, N: int) -> ProjectiveMatrix:
     if mat.n != N:
         raise ValueError(f"expected a {N} x {N} matrix, got {mat.n} x {mat.n}")
     compress, expand = _compress_expand(N)
-    if mat.exact:
-        me = mat._as_block() @ _ExactBlock.from_rows(expand)
-        return ProjectiveMatrix._of_block(_ExactBlock.from_rows(compress) @ me)
-    # rectangular products, done by hand since ProjectiveMatrix is square-only
-    me = [[_dot(row, col) for col in zip(*expand)] for row in mat.rows]
-    return ProjectiveMatrix([[_dot(row, col) for col in zip(*me)] for row in compress])
+    me = mat._block @ _ExactBlock.from_rows(expand)
+    return ProjectiveMatrix._of_block(_ExactBlock.from_rows(compress) @ me)
 
 
 def build_rho_bar(N: int) -> RhoBar:

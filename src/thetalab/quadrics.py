@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, scalar_is_zero, scalar_json
 from .series import PuiseuxSeries
 from .theta import ThetaContext, sample_blocks, theta_N_eval, theta_half_eval, theta_null_series
 
@@ -30,9 +30,9 @@ def _to_complex(c) -> complex:
 
 
 def _scalar_zero(c) -> bool:
-    if isinstance(c, (CyclotomicNumber, PuiseuxSeries)):
+    if isinstance(c, PuiseuxSeries):
         return c.is_zero()
-    return c == 0
+    return scalar_is_zero(c)
 
 
 class QuadraticForm:
@@ -81,11 +81,8 @@ class QuadraticForm:
 
     def to_json(self) -> str:
         def enc(c):
-            if isinstance(c, CyclotomicNumber):
-                return [f"{x.numerator}/{x.denominator}" for x in c.coeffs]
-            if isinstance(c, (int, Fraction)):
-                f = Fraction(c)
-                return f"{f.numerator}/{f.denominator}"
+            if isinstance(c, (int, Fraction, CyclotomicNumber)):
+                return scalar_json(c)
             if isinstance(c, PuiseuxSeries):
                 return json.loads(c.to_json())
             return [c.real, c.imag]

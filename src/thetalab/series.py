@@ -48,25 +48,12 @@ from __future__ import annotations
 
 import cmath
 import json
-import math
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, isqrt, lcm
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, scalar_inverse, scalar_is_zero, scalar_json
 from .packing import pack, slot_width, unpack
-
-
-def _is_zero_coeff(c) -> bool:
-    if isinstance(c, CyclotomicNumber):
-        return c.is_zero()
-    return c == 0
-
-
-def _coeff_inv(a):
-    if isinstance(a, CyclotomicNumber):
-        return a.inverse()
-    return Fraction(1) / a
 
 
 def _as_coeff(c):
@@ -95,7 +82,7 @@ def _schoolbook_product(a: dict, b: dict, t: int) -> dict:
             p = ca * cb
             if k in terms:
                 s = terms[k] + p
-                if _is_zero_coeff(s):
+                if scalar_is_zero(s):
                     del terms[k]
                 else:
                     terms[k] = s
@@ -167,7 +154,7 @@ class PuiseuxSeries:
         self.terms = {
             int(k): _as_coeff(c)
             for k, c in terms.items()
-            if k < trunc and not _is_zero_coeff(c)
+            if k < trunc and not scalar_is_zero(c)
         }
 
     @staticmethod
@@ -240,14 +227,6 @@ class PuiseuxSeries:
         """The exponent bound this series is known modulo."""
         return Fraction(self.trunc, self.ram)
 
-    def truncate(self, trunc_q) -> "PuiseuxSeries":
-        """Restrict to terms below the exponent trunc_q (a rational)."""
-        t = Fraction(trunc_q) * self.ram
-        if t > self.trunc:
-            raise ValueError("cannot raise truncation")
-        ti = math.ceil(t)
-        return PuiseuxSeries(self.ram, {k: c for k, c in self.terms.items() if k < ti}, ti)
-
     def normalize(self) -> "PuiseuxSeries":
         """Strip common factors from ram, exponents, and truncation."""
         g = gcd(self.ram, self.trunc)
@@ -273,7 +252,7 @@ class PuiseuxSeries:
                 continue
             if k in terms:
                 s = terms[k] - c if negate else terms[k] + c
-                if _is_zero_coeff(s):
+                if scalar_is_zero(s):
                     del terms[k]
                 else:
                     terms[k] = s
@@ -359,7 +338,7 @@ class PuiseuxSeries:
         unit = {k - v: c for k, c in self.terms.items()}
         s = gcd(*unit)  # 0 for a single term, whose inverse is exact
         p = min(s, n) if s else n
-        g = PuiseuxSeries(ram, {0: _coeff_inv(unit[0])}, p)
+        g = PuiseuxSeries(ram, {0: scalar_inverse(unit[0])}, p)
         while p < n:
             p = min(2 * p, n)
             g = PuiseuxSeries._canonical(ram, g.terms, p)
@@ -371,7 +350,7 @@ class PuiseuxSeries:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            return self * _coeff_inv(_as_coeff(other))
+            return self * scalar_inverse(_as_coeff(other))
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -443,16 +422,11 @@ class PuiseuxSeries:
         return f"Q(zeta_{m})"
 
     def to_json(self) -> str:
-        def enc(c):
-            if isinstance(c, CyclotomicNumber):
-                return [f"{x.numerator}/{x.denominator}" for x in c.coeffs]
-            return f"{c.numerator}/{c.denominator}"
-
         obj = {
             "ram": self.ram,
             "field": self.field_tag(),
             "trunc": self.trunc,
-            "terms": [[k, enc(c)] for k, c in sorted(self.terms.items())],
+            "terms": [[k, scalar_json(c)] for k, c in sorted(self.terms.items())],
         }
         return json.dumps(obj, sort_keys=True)
 

@@ -291,6 +291,26 @@ def test_commands_reject_flags_they_do_not_read(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_commands_reject_flags_only_other_choices_read(capsys):
+    for argv, flag in (
+        (("qexp", "--object", "lambda", "--N", "9", "--k", "3", "--order", "32"), "--N"),
+        (("qexp", "--object", "eta", "--k", "5"), "--k"),
+        (("qexp", "--object", "b4", "--N", "4"), "--N"),
+        (("verify", "--suite", "rep", "--N", "4", "--order", "1"), "--order"),
+        (("verify", "--suite", "quadrics", "--N", "8", "--order", "80"), "--order"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert flag in err, (argv, err)
+    # theta-null reads both, at N = 4 when --N is not given
+    code, out, err = run_cli(capsys, "qexp", "--object", "theta-null", "--k", "1")
+    assert (code, err) == (0, "")
+    assert out == str(theta_null_series(4, 1, 50)) + "\n"
+    # a series suite reads --order
+    code, _, err = run_cli(capsys, "verify", "--suite", "identities", "--N", "4", "--order", "32")
+    assert (code, err) == (0, "")
+
+
 def test_quadrics_suite_samples_each_point_once(monkeypatch):
     # both form sets of the even-N suite share one pass over the samples
     seen = []

@@ -1,13 +1,18 @@
 """Tests of the exact projective kernels: the packed matrix product and
 the closed-form inverses.
 
-The packed product is checked against a copy of the entry-by-entry
-product that exact matrices used before, and the closed-form inverses
-against a copy of Gauss-Jordan elimination, entry by entry, including
-each entry's type and cyclotomic order.
+A matrix reads its entries back as scalars of its block's field
+Q(zeta_m), m the lcm of its entries' orders: Fractions at m = 1,
+CyclotomicNumbers of order m otherwise, and Fraction(0) for zero.  So
+the packed product is checked against a copy of the entry-by-entry
+scalar product, and the inverses against a copy of Gauss-Jordan
+elimination, each over the operands lifted into that field: equal
+entries, each nonzero entry of the field's type and order, zeros as
+Fraction(0), and bit-identical complex values.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -78,6 +83,26 @@ def reference_inverse(rows):
     return b
 
 
+def field_order(*matrices):
+    """The order m of the field Q(zeta_m) that a block of these entries,
+    or their product, is written over."""
+    return lcm(1, *(c.order for rows in matrices for r in rows for c in r
+                    if isinstance(c, CyclotomicNumber)))
+
+
+def lift(rows, m):
+    """The rows with every entry written as a scalar of Q(zeta_m): a
+    Fraction at m = 1, else a CyclotomicNumber of order m."""
+    def one(x):
+        if m == 1:
+            return x.rational_value() if isinstance(x, CyclotomicNumber) else Fraction(x)
+        if isinstance(x, CyclotomicNumber):
+            return x.to_order(m)
+        return CyclotomicNumber.from_rational(x, m)
+
+    return [[one(x) for x in r] for r in rows]
+
+
 def to_complex(rows):
     conv = [[c.complex_value() if isinstance(c, CyclotomicNumber) else complex(c) for c in r]
             for r in rows]
@@ -94,14 +119,16 @@ def same_scalar(x, y):
 
 
 def assert_same_product(got, want):
-    """Equal entries, nonzero ones of one type and order, and bit-identical
-    complex values."""
+    """Equal entries, nonzero ones of one type and order, zeros read back
+    as Fraction(0), and bit-identical complex values."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert len(g) == len(w)
         for x, y in zip(g, w):
             assert x == y
-            if not is_zero(y):
+            if is_zero(y):
+                assert type(x) is Fraction, x
+            else:
                 assert same_scalar(x, y), (x, y)
     assert to_complex(got).tobytes() == to_complex(want).tobytes()
 
@@ -162,8 +189,9 @@ def products(draw, square=False):
 @given(products())
 def test_packed_product_matches_reference(pair):
     a, b = pair
+    m = field_order(a, b)
     got = (_ExactBlock.from_rows(a) @ _ExactBlock.from_rows(b)).scalars()
-    assert_same_product(got, reference_product(a, b))
+    assert_same_product(got, reference_product(lift(a, m), lift(b, m)))
 
 
 @KERNEL
@@ -173,10 +201,11 @@ def test_square_matrix_product_and_complex_array(pair):
     got = ProjectiveMatrix(a) @ ProjectiveMatrix(b)
     # a product of a product whose rows were never read
     again = got @ ProjectiveMatrix(b)
-    want = reference_product(a, b)
+    m = field_order(a, b)
+    want = reference_product(lift(a, m), lift(b, m))
     assert_same_product(got.rows, want)
     assert got.complex_array().tobytes() == to_complex(want).tobytes()
-    assert_same_product(again.rows, reference_product(want, b))
+    assert_same_product(again.rows, reference_product(want, lift(b, m)))
 
 
 @KERNEL
@@ -186,7 +215,9 @@ def test_matrix_point_product(pair):
     col = [row[0] for row in b]
     if all(is_zero(x) for x in col):
         return
-    want = [reference_dot(row, col) for row in a]
+    m = field_order(a, [col])
+    lifted = lift([col], m)[0]
+    want = [reference_dot(row, lifted) for row in lift(a, m)]
     if all(is_zero(x) for x in want):
         return
     got = ProjectiveMatrix(a) @ ProjectivePoint(col)
@@ -201,13 +232,17 @@ def test_restrict_to_fixed_space(N):
     expand = [[Fraction(1 if i == j or N - i == j else 0) / (1 if j in (0, h) else 2)
                for j in range(h + 1)] for i in range(N)]
     for mat in (gens.A0, gens.B0, gens.A0 @ gens.B0):
-        want = reference_product(compress, reference_product(mat.rows, expand))
+        m = field_order(mat.rows)
+        want = reference_product(
+            lift(compress, m), reference_product(lift(mat.rows, m), lift(expand, m))
+        )
         got = restrict_to_fixed_space(mat, N)
         assert_same_product(got.rows, want)
-        # complex entries go through the scalar product
-        num = restrict_to_fixed_space(ProjectiveMatrix(mat.complex_array()), N)
-        assert not num.exact
-        assert np.allclose(num.complex_array(), got.complex_array(), rtol=0, atol=1e-12)
+        # matrices are exact only: numeric entries and points are refused
+        with pytest.raises(TypeError):
+            ProjectiveMatrix(mat.complex_array())
+        with pytest.raises(TypeError):
+            mat @ ProjectivePoint([1.0 + 0j] * N)
     with pytest.raises(ValueError):
         restrict_to_fixed_space(gens.A0, N + 2)
 
@@ -230,7 +265,8 @@ def test_slot_width_boundaries(order, inner):
             a = [[ones(order, c)] * inner]
             b = [[ones(order, 1)] for _ in range(inner)]
             got = (_ExactBlock.from_rows(a) @ _ExactBlock.from_rows(b)).scalars()
-            assert_same_product(got, reference_product(a, b))
+            m = field_order(a, b)
+            assert_same_product(got, reference_product(lift(a, m), lift(b, m)))
 
 
 def test_pack_roundtrip_at_byte_boundaries():
@@ -262,11 +298,8 @@ def test_power_without_identity():
 
 
 def assert_same_inverse(mat):
-    got = mat.inverse().rows
-    want = reference_inverse(mat.rows)
-    for g, w in zip(got, want):
-        for x, y in zip(g, w):
-            assert same_scalar(x, y), (x, y)
+    m = field_order(mat.rows)
+    assert_same_product(mat.inverse().rows, reference_inverse(lift(mat.rows, m)))
 
 
 @pytest.mark.parametrize("N", range(2, 17))
