@@ -112,9 +112,24 @@ def reduce_vector(m: int, vec: list) -> list:
     return out
 
 
+def reduce_vectors(m: int, flat: list, stride: int):
+    """The power-basis vectors modulo Phi_m, as tuples, of the polynomials
+    sum(flat[i * stride + d] * z^d) over d < stride, one for each i; the
+    reduction works on whole columns d."""
+    phi = euler_phi(m)
+    cols = [flat[d::stride] for d in range(stride)]
+    table = _power_table(m)
+    for d in range(phi, stride):
+        for j, r in table[d % m]:
+            cols[j] = [x + r * y for x, y in zip(cols[j], cols[d])]
+    return zip(*cols[:phi])
+
+
 def embed_vector(order: int, num, m: int) -> list:
     """The power-basis vector, in order m, of the element with vector num
     in order `order`; m is a multiple of order."""
+    if m == order:
+        return list(num)
     step = m // order
     vec = [0] * (step * (len(num) - 1) + 1)
     vec[::step] = num
@@ -369,6 +384,28 @@ def scalar_inverse(x):
     if isinstance(x, CyclotomicNumber):
         return x.inverse()
     return Fraction(1) / x
+
+
+def encode_scalars(scalars: list) -> tuple[int, int, list]:
+    """The exact scalars as integer vectors over one field and one
+    denominator: (order, den, nums) with scalars[i] = sum(nums[i][d] *
+    z^d) / den in the power basis of Q(zeta_order), order the lcm of the
+    orders of the CyclotomicNumbers among them (zeros included) and den
+    the least common denominator, so gcd(den, *every num) == 1."""
+    order = 1
+    for c in scalars:
+        if isinstance(c, CyclotomicNumber):
+            order = lcm(order, c.order)
+        elif not isinstance(c, (int, Fraction)):
+            raise TypeError(f"not an exact scalar: {type(c).__name__}")
+    pad = [0] * (euler_phi(order) - 1)
+    parts = [
+        (embed_vector(c.order, c.num, order), c.den) if isinstance(c, CyclotomicNumber)
+        else ([c.numerator] + pad, c.denominator)
+        for c in scalars
+    ]
+    den = lcm(1, *(d for _, d in parts))
+    return order, den, [num if d == den else [x * (den // d) for x in num] for num, d in parts]
 
 
 def field_scalar(order: int, num, den: int):

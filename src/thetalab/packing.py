@@ -26,6 +26,14 @@ def slot_width(bound: int) -> int:
     return (bound.bit_length() + 8) // 8
 
 
+def pack_width(bound: int) -> int:
+    """The slot width both products pack at: slot_width(bound) rounded
+    up to 1, 2, 4 or 8 bytes, which pack through numpy in one call; a
+    wider slot keeps its own width and takes the byte loop."""
+    width = slot_width(bound)
+    return next((w for w in _DTYPES if w >= width), width)
+
+
 def _bias(width: int, n: int) -> int:
     """Half of each slot's range in each of n slots."""
     return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")

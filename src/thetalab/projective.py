@@ -31,6 +31,7 @@ import numpy as np
 from .cyclotomic import (
     CyclotomicNumber,
     embed_vector,
+    encode_scalars,
     euler_phi,
     field_scalar,
     reduce_vector,
@@ -39,7 +40,7 @@ from .cyclotomic import (
     scalar_json,
     zeta,
 )
-from .packing import pack_many, slot_width, unpack
+from .packing import pack_many, pack_width, unpack
 from .theta import ThetaContext, sample_blocks, sample_points, theta_N_eval
 
 
@@ -287,31 +288,9 @@ class _ExactBlock:
     @staticmethod
     def from_rows(rows) -> "_ExactBlock":
         """The block of rows of exact scalars, over the lcm of their orders."""
-        order = 1
-        for r in rows:
-            for c in r:
-                if isinstance(c, CyclotomicNumber):
-                    order = lcm(order, c.order)
-                elif not isinstance(c, (int, Fraction)):
-                    raise TypeError(f"matrix entries must be exact scalars, not {type(c).__name__}")
-        pad = [0] * (euler_phi(order) - 1)
-        entries = []
-        for r in rows:
-            row = []
-            for j, c in enumerate(r):
-                if scalar_is_zero(c):
-                    continue
-                if isinstance(c, CyclotomicNumber):
-                    w = c.to_order(order)
-                    row.append((j, w.num, w.den))
-                else:
-                    row.append((j, [c.numerator] + pad, c.denominator))
-            entries.append(row)
-        den = lcm(1, *(d for row in entries for _, _, d in row))
-        nz = tuple(
-            tuple((j, num if d == den else [x * (den // d) for x in num]) for j, num, d in row)
-            for row in entries
-        )
+        order, den, nums = encode_scalars([c for r in rows for c in r])
+        it = iter(nums)
+        nz = tuple(tuple((j, num) for j, num in zip(range(len(r)), it) if any(num)) for r in rows)
         return _ExactBlock(order, den, nz, len(rows[0]) if rows else 0)
 
     def to_order(self, order: int) -> "_ExactBlock":
@@ -343,12 +322,11 @@ class _ExactBlock:
         phi = euler_phi(order)
         nslots = 2 * phi - 1
         inner = max((len(row) for row in a.nz), default=0)
-        # an output slot sums at most inner * phi coefficient products;
-        # a power-of-two width unpacks through an array in one call
+        # an output slot sums at most inner * phi coefficient products
         bound = a.max_abs() * b.max_abs() * inner * phi
         if not bound:
             return _ExactBlock(order, 1, ((),) * len(a.nz), b.ncols)
-        width = 1 << (slot_width(bound) - 1).bit_length()
+        width = pack_width(bound)
         pa, pb = a.packed(width), b.packed(width)
         nz = []
         for row in pa:

@@ -1,47 +1,45 @@
 """Truncated series in fractional powers of q with exact coefficients.
 
-A :class:`PuiseuxSeries` stores a sparse map from integer exponent
-numerators to coefficients, together with a ramification index ``ram``
-(the numerator k stands for the exponent k/ram) and a truncation bound
+A :class:`PuiseuxSeries` has a ramification index ``ram`` (the exponent
+numerator k stands for the exponent k/ram) and a truncation bound
 ``trunc``: the series is known modulo q^(trunc/ram).  Operations never
 claim more precision than their operands carry; identity checks against
 such series are therefore sound, not optimistic.
 
-Coefficients are `fractions.Fraction` or :class:`CyclotomicNumber`.
+Store.  A series lies over one field Q(zeta_m), its ``order`` m (m = 1
+for a rational series), with one common denominator ``den``: ``nums``
+maps each exponent numerator k below ``trunc`` whose coefficient is
+nonzero to an integer vector of length phi(m), and that coefficient is
+sum(nums[k][d] * z^d) / den in the power basis modulo Phi_m, the layout
+of a CyclotomicNumber.  gcd(den, every numerator) is 1, so equal series
+written over one ram and one order have equal stores.  The constructor
+encodes int, Fraction and CyclotomicNumber coefficients over the lcm of
+their orders (`encode_scalars`, which the exact matrices use too); a sum
+or product is written over the lcm of its operands' orders.
+
+Read-back.  ``terms`` maps each exponent numerator to its coefficient,
+built on first read: a Fraction for a rational value, otherwise a
+CyclotomicNumber of the series' order.
 
 Precision rules.  A product keeps exponents below
 ``min(a.trunc + vb, b.trunc + va)``, where ``va`` and ``vb`` are the
 operands' valuations: each factor's truncation error enters shifted by
-the other factor's valuation.  An inverse of a series with valuation v
-is known modulo ``trunc - 2v``.
+the other factor's valuation.  A scalar multiple keeps the truncation.
+An inverse of a series with valuation v is known modulo ``trunc - 2v``.
 
-Kernels.  When every coefficient of both factors is a Fraction, the
-product is computed by Kronecker substitution (Harvey 2009): both
-factors are compressed by the gcd of their exponent offsets from their
-valuations, cut to the slots the product keeps, scaled to integers by
-their common denominators, and packed into one Python int each with
-signed byte slots wide enough for the largest possible product
-coefficient (see packing.py); widths below 8 bytes are rounded up to 1,
-2, 4 or 8, which pack through numpy in one call.  One big-integer
-product (Karatsuba in CPython) then yields every coefficient.  Products
-with cyclotomic coefficients use the schoolbook loop, which tests also
-use as the reference.  A factor with a single term needs neither: the
-product is the other factor with its exponents shifted and its
-coefficients scaled (or only shifted, for ``one * base`` in
-``__pow__``).  The inverse is a Newton iteration on top of the product
-(Brent & Kung 1978), so both coefficient kinds share it; it starts at
-the precision the leading coefficient alone gives, the gcd of the unit
+Product.  Every product is one Kronecker substitution in (q, z) (Harvey
+2009): both factors are compressed by the gcd of their exponent offsets
+from their valuations and cut to the slots the product keeps, and entry
+d of q-slot i goes to slot i * (2 phi - 1) + d of one Python int each,
+with signed slots wide enough for the largest possible product
+coefficient (see packing.py).  One big-integer product (Karatsuba in
+CPython) then yields every q-slot as a polynomial in z of degree below
+2 phi - 1, which is reduced modulo Phi_m once.  The cost follows the
+operands' spans in slots, not their numbers of terms.  A scalar multiple
+is the product with a one-term series.  The inverse is a Newton
+iteration on top of the product (Brent & Kung 1978); it starts at the
+precision the leading coefficient alone gives, the gcd of the unit
 part's exponents.
-
-The public constructor canonicalises its terms one by one: ints become
-Fractions, rational-valued cyclotomic numbers are demoted, zero
-coefficients and exponents at or past the truncation are dropped.  A
-kernel result whose terms are canonical by construction skips that pass
-through the private constructor ``_canonical``: negation, ``rescale``,
-``_with_ram`` and the Newton steps of any series, and sums, differences
-and products whose operands have only Fraction coefficients.  Those that
-involve a cyclotomic coefficient can come out rational-valued, so they
-still go through the public constructor.
 """
 
 from __future__ import annotations
@@ -49,30 +47,25 @@ from __future__ import annotations
 import cmath
 import json
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain
 from math import gcd, isqrt, lcm
 
-from .cyclotomic import CyclotomicNumber, scalar_inverse, scalar_is_zero, scalar_json
-from .packing import pack, slot_width, unpack
-
-
-def _as_coeff(c):
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, CyclotomicNumber):
-        # keep coefficients canonical: demote rational-valued elements
-        return c.rational_value() if c.is_rational() else c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"unsupported coefficient type {type(c).__name__}")
-
-
-def _all_fractions(terms: dict) -> bool:
-    return all(map(isinstance, terms.values(), repeat(Fraction)))
+from .cyclotomic import (
+    CyclotomicNumber,
+    embed_vector,
+    encode_scalars,
+    euler_phi,
+    field_scalar,
+    reduce_vectors,
+    scalar_inverse,
+    scalar_is_zero,
+    scalar_json,
+)
+from .packing import pack, pack_width, unpack
 
 
 def _schoolbook_product(a: dict, b: dict, t: int) -> dict:
-    """Terms below t of the product of two term maps, pair by pair."""
+    """Terms below t of the product of two term maps, pair by pair (the tests' reference)."""
     terms: dict = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
@@ -91,82 +84,87 @@ def _schoolbook_product(a: dict, b: dict, t: int) -> dict:
     return terms
 
 
-def _int_slots(terms: dict, v: int, offsets: list, g: int) -> tuple[list, int]:
-    """Dense integer slots, on the stride g, of the Fraction coefficients at
-    the exponents v + offsets, and the common denominator they were scaled
-    by."""
-    ratios = [terms[v + d].as_integer_ratio() for d in offsets]
-    den = lcm(*[q for _, q in ratios])
-    slots = [0] * (max(offsets) // g + 1)
-    for d, (p, q) in zip(offsets, ratios):
-        slots[d // g] = p * (den // q)
-    return slots, den
+def _slots(nums: dict, v: int, offsets: list, g: int, stride: int) -> list:
+    """The vectors at the exponents v + offsets as one dense list: the
+    vector at offset d fills the slots from d // g * stride on."""
+    slots = [0] * ((max(offsets) // g + 1) * stride)
+    for d in offsets:
+        i = d // g * stride
+        num = nums[v + d]
+        slots[i:i + len(num)] = num
+    return slots
 
 
-def _monomial_product(a: dict, b: dict, t: int) -> dict:
-    """Terms below t of the product of two nonempty term maps, one of them
-    a single term: the other map shifted and scaled."""
-    if len(a) == 1:
-        a, b = b, a
-    ((kb, cb),) = b.items()
-    if cb == 1:  # one * base in __pow__
-        return {k + kb: c for k, c in a.items() if k + kb < t}
-    return {k + kb: c * cb for k, c in a.items() if k + kb < t}
-
-
-def _packed_product(a: dict, va: int, b: dict, vb: int, t: int) -> dict:
-    """Terms below t of the product of two nonempty Fraction term maps with
-    valuations va and vb, by Kronecker substitution."""
+def _product(a: "PuiseuxSeries", b: "PuiseuxSeries", t: int) -> "PuiseuxSeries":
+    """The terms below t of a * b, for series of one ram and one order,
+    by Kronecker substitution in (q, z)."""
+    if not (a.nums and b.nums):
+        return PuiseuxSeries._of(a.ram, a.order, 1, {}, t)
+    phi = euler_phi(a.order)
+    stride = 2 * phi - 1  # z-powers of a product of two vectors
+    va, vb = min(a.nums), min(b.nums)
     # only terms below these bounds meet a partner term below t
-    oa = [k - va for k in a if k < t - vb]
-    ob = [k - vb for k in b if k < t - va]
+    oa = [k - va for k in a.nums if k < t - vb]
+    ob = [k - vb for k in b.nums if k < t - va]
     g = gcd(*oa, *ob)
     if g == 0:  # both factors cut to a single term
         g, n = 1, 1
     else:
-        n = -(-(t - va - vb) // g)  # product slots below t
-    sa, da = _int_slots(a, va, oa, g)
-    sb, db = _int_slots(b, vb, ob, g)
-    # every product slot sums at most min(len) pairs; one more bit for the sign
-    bound = max(map(abs, sa)) * max(map(abs, sb)) * min(len(oa), len(ob))
-    width = slot_width(bound)
-    if width < 8:  # 1, 2, 4 and 8 bytes pack through numpy, the rest slot by slot
-        width = 1 << (width - 1).bit_length()
-    prod = pack(sa, width) * pack(sb, width)
-    den = da * db
+        n = -(-(t - va - vb) // g)  # product q-slots below t
+    sa = _slots(a.nums, va, oa, g, stride)
+    sb = _slots(b.nums, vb, ob, g, stride)
+    # a slot sums at most min(len) q-pairs of at most phi z-pairs each
+    bound = max(map(abs, sa)) * max(map(abs, sb)) * min(len(oa), len(ob)) * phi
+    width = pack_width(bound)
+    coeffs = unpack(pack(sa, width) * pack(sb, width), width, n * stride)
     v = va + vb
-    coeffs = unpack(prod, width, n)
-    if den == 1:
-        return {v + i * g: Fraction(c) for i, c in enumerate(coeffs) if c}
-    return {v + i * g: Fraction(c, den) for i, c in enumerate(coeffs) if c}
+    nums = {
+        v + i * g: list(num)
+        for i, num in enumerate(reduce_vectors(a.order, coeffs, stride)) if any(num)
+    }
+    return PuiseuxSeries._of(a.ram, a.order, a.den * b.den, nums, t)
 
 
 class PuiseuxSeries:
     """Sparse truncated series sum_k c_k q^(k/ram), known mod q^(trunc/ram)."""
 
-    __slots__ = ("ram", "terms", "trunc")
+    __slots__ = ("ram", "trunc", "order", "den", "nums", "_terms")
 
     def __init__(self, ram: int, terms: dict, trunc: int):
         if ram < 1:
             raise ValueError("ramification must be positive")
-        self.ram = ram
-        self.trunc = trunc
-        self.terms = {
-            int(k): _as_coeff(c)
-            for k, c in terms.items()
-            if k < trunc and not scalar_is_zero(c)
-        }
+        kept = {int(k): c for k, c in terms.items() if k < trunc}
+        order, den, nums = encode_scalars(list(kept.values()))  # in lowest terms
+        self.ram, self.trunc, self.order, self.den = ram, trunc, order, den
+        self.nums = {k: num for k, num in zip(kept, nums) if any(num)}
+        self._terms = None
 
     @staticmethod
-    def _canonical(ram: int, terms: dict, trunc: int) -> "PuiseuxSeries":
-        """A series from terms that are canonical already: int exponents
-        below trunc, nonzero Fraction or non-rational cyclotomic
-        coefficients.  The map is kept, not copied."""
+    def _of(ram: int, order: int, den: int, nums: dict, trunc: int) -> "PuiseuxSeries":
+        """The series nums / den over Q(zeta_order) in lowest terms, for a
+        map nums from int exponents below trunc to nonzero vectors of
+        length phi(order); the map is kept unless a factor is divided out."""
+        if den > 1:
+            g = gcd(den, *chain.from_iterable(nums.values()))
+            if g > 1:
+                den //= g
+                nums = {k: [x // g for x in num] for k, num in nums.items()}
         s = object.__new__(PuiseuxSeries)
-        s.ram = ram
-        s.terms = terms
-        s.trunc = trunc
+        s.ram, s.trunc, s.order, s.den, s.nums, s._terms = ram, trunc, order, den, nums, None
         return s
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients by exponent numerator: a Fraction for a
+        rational value, else a CyclotomicNumber of the series' order."""
+        if self._terms is None:
+            self._terms = {k: self._scalar(num) for k, num in self.nums.items()}
+        return self._terms
+
+    def _scalar(self, num):
+        if any(num[1:]):
+            return field_scalar(self.order, num, self.den)
+        return Fraction(num[0], self.den)
 
     # -- constructors -------------------------------------------------
 
@@ -176,7 +174,7 @@ class PuiseuxSeries:
 
     @staticmethod
     def one(trunc: int, ram: int = 1) -> "PuiseuxSeries":
-        return PuiseuxSeries(ram, {0: Fraction(1)}, trunc)
+        return PuiseuxSeries(ram, {0: 1}, trunc)
 
     @staticmethod
     def constant(c, trunc: int, ram: int = 1) -> "PuiseuxSeries":
@@ -189,39 +187,37 @@ class PuiseuxSeries:
 
     # -- bookkeeping ----------------------------------------------------
 
-    def _with_ram(self, ram: int) -> "PuiseuxSeries":
-        if ram == self.ram:
+    def _over(self, ram: int, order: int) -> "PuiseuxSeries":
+        """The same series written over ram and Q(zeta_order), multiples of
+        its own."""
+        if ram == self.ram and order == self.order:
             return self
-        if ram % self.ram:
-            raise ValueError("can only grow ramification by integer factor")
         f = ram // self.ram
-        return PuiseuxSeries._canonical(
-            ram, {k * f: c for k, c in self.terms.items()}, self.trunc * f
-        )
+        nums = {k * f: embed_vector(self.order, num, order) for k, num in self.nums.items()}
+        return PuiseuxSeries._of(ram, order, self.den, nums, self.trunc * f)
 
     @staticmethod
     def _common(a: "PuiseuxSeries", b: "PuiseuxSeries"):
-        r = a.ram * b.ram // gcd(a.ram, b.ram)
-        return a._with_ram(r), b._with_ram(r)
+        """a and b written over one ram and one order."""
+        r, m = lcm(a.ram, b.ram), lcm(a.order, b.order)
+        return a._over(r, m), b._over(r, m)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def valuation(self) -> Fraction | None:
         """Lowest known exponent, or None if zero to truncation."""
-        if not self.terms:
+        if not self.nums:
             return None
-        return Fraction(min(self.terms), self.ram)
+        return Fraction(min(self.nums), self.ram)
 
     def coefficient(self, num: int, den: int = 1):
         """Coefficient of q^(num/den); raises if beyond truncation."""
         e = Fraction(num, den)
         if e >= Fraction(self.trunc, self.ram):
             raise ValueError("exponent beyond carried truncation")
-        k = e * self.ram
-        if k.denominator != 1:
-            return Fraction(0)
-        return self.terms.get(int(k), Fraction(0))
+        vec = self.nums.get(e * self.ram)  # a non-integral key matches no exponent
+        return Fraction(0) if vec is None else self._scalar(vec)
 
     def known_order(self) -> Fraction:
         """The exponent bound this series is known modulo."""
@@ -229,14 +225,11 @@ class PuiseuxSeries:
 
     def normalize(self) -> "PuiseuxSeries":
         """Strip common factors from ram, exponents, and truncation."""
-        g = gcd(self.ram, self.trunc)
-        for k in self.terms:
-            g = gcd(g, k)
-            if g == 1:
-                return self
+        g = gcd(self.ram, self.trunc, *self.nums)
         if g <= 1:
             return self
-        return PuiseuxSeries(self.ram // g, {k // g: c for k, c in self.terms.items()}, self.trunc // g)
+        nums = {k // g: num for k, num in self.nums.items()}
+        return PuiseuxSeries._of(self.ram // g, self.order, self.den, nums, self.trunc // g)
 
     # -- ring operations -------------------------------------------------
 
@@ -246,21 +239,20 @@ class PuiseuxSeries:
             other = PuiseuxSeries.constant(other, self.trunc, self.ram)
         a, b = self._common(self, other)
         t = min(a.trunc, b.trunc)
-        terms = {k: c for k, c in a.terms.items() if k < t}
-        for k, c in b.terms.items():
-            if k >= t:
-                continue
-            if k in terms:
-                s = terms[k] - c if negate else terms[k] + c
-                if scalar_is_zero(s):
-                    del terms[k]
+        g = gcd(a.den, b.den)
+        fa, fb = b.den // g, a.den // g
+        if negate:
+            fb = -fb
+        nums = {k: [x * fa for x in num] for k, num in a.nums.items() if k < t}
+        zero = [0] * euler_phi(a.order)
+        for k, num in b.nums.items():
+            if k < t:
+                s = [x + y * fb for x, y in zip(nums.get(k, zero), num)]
+                if any(s):
+                    nums[k] = s
                 else:
-                    terms[k] = s
-            else:
-                terms[k] = -c if negate else c
-        if _all_fractions(a.terms) and _all_fractions(b.terms):
-            return PuiseuxSeries._canonical(a.ram, terms, t)
-        return PuiseuxSeries(a.ram, terms, t)
+                    del nums[k]
+        return PuiseuxSeries._of(a.ram, a.order, a.den * fa, nums, t)
 
     def __add__(self, other):
         return self._sum(other, False)
@@ -268,9 +260,8 @@ class PuiseuxSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxSeries._canonical(
-            self.ram, {k: -c for k, c in self.terms.items()}, self.trunc
-        )
+        nums = {k: [-x for x in num] for k, num in self.nums.items()}
+        return PuiseuxSeries._of(self.ram, self.order, self.den, nums, self.trunc)
 
     def __sub__(self, other):
         return self._sum(other, True)
@@ -280,25 +271,14 @@ class PuiseuxSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            return PuiseuxSeries(self.ram, {k: c * other for k, c in self.terms.items()}, self.trunc)
+            a, b = self._common(self, PuiseuxSeries.constant(other, 1, self.ram))
+            return _product(a, b, self.trunc)
         a, b = self._common(self, other)
         # product precision: each factor's truncation error enters shifted
         # by the other factor's valuation
-        va = min(a.terms) if a.terms else a.trunc
-        vb = min(b.terms) if b.terms else b.trunc
-        t = min(a.trunc + vb, b.trunc + va)
-        if not (a.terms and b.terms):
-            return PuiseuxSeries._canonical(a.ram, {}, t)
-        rational = _all_fractions(a.terms) and _all_fractions(b.terms)
-        if len(a.terms) == 1 or len(b.terms) == 1:
-            terms = _monomial_product(a.terms, b.terms, t)
-        elif rational:
-            terms = _packed_product(a.terms, va, b.terms, vb, t)
-        else:
-            terms = _schoolbook_product(a.terms, b.terms, t)
-        if rational:
-            return PuiseuxSeries._canonical(a.ram, terms, t)
-        return PuiseuxSeries(a.ram, terms, t)
+        va = min(a.nums, default=a.trunc)
+        vb = min(b.nums, default=b.trunc)
+        return _product(a, b, min(a.trunc + vb, b.trunc + va))
 
     __rmul__ = __mul__
 
@@ -330,27 +310,27 @@ class PuiseuxSeries:
         the new precision min(2p, n) and cuts u to it; the product rule
         alone would only ever certify g to its old precision.
         """
-        if not self.terms:
+        if not self.nums:
             raise ZeroDivisionError("inverse of a series that is zero to truncation")
         ram = self.ram
-        v = min(self.terms)
+        v = min(self.nums)
         n = self.trunc - v
-        unit = {k - v: c for k, c in self.terms.items()}
+        unit = {k - v: num for k, num in self.nums.items()}
         s = gcd(*unit)  # 0 for a single term, whose inverse is exact
         p = min(s, n) if s else n
-        g = PuiseuxSeries(ram, {0: scalar_inverse(unit[0])}, p)
+        g = PuiseuxSeries(ram, {0: scalar_inverse(self._scalar(unit[0]))}, p)
         while p < n:
             p = min(2 * p, n)
-            g = PuiseuxSeries._canonical(ram, g.terms, p)
-            u = PuiseuxSeries._canonical(ram, {k: c for k, c in unit.items() if k < p}, p)
+            g = PuiseuxSeries._of(ram, g.order, g.den, g.nums, p)
+            cut = {k: num for k, num in unit.items() if k < p}
+            u = PuiseuxSeries._of(ram, self.order, self.den, cut, p)
             g = g + g * (1 - u * g)
-        return PuiseuxSeries._canonical(
-            ram, {k - v: c for k, c in g.terms.items()}, self.trunc - 2 * v
-        )
+        nums = {k - v: num for k, num in g.nums.items()}
+        return PuiseuxSeries._of(ram, g.order, g.den, nums, self.trunc - 2 * v)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            return self * scalar_inverse(_as_coeff(other))
+            return self * scalar_inverse(other)
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -360,9 +340,8 @@ class PuiseuxSeries:
         """Substitute q -> q^(num/den), i.e. tau -> (num/den) tau."""
         if num <= 0 or den <= 0:
             raise ValueError("rescale factor must be positive")
-        return PuiseuxSeries._canonical(
-            self.ram * den, {k * num: c for k, c in self.terms.items()}, self.trunc * num
-        )
+        nums = {k * num: x for k, x in self.nums.items()}
+        return PuiseuxSeries._of(self.ram * den, self.order, self.den, nums, self.trunc * num)
 
     # -- comparisons, evaluation, formatting ------------------------------
 
@@ -374,7 +353,7 @@ class PuiseuxSeries:
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         a, b = self._common(self, other)
-        return a.terms == b.terms and a.trunc == b.trunc
+        return a.trunc == b.trunc and a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
         a = self.normalize()
@@ -393,7 +372,7 @@ class PuiseuxSeries:
         return acc
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return f"O(q^({self.trunc}/{self.ram}))"
         bits = []
         for k, c in sorted(self.terms.items()):
@@ -408,18 +387,15 @@ class PuiseuxSeries:
         return " + ".join(bits) + f" + O(q^({t}))"
 
     def __repr__(self):
-        return f"PuiseuxSeries(ram={self.ram}, trunc={self.trunc}, {len(self.terms)} terms)"
+        return f"PuiseuxSeries(ram={self.ram}, trunc={self.trunc}, {len(self.nums)} terms)"
 
     # -- serialization ----------------------------------------------------
 
     def field_tag(self) -> str:
-        orders = [c.order for c in self.terms.values() if isinstance(c, CyclotomicNumber)]
-        if not orders:
-            return "Q"
-        m = 1
-        for o in orders:
-            m = m * o // gcd(m, o)
-        return f"Q(zeta_{m})"
+        """"Q" when every coefficient is rational, else the series' field."""
+        if any(any(num[1:]) for num in self.nums.values()):
+            return f"Q(zeta_{self.order})"
+        return "Q"
 
     def to_json(self) -> str:
         obj = {

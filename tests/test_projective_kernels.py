@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetalab.cyclotomic import CyclotomicNumber, euler_phi, zeta
-from thetalab.packing import pack, slot_width, unpack
+from thetalab.packing import pack, pack_width, slot_width, unpack
 from thetalab.projective import (
     ProjectiveMatrix,
     ProjectivePoint,
@@ -270,11 +270,14 @@ def test_slot_width_boundaries(order, inner):
 
 
 def test_pack_roundtrip_at_byte_boundaries():
-    for width in (1, 2, 3, 4, 5, 8, 16):
+    # both products pack at 1, 2, 4 or 8 bytes, or at the exact wider width
+    packed = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 8: 8, 9: 9, 16: 16}
+    for width in (1, 2, 3, 4, 5, 8, 9, 16):
         top = 2 ** (8 * width - 1)
         slots = [top - 1, -(top - 1), 0, 1, -1, top // 2]
         assert slot_width(top - 1) == width
         assert slot_width(top) == width + 1
+        assert pack_width(top - 1) == packed[width]
         value = pack(slots, width)
         assert value == sum(c << (8 * width * i) for i, c in enumerate(slots))
         assert unpack(value, width, len(slots)) == slots

@@ -157,8 +157,10 @@ def test_cyclotomic_coefficients():
 
 def test_serialization_roundtrip():
     rng = Random(9)
-    for k in range(10):
-        s = rand_series(rng, ram=rng.choice((1, 2, 24)), cyclo=(k % 3 == 0))
+    cases = [rand_series(rng, ram=rng.choice((1, 2, 24)), cyclo=(k % 3 == 0)) for k in range(10)]
+    # coefficients of orders 4 and 8 are written in the series' field Q(zeta_8)
+    cases.append(PuiseuxSeries(1, {0: zeta(4), 1: zeta(8)}, 5))
+    for s in cases:
         t = PuiseuxSeries.from_json(s.to_json())
         assert t == s
         assert t.to_json() == s.to_json()

@@ -1,12 +1,15 @@
-"""Property tests of the series kernels: the packed and single-term
-products, the Newton inverse, and the canonical form of every result.
+"""Property tests of the series kernels: the packed product, the Newton
+inverse, the read-back of every result, the ring axioms, the precision
+rules, and equality and hashing.
 
-The packed product is checked against the schoolbook product, which is
-the path cyclotomic coefficients take.
+Every product, of rational and cyclotomic coefficients alike, is one
+Kronecker substitution in (q, zeta); it is checked against the
+schoolbook product over the read-back coefficients, which no library
+path uses.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -14,7 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetalab.cyclotomic import zeta
+from thetalab.cyclotomic import CyclotomicNumber, zeta
 from thetalab.identities import mu6_series, x6_series, y6_series
 from thetalab.series import PuiseuxSeries, _schoolbook_product
 
@@ -25,6 +28,17 @@ coefficients = st.builds(
     st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70)).filter(bool),
     st.one_of(st.integers(1, 12), st.integers(1, 2**40)),
 )
+small_coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12))
+
+
+def cyclotomic(parts):
+    """x + y * zeta_m^k for m = 4, 8 or 12 and x, y drawn from parts, so a
+    series of them mixes orders and may hold rational values written in
+    a cyclotomic order."""
+    return st.builds(
+        lambda m, k, x, y: x + y * zeta(m, k),
+        st.sampled_from((4, 8, 12)), st.integers(0, 11), parts, parts,
+    ).filter(lambda c: not c.is_zero())
 
 
 @st.composite
@@ -54,12 +68,18 @@ def reference_product(a, b):
     return PuiseuxSeries(a.ram, _schoolbook_product(a.terms, b.terms, t), t)
 
 
+# a series may mix these with the wide rational coefficients, so wide
+# slots also meet every z-power
+field_coefficients = st.one_of(coefficients, cyclotomic(small_coefficients))
+
+
 @KERNEL
-@given(series(), series())
+@given(series(field_coefficients), series(field_coefficients))
 def test_packed_product_matches_schoolbook(a, b):
     prod = a * b
     ref = reference_product(a, b)
     assert prod.ram == ref.ram and prod.trunc == ref.trunc
+    assert prod.order == lcm(a.order, b.order)
     assert prod.terms == ref.terms
 
 
@@ -83,9 +103,6 @@ def test_packed_product_at_slot_byte_boundary(nbytes, delta, sign):
     prod = a * b
     assert prod.coefficient(-1 + 3 * (m - 1), 24) == Fraction(sign * target, 2 * da)
     assert prod.terms == reference_product(a, b).terms
-
-
-small_coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12))
 
 
 def cut(s, depth):
@@ -121,12 +138,12 @@ def test_inverse_of_cyclotomic_series(s):
     assert_inverse(s, 40)
 
 
-# -- canonical results and the precision rules ---------------------------------
+# -- read-back of results and the precision rules ------------------------------
 #
-# Kernel results whose terms are canonical by construction skip the public
-# constructor's per-term pass, and the named level-6 series are cached and
-# shared between checks.  These tests rebuild every result through the
-# public constructor, and check that no operation changes its operands.
+# A result's terms are read back from its integer store, and the named
+# level-6 series are cached and shared between checks.  These tests
+# rebuild every result through the public constructor, which encodes its
+# terms afresh, and check that no operation changes its operands.
 
 mixed_coefficients = st.one_of(small_coefficients, cyclotomic_coefficients)
 
@@ -187,3 +204,66 @@ def test_cyclotomic_results_demote_to_fractions():
     prod = PuiseuxSeries(8, {0: z, 5: 2 * z}, 40) * mono
     assert prod.terms == {2: Fraction(1), 7: Fraction(2)}
     assert all(type(c) is Fraction for c in prod.terms.values())
+
+
+# -- ring axioms, precision rules, equality and hashing ------------------------
+
+ring_coefficients = st.one_of(small_coefficients, cyclotomic(st.integers(-3, 3)))
+ring_series = series(coeffs=ring_coefficients)
+RING = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+@RING
+@given(ring_series, ring_series, ring_series)
+def test_ring_axioms(a, b, c):
+    # the product rule is associative and symmetric, so both sides carry the
+    # same truncation; a sum may cancel leading terms and so raise the
+    # truncation of a product with it
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * (b + c)).same_series(a * b + a * c)
+    assert (a - b).same_series(a + (-1) * b)
+
+
+@RING
+@given(ring_series, st.integers(0, 4), st.integers(1, 4), st.integers(1, 3))
+def test_precision_of_powers_and_rescale(s, n, num, den):
+    s = cut(s, 40)
+    v = min(s.terms)
+    power = s ** n
+    # one(trunc, ram) times n factors: each truncation is shifted by the
+    # valuations of the other factors
+    assert power.trunc == (s.trunc if n == 0 else s.trunc + (n - 1) * v + min(v, 0))
+    ref = PuiseuxSeries.one(s.trunc, s.ram)
+    for _ in range(n):
+        ref = ref * s
+    assert power == ref
+    r = s.rescale(num, den)
+    assert r.known_order() == s.known_order() * Fraction(num, den)
+    assert r.valuation() == s.valuation() * Fraction(num, den)
+    assert r.items() == [(e * Fraction(num, den), c) for e, c in s.items()]
+
+
+def written_over(s, f, m):
+    """s with its ram multiplied by f and every coefficient written as a
+    CyclotomicNumber of order m, a multiple of every coefficient's order."""
+    lift = {
+        k * f: c.to_order(m) if isinstance(c, CyclotomicNumber) else CyclotomicNumber.from_rational(c, m)
+        for k, c in s.terms.items()
+    }
+    return PuiseuxSeries(s.ram * f, lift, s.trunc * f)
+
+
+@RING
+@given(ring_series, st.integers(1, 3), st.sampled_from((24, 48)))
+def test_equality_and_hash_across_ram_and_order(s, f, m):
+    t = written_over(s, f, m)
+    assert t.ram == s.ram * f and t.order == m
+    assert t == s and s == t
+    assert hash(t) == hash(s)
+    assert t.terms == {k * f: c for k, c in s.terms.items()}
+    k, c = min(s.terms.items())
+    other = PuiseuxSeries(s.ram, {**s.terms, k: c + zeta(8)}, s.trunc)
+    assert other != s and written_over(other, f, m) != t
