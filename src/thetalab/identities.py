@@ -8,7 +8,6 @@ statement with an explicit tolerance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -114,6 +113,22 @@ def _leading_record(
     )
 
 
+def _resolved_record(
+    name: str, level: int, order: int, detail: str, candidates
+) -> IdentityRecord:
+    """Which of several candidate identities holds, resolved exactly.
+
+    `candidates` lists (label, difference) pairs in order.  The detail
+    names the first candidate whose difference vanishes, or "none"; the
+    record passes only when exactly one vanishes."""
+    zero = [label for label, diff in candidates if diff.is_zero()]
+    return IdentityRecord(
+        name=name, level=level, kind="series-equality",
+        status="pass" if len(zero) == 1 else "fail", order=order,
+        detail=detail.format(zero[0] if zero else "none") + ", resolved exactly",
+    )
+
+
 # ---------------------------------------------------------------------------
 # named series
 
@@ -179,10 +194,17 @@ def phi5_series(order: int) -> PuiseuxSeries:
 # theta-null curve models
 
 
+def _level4_quartic(a0, a1, a2):
+    """The level-4 null-curve quartic a_0 a_2 (a_0^2 + a_2^2) - 2 a_1^4 at
+    (a_0 : a_1 : a_2).  It vanishes at the level-4 theta nulls, and at
+    the even-index level-8 nulls (a_0 : a_2 : a_4)."""
+    return a0 * a2 * (a0 ** 2 + a2 ** 2) - 2 * a1 ** 4
+
+
 # The quartic theta-null models, keyed by level: each entry names the
 # relations among the nulls a = (a_0, ..., a_(N-1)) that vanish identically.
 NULL_CURVE_RELATIONS = {
-    4: lambda a: {"level4.null-curve": a[0] * a[2] * (a[0] ** 2 + a[2] ** 2) - 2 * a[1] ** 4},
+    4: lambda a: {"level4.null-curve": _level4_quartic(a[0], a[1], a[2])},
     6: lambda a: {
         "level6.null-curve.1": a[1] ** 4 + a[2] ** 4 - a[0] ** 3 * a[2] - a[1] * a[3] ** 3,
         "level6.null-curve.2":
@@ -191,7 +213,7 @@ NULL_CURVE_RELATIONS = {
     7: lambda a: {"klein.quartic": a[1] ** 3 * a[2] - a[2] ** 3 * a[3] - a[1] * a[3] ** 3},
     8: lambda a: {
         f"level8.null-curve.{i}": rel for i, rel in enumerate((
-            a[0] * a[4] * (a[0] ** 2 + a[4] ** 2) - 2 * a[2] ** 4,
+            _level4_quartic(a[0], a[2], a[4]),
             a[0] * a[4] * (a[1] ** 2 + a[3] ** 2) - 2 * a[1] * a[3] * a[2] ** 2,
             a[0] * a[2] * a[4] * (a[0] + a[4]) - 2 * a[1] ** 2 * a[3] ** 2,
             a[2] ** 3 * (a[0] + a[4]) - a[1] * a[3] * (a[1] ** 2 + a[3] ** 2),
@@ -288,14 +310,10 @@ def _b_records(order: int) -> list[IdentityRecord]:
     b4_ratio = a8[2].rescale(2, 1) / a8[2]
     out.append(_series_record("b4.null-rescale", 8, b4 - b4_ratio, order, "series-equality"))
     b4_eta = e2 * e8 ** 2 / e4 ** 3
-    plus = (b4 - b4_eta).is_zero()
-    minus = (b4 + b4_eta).is_zero()
-    sign = "+1" if plus else ("-1" if minus else "none")
     out.append(
-        IdentityRecord(
-            name="b4.eta-sign", level=8, kind="series-equality",
-            status="pass" if plus or minus else "fail", order=order,
-            detail=f"b4 = ({sign}) * eta(2t)eta(8t)^2/eta(4t)^3, resolved exactly",
+        _resolved_record(
+            "b4.eta-sign", 8, order, "b4 = ({}) * eta(2t)eta(8t)^2/eta(4t)^3",
+            [("+1", b4 - b4_eta), ("-1", b4 + b4_eta)],
         )
     )
     out.append(
@@ -398,14 +416,10 @@ def _x6_model(order: int) -> list[IdentityRecord]:
     # single-typo candidates: 4Y b3 = Y^4 - 6*{X^2 or Y^2} - 3
     yb3 = 4 * y * b3
     y4 = y ** 4
-    cand_x = (yb3 - (y4 - 6 * x * x - 3)).is_zero()
-    cand_y = (yb3 - (y4 - 6 * y * y - 3)).is_zero()
-    which = "Y^2" if cand_y else ("X^2" if cand_x else "none")
     out.append(
-        IdentityRecord(
-            name="level6.b3-from-XY", level=6, kind="series-equality",
-            status="pass" if cand_x != cand_y else "fail", order=order,
-            detail=f"4Y b3 = Y^4 - 6*{which} - 3, resolved exactly",
+        _resolved_record(
+            "level6.b3-from-XY", 6, order, "4Y b3 = Y^4 - 6*{} - 3",
+            [("Y^2", yb3 - (y4 - 6 * y * y - 3)), ("X^2", yb3 - (y4 - 6 * x * x - 3))],
         )
     )
     b1b1 = b1 * b1
@@ -427,14 +441,10 @@ def _x6_model(order: int) -> list[IdentityRecord]:
     )
     # sign of the Y expression resolved exactly
     yden = y * den
-    plus = (yden - num).is_zero()
-    minus = (yden + num).is_zero()
-    sign = "+1" if plus else ("-1" if minus else "none")
     out.append(
-        IdentityRecord(
-            name="level6.Y-from-b", level=6, kind="series-equality",
-            status="pass" if plus != minus else "fail", order=order,
-            detail=f"Y = ({sign}) * b2(2b1 - b2 b3)/(b1^2 - b2^2), resolved exactly",
+        _resolved_record(
+            "level6.Y-from-b", 6, order, "Y = ({}) * b2(2b1 - b2 b3)/(b1^2 - b2^2)",
+            [("+1", yden - num), ("-1", yden + num)],
         )
     )
     return out
@@ -453,16 +463,12 @@ def _x8_model(order: int) -> list[IdentityRecord]:
     # b0 in terms of b1 and b3: the exponent of b1 is resolved exactly
     # (the defining system forces b0 = b1^2 b3 via
     #  alpha_0 + alpha_4 = alpha_1 alpha_3 (alpha_1^2 + alpha_3^2))
-    lin = (b0 - b1 * b3).is_zero()
-    quad = (b0 - b1 * b1 * b3).is_zero()
-    form = "b1^2*b3" if quad else ("b1*b3" if lin else "none")
     b1_4 = b1 ** 4
     a2s = 2 * b4 * b4
     return [
-        IdentityRecord(
-            name="level8.b0-from-b1-b3", level=8, kind="series-equality",
-            status="pass" if lin != quad else "fail", order=order,
-            detail=f"b0 = {form}, resolved exactly",
+        _resolved_record(
+            "level8.b0-from-b1-b3", 8, order, "b0 = {}",
+            [("b1^2*b3", b0 - b1 * b1 * b3), ("b1*b3", b0 - b1 * b3)],
         ),
         _series_record("level8.b3-eq-inv-b4sq", 8, b3 * b4 * b4 - 1, order),
         _series_record("level8.x8-model", 8, b1_4 - 4 * b4 ** 6 - b4 * b4, order),
@@ -583,7 +589,7 @@ def weierstrass_check_level4(
         abs(2 * a1 ** 2 * x0 * x2 - a0 * a2 * (x1 ** 2 + x3 ** 2)) / scale,
     )
     s = nulls(4, 40)
-    exact_ok = (s[0] * s[2] * (s[0] ** 2 + s[2] ** 2) - 2 * s[1] ** 4).is_zero()
+    exact_ok = _level4_quartic(s[0], s[1], s[2]).is_zero()
     ok = worst < rtol and accepted == samples and exact_ok
     return IdentityRecord(
         name="level4.weierstrass", level=4, kind="numeric-vanishing",
@@ -618,7 +624,7 @@ def degenerate_fibers_level4() -> IdentityRecord:
     all_ok = True
     details = []
     for a0, a1, a2 in pts:
-        on_curve = (a0 * a2 * (a0 ** 2 + a2 ** 2) - 2 * a1 ** 4).is_zero()
+        on_curve = _level4_quartic(a0, a1, a2).is_zero()
         r1 = (a0 - a2) ** 4
         r2 = (a0 + a2) ** 4
         disc = (r1 * r2) ** 2 * (r1 - r2) ** 2
@@ -626,9 +632,7 @@ def degenerate_fibers_level4() -> IdentityRecord:
         if not (on_curve and degenerate):
             all_ok = False
             details.append(f"failure at ({a0}:{a1}:{a2})")
-    control = (one * 2, one, one)
-    c0, c1, c2 = control
-    control_off = not (c0 * c2 * (c0 ** 2 + c2 ** 2) - 2 * c1 ** 4).is_zero()
+    control_off = not _level4_quartic(one * 2, one, one).is_zero()
     ok = all_ok and control_off and len(pts) == 12
     return IdentityRecord(
         name="level4.degenerate-fibers", level=4, kind="count",
@@ -669,11 +673,4 @@ def null_invariance_check(N: int, tau: complex = 1j, rtol: float = 1e-8) -> Iden
         name=f"level{N}.null-invariance", level=N, kind="numeric-vanishing",
         status="pass" if worst < rtol else "fail", tolerance=rtol, residual=worst,
         detail=f"sign-twist residual {r1:.3e}, reversal residual {r2:.3e}",
-    )
-
-
-def records_to_json(records: list[IdentityRecord]) -> str:
-    return json.dumps(
-        {"schema": 1, "records": [r.to_dict() for r in records]},
-        sort_keys=True,
     )

@@ -427,39 +427,15 @@ class CanonicalMatrices:
     M_inv: ProjectiveMatrix
 
 
-def _check_primitive(z: CyclotomicNumber, n: int):
-    p = z
-    for k in range(1, n):
-        if p == 1:
-            raise ValueError(f"root of unity is not primitive of order {n}")
-        p = p * z
-    if not p == 1:
-        raise ValueError(f"root of unity does not have order {n}")
-
-
-# built once per (N, root of unity); the root is keyed by its exact
-# representation, since equal roots of different orders give matrices
-# whose complex values round differently
-_CANONICAL: dict = {}
-_GENERATORS: dict = {}
-
-
-def build_canonical_matrices(N: int, zeta_n: CyclotomicNumber | None = None) -> CanonicalMatrices:
-    """The translation matrices M_S (cyclic shift), M_T = diag(zeta^i),
-    and the inversion M_inv: X_k -> X_(-k)."""
-    if zeta_n is None:
-        zeta_n = zeta(N)
-    key = (N, zeta_n.order, zeta_n.num, zeta_n.den)
-    if key not in _CANONICAL:
-        _check_primitive(zeta_n, N)
-        one, zero = Fraction(1), Fraction(0)
-        ms = [[one if i == (j + 1) % N else zero for j in range(N)] for i in range(N)]
-        mt = [[zeta_n**i if i == j else zero for j in range(N)] for i in range(N)]
-        mi = [[one if i == (-j) % N else zero for j in range(N)] for i in range(N)]
-        _CANONICAL[key] = CanonicalMatrices(
-            ProjectiveMatrix(ms), ProjectiveMatrix(mt), ProjectiveMatrix(mi)
-        )
-    return _CANONICAL[key]
+@lru_cache(maxsize=None)
+def build_canonical_matrices(N: int) -> CanonicalMatrices:
+    """The translation matrices M_S (cyclic shift), M_T = diag(zeta_N^i),
+    and the inversion M_inv: X_k -> X_(-k); built once per N."""
+    one, zero, z = Fraction(1), Fraction(0), zeta(N)
+    ms = [[one if i == (j + 1) % N else zero for j in range(N)] for i in range(N)]
+    mt = [[z**i if i == j else zero for j in range(N)] for i in range(N)]
+    mi = [[one if i == (-j) % N else zero for j in range(N)] for i in range(N)]
+    return CanonicalMatrices(ProjectiveMatrix(ms), ProjectiveMatrix(mt), ProjectiveMatrix(mi))
 
 
 @dataclass(frozen=True)
@@ -468,29 +444,21 @@ class RepGenerators:
     B0: ProjectiveMatrix
 
 
-def build_rep_generators(N: int, zeta_2n: CyclotomicNumber | None = None) -> RepGenerators:
-    """A0 = [zeta^(ij)], B0 = Diag(zt^(i(N-i))) over Q(zeta_2N), zt^2 = zeta.
+@lru_cache(maxsize=None)
+def build_rep_generators(N: int) -> RepGenerators:
+    """A0 = [zeta_N^(ij)] and B0 = Diag(zeta_2N^(i(N-i))), both written
+    over Q(zeta_2N), zeta_N = zeta_2N^2; built once per N.
 
-    A0 comes with its inverse N^(-1) [zeta^(-ij)] (a DFT matrix)."""
+    A0 comes with its inverse N^(-1) [zeta_N^(-ij)] (a DFT matrix)."""
     if N % 2:
         raise ValueError("the projective representation generators need even N")
-    if zeta_2n is None:
-        zeta_2n = zeta(2 * N)
-    key = (N, zeta_2n.order, zeta_2n.num, zeta_2n.den)
-    if key not in _GENERATORS:
-        _check_primitive(zeta_2n, 2 * N)
-        zeta_n = zeta_2n * zeta_2n
-        powers = [zeta_n**k for k in range(N)]
-        scaled = [x * Fraction(1, N) for x in powers]
-        A0 = ProjectiveMatrix([[powers[i * j % N] for j in range(N)] for i in range(N)])
-        A0._inv = ProjectiveMatrix([[scaled[-i * j % N] for j in range(N)] for i in range(N)])
-        zero = Fraction(0)
-        b0 = [
-            [zeta_2n ** ((i * (N - i)) % (2 * N)) if i == j else zero for j in range(N)]
-            for i in range(N)
-        ]
-        _GENERATORS[key] = RepGenerators(A0, ProjectiveMatrix(b0))
-    return _GENERATORS[key]
+    powers = [zeta(2 * N, 2 * k) for k in range(N)]
+    scaled = [x * Fraction(1, N) for x in powers]
+    A0 = ProjectiveMatrix([[powers[i * j % N] for j in range(N)] for i in range(N)])
+    A0._inv = ProjectiveMatrix([[scaled[-i * j % N] for j in range(N)] for i in range(N)])
+    zero = Fraction(0)
+    b0 = [[zeta(2 * N, i * (N - i)) if i == j else zero for j in range(N)] for i in range(N)]
+    return RepGenerators(A0, ProjectiveMatrix(b0))
 
 
 def kernel_word(N: int) -> SL2Word:
@@ -556,7 +524,7 @@ def conjugation_table_check(N: int) -> dict:
     translation subgroup; this is the variant consistent with the
     tau -> tau+1 coordinate change).
     """
-    can = build_canonical_matrices(N, zeta(2 * N) ** 2)
+    can = build_canonical_matrices(N)
     gens = build_rep_generators(N)
     A0, B0 = gens.A0, gens.B0
     MS, MT, MI = can.M_S, can.M_T, can.M_inv
@@ -719,7 +687,7 @@ def rho_theta_candidates(N: int, kind: str) -> dict:
     translations, and the observed matrix may be the inverse class
     (point action versus function action), so inverses are included.
     """
-    can = build_canonical_matrices(N, zeta(2 * N) ** 2)
+    can = build_canonical_matrices(N)
     gens = build_rep_generators(N)
     base = gens.A0 if kind == "A" else gens.B0
     base_inv = base.inverse()

@@ -2,10 +2,12 @@
 
 The generators come in three families: the odd-N three-term forms, the
 even-N null-coefficient forms (graded pieces V_0 and V_1), and the
-even-N half-period forms with s-coefficients.  The remaining graded
-pieces are produced by the index shift X_i -> X_(i+1), which moves the
-grading by 2; correctness of the shifted system is certified by the
-vanishing and rank checks rather than assumed.
+even-N half-period forms with s-coefficients.  The full system is the
+orbit of the base forms under the index shift X_i -> X_(i+1) (a
+Heisenberg translation), which moves the grading by 2; its members are
+pairwise non-proportional by construction, and that the system cuts out
+the curve is certified by the vanishing and rank checks rather than
+assumed.
 """
 
 from __future__ import annotations
@@ -104,42 +106,15 @@ def monomial_basis(N: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(N) for j in range(i, N)]
 
 
-def forms_proportional(f: QuadraticForm, g: QuadraticForm, tol: float | None = None) -> bool:
-    """Equality as projective forms (same class up to a global scalar)."""
+def forms_proportional(f: QuadraticForm, g: QuadraticForm) -> bool:
+    """Exact equality as projective forms (same class up to a global scalar)."""
     if f.N != g.N or set(f.coeffs) != set(g.coeffs):
         return False
     if not f.coeffs:
         return True
     key0 = next(iter(f.coeffs))
     a, b = f.coeffs[key0], g.coeffs[key0]
-    for key, c in f.coeffs.items():
-        lhs = c * b
-        rhs = g.coeffs[key] * a
-        if tol is None:
-            diff = lhs - rhs
-            if not _scalar_zero(diff):
-                return False
-        else:
-            if abs(_to_complex(lhs) - _to_complex(rhs)) > tol * max(
-                1.0, abs(_to_complex(lhs))
-            ):
-                return False
-    return True
-
-
-def _dedupe(forms: list[QuadraticForm], tol: float | None) -> list[QuadraticForm]:
-    """The forms no earlier kept form is proportional to, in input order.
-
-    Forms with different supports are never proportional, so each form
-    is compared only with the kept forms of its own support."""
-    kept: list[QuadraticForm] = []
-    by_support: dict[tuple, list[QuadraticForm]] = {}
-    for f in forms:
-        same = by_support.setdefault((f.N, frozenset(f.coeffs)), [])
-        if not any(forms_proportional(f, g, tol) for g in same):
-            same.append(f)
-            kept.append(f)
-    return kept
+    return all(_scalar_zero(c * b - g.coeffs[key] * a) for key, c in f.coeffs.items())
 
 
 # ---------------------------------------------------------------------------
@@ -148,26 +123,24 @@ def _dedupe(forms: list[QuadraticForm], tol: float | None) -> list[QuadraticForm
 
 @dataclass(frozen=True)
 class NullData:
-    """Theta-null vector a_k (and optionally the half-period vector s_k).
+    """Theta-null vector a_k (and, for numeric even-N data, the
+    half-period vector s_k).
 
-    Scalars are exact Puiseux series (source "series") or complex values
-    at a fixed tau (source "numeric").  For odd N the exact series use
-    the normalized convention with the global scalar i^N dropped; all
-    generated forms are quadratic in the nulls, so the convention only
-    rescales whole forms.
+    Scalars are exact Puiseux series or complex values at a fixed tau.
+    For odd N the exact series use the normalized convention with the
+    global scalar i^N dropped; all generated forms are quadratic in the
+    nulls, so the convention only rescales whole forms.
     """
 
     N: int
     a: tuple
     s: tuple | None
-    source: str
-    tau: complex | None = None
 
     def __post_init__(self):
         N = self.N
         if len(self.a) != N:
             raise ValueError("need one null value per residue class")
-        if self.source == "series":
+        if isinstance(self.a[0], PuiseuxSeries):
             for k in range(1, N):
                 want = self.a[(N - k) % N] if N % 2 == 0 else -self.a[(N - k) % N]
                 if not (self.a[k] - want).is_zero():
@@ -176,18 +149,16 @@ class NullData:
                 raise ValueError("a_0 must vanish for odd N")
 
     @staticmethod
-    def numeric(ctx: ThetaContext, include_s: bool = True) -> "NullData":
+    def numeric(ctx: ThetaContext) -> "NullData":
         N = ctx.N
         a = tuple(theta_N_eval(np.arange(N), 0.0, ctx).tolist())
-        s = None
-        if include_s and N % 2 == 0:
-            s = tuple(theta_half_eval(N, np.arange(N), ctx).tolist())
-        return NullData(N=N, a=a, s=s, source="numeric", tau=ctx.tau)
+        s = tuple(theta_half_eval(N, np.arange(N), ctx).tolist()) if N % 2 == 0 else None
+        return NullData(N=N, a=a, s=s)
 
     @staticmethod
     def exact(N: int, order: int) -> "NullData":
         a = tuple(theta_null_series(N, k, order) for k in range(N))
-        return NullData(N=N, a=a, s=None, source="series")
+        return NullData(N=N, a=a, s=None)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +172,10 @@ def gen_odd_basis(nd: NullData) -> list[QuadraticForm]:
           - a_((N-1)/2-j) a_((N+1)/2+j) X_((N+1)/2) X_((N-1)/2)
           + a_((N-1)/2) a_((N+1)/2) X_((N-1)/2-j) X_((N+1)/2+j)
 
-    for j = 1..(N-3)/2, followed by their index shifts, N(N-3)/2 forms
-    in total after duplicate elimination."""
+    for j = 1..(N-3)/2, followed by their index shifts 1..N-1: N(N-3)/2
+    forms in all.  Each shifted form has exactly one square monomial,
+    X_s^2, and at a fixed shift the base forms differ in their third
+    monomial, so no two members of the orbit are proportional."""
     N = nd.N
     if N % 2 == 0:
         raise ValueError("odd-N generator called with even N")
@@ -218,9 +191,7 @@ def gen_odd_basis(nd: NullData) -> list[QuadraticForm]:
             ((lo - j) % N, (hi + j) % N): a[lo] * a[hi],
         }
         base.append(QuadraticForm(N, coeffs))
-    tol = None if nd.source == "series" else 1e-9
-    # s = 0 comes first, so the returned list starts with the base forms
-    return _dedupe([f.shift(s) for s in range(N) for f in base], tol)
+    return [f.shift(s) for s in range(N) for f in base]
 
 
 def _even_v0_form(nd: NullData, j: int) -> QuadraticForm:
@@ -261,8 +232,12 @@ def gen_even_basis(nd: NullData) -> EvenBasis:
 
     V_0:  a_j^2 X_0^2 + a_(h+j)^2 X_h^2 = a_0^2 X_j X_(N-j) + a_h^2 X_(h+j) X_(h-j),
           j = 1..h-1 (h = N/2);
-    V_1:  the X_0 X_1 analogue, j = 1..h-2; `full` adds every index
-    shift, N(N-3)/2 forms after duplicate elimination."""
+    V_1:  the X_0 X_1 analogue, j = 1..h-2.
+
+    `full` is their orbit under the index shifts 0..h-1, N(N-3)/2 forms,
+    shift by shift.  The shift by h closes the orbit: since
+    a_k = a_(N-k), it sends V0_j to V0_(h-j) and V1_j to V1_(h-1-j),
+    coefficient for coefficient."""
     N = nd.N
     if N % 2:
         raise ValueError("even-N generator called with odd N")
@@ -271,8 +246,7 @@ def gen_even_basis(nd: NullData) -> EvenBasis:
     h = N // 2
     v0 = [_even_v0_form(nd, j) for j in range(1, h)]
     v1 = [_even_v1_form(nd, j) for j in range(1, h - 1)]
-    tol = None if nd.source == "series" else 1e-9
-    full = _dedupe([f.shift(s) for s in range(N) for f in v0 + v1], tol)
+    full = [f.shift(s) for s in range(h) for f in v0 + v1]
     return EvenBasis(V0=v0, V1=v1, full=full)
 
 
@@ -390,11 +364,14 @@ def verify_on_curve(
     return OnCurveReport.of(N, samples, rtol, residuals.tolist())
 
 
-def rank_check(forms: list[QuadraticForm], N: int, threshold: float = 1e-7) -> int:
+RANK_RTOL = 1e-7  # singular values below this share of the largest count as zero
+
+
+def rank_check(forms: list[QuadraticForm], N: int) -> int:
     """Numeric rank of the forms' coefficient matrix.
 
     Rows are forms, columns the N(N+1)/2 monomials; singular values
-    below threshold * (largest singular value) count as zero."""
+    below RANK_RTOL * (largest singular value) count as zero."""
     if not forms:
         return 0
     col = {m: c for c, m in enumerate(monomial_basis(N))}
@@ -409,7 +386,7 @@ def rank_check(forms: list[QuadraticForm], N: int, threshold: float = 1e-7) -> i
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         return 0
-    return int(np.sum(sv > threshold * sv[0]))
+    return int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
 def substitute_nulls(form: QuadraticForm, nd: NullData):

@@ -180,12 +180,32 @@ def test_verify_all_level4_aggregate(capsys):
 
 
 def test_verify_exit_one_on_failing_check(capsys):
-    # at Im tau = 10 the null values span too many orders of magnitude for
-    # the numeric rank test, so a real check fails on valid input (a
-    # tolerance below double precision is a configuration error instead)
-    code, out, _ = run_cli(capsys, "verify", "--suite", "quadrics", "--N", "8", "--tau-im", "10")
+    # --tol 1e-15 is the least valid tolerance, and at N = 16 the on-curve
+    # residual (about 3e-14) is rounding above 10 * tol, so a real check
+    # fails on valid input (a tolerance below double precision is a
+    # configuration error instead)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "quadrics", "--N", "16", "--tol", "1e-15")
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "quadrics", "--N", "8", "--tau-im", "10"),
+        ("--suite", "quadrics", "--N", "16", "--tau-im", "5"),
+        ("--suite", "transform", "--N", "20"),
+        ("--suite", "transform", "--N", "28"),
+        ("--suite", "all", "--N", "20"),
+    ],
+    ids=" ".join,
+)
+def test_verify_passes_where_values_span_many_magnitudes(capsys, argv):
+    # nulls from 1e-27 to 1 (quadrics at Im tau 10) and theta coordinates
+    # far below the largest one (transform from N = 20) are valid input
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0, out
+    assert "FAIL" not in out
 
 
 def test_verify_rejects_bad_numeric_input(capsys):

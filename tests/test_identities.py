@@ -141,10 +141,26 @@ def test_null_invariance():
 def test_records_json_schema():
     import json
 
-    from thetalab.identities import records_to_json
+    from thetalab.cli import RunConfig, render_report
 
     recs = theta_null_curve_check(4, 50)
-    obj = json.loads(records_to_json(recs))
+    obj = json.loads(render_report(recs, RunConfig(N=4, order=50), "json"))
     assert obj["schema"] == 1
     assert obj["records"][0]["name"] == "level4.null-curve"
     assert obj["records"][0]["status"] == "pass"
+
+
+def test_resolved_record_needs_exactly_one_vanishing_candidate():
+    from thetalab.identities import _resolved_record
+
+    lam = lam_series(40)
+    zero = lam - lam
+    cases = [
+        ([("a", lam), ("b", zero)], "pass", "b"),
+        ([("a", zero), ("b", zero)], "fail", "a"),  # both hold: nothing was resolved
+        ([("a", lam), ("b", lam)], "fail", "none"),
+    ]
+    for candidates, status, label in cases:
+        rec = _resolved_record("r", 4, 40, "x = {}", candidates)
+        assert (rec.status, rec.detail) == (status, f"x = {label}, resolved exactly")
+        assert rec.kind == "series-equality" and rec.order == 40

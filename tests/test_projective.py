@@ -60,13 +60,6 @@ def test_canonical_matrix_relations():
         assert lhs.proj_eq(can.M_S @ can.M_T)
 
 
-def test_non_primitive_root_rejected():
-    with pytest.raises(ValueError):
-        build_canonical_matrices(4, zeta(8))  # order 8, not 4
-    with pytest.raises(ValueError):
-        build_canonical_matrices(4, zeta(4) ** 2)  # order 2
-
-
 def test_rep_generator_shapes():
     gens = build_rep_generators(4)
     assert gens.A0.rows[1][1] == zeta(4)

@@ -307,17 +307,15 @@ def assert_same_inverse(mat):
 
 @pytest.mark.parametrize("N", range(2, 17))
 def test_closed_form_inverses_match_gauss_jordan(N):
-    for zeta_n in (zeta(N), zeta(2 * N) ** 2):
-        can = build_canonical_matrices(N, zeta_n)
-        for mat in (can.M_S, can.M_T, can.M_inv):
-            assert_same_inverse(mat)
+    can = build_canonical_matrices(N)
+    for mat in (can.M_S, can.M_T, can.M_inv):
+        assert_same_inverse(mat)
     if N % 2 == 0:
-        for zeta_2n in (zeta(2 * N), zeta(2 * N, 2 * N - 1)):
-            gens = build_rep_generators(N, zeta_2n)
-            assert_same_inverse(gens.A0)
-            assert_same_inverse(gens.B0)
-            ident = ProjectiveMatrix.identity(N).rows
-            assert (gens.A0 @ gens.A0.inverse()).rows == ident
+        gens = build_rep_generators(N)
+        assert_same_inverse(gens.A0)
+        assert_same_inverse(gens.B0)
+        ident = ProjectiveMatrix.identity(N).rows
+        assert (gens.A0 @ gens.A0.inverse()).rows == ident
 
 
 def test_inverse_is_kept():
@@ -325,8 +323,6 @@ def test_inverse_is_kept():
     assert gens.A0.inverse() is gens.A0.inverse()
     assert build_rep_generators(8) is gens
     assert build_canonical_matrices(8) is build_canonical_matrices(8)
-    # equal roots of different orders give different matrices
-    assert build_canonical_matrices(8) is not build_canonical_matrices(8, zeta(16) ** 2)
 
 
 def test_general_inverse():

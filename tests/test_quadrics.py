@@ -2,11 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-import thetalab.quadrics
 from thetalab.quadrics import (
     NullData,
     QuadraticForm,
-    _dedupe,
     forms_proportional,
     gen_even_basis,
     gen_even_s_basis,
@@ -181,44 +179,52 @@ def test_origin_substitution_vanishes_exactly():
             assert substitute_nulls(f, nd).is_zero()
 
 
-def _quadratic_dedupe(forms, tol):
-    """Test-only copy of the dedupe that compares every pair of forms."""
+def _quadratic_dedupe(forms):
+    """Test-only dedupe: the forms no earlier kept form is proportional
+    to, in input order, comparing every pair."""
     kept = []
     for f in forms:
-        if not any(forms_proportional(f, g, tol) for g in kept):
+        if not any(forms_proportional(f, g) for g in kept):
             kept.append(f)
     return kept
 
 
-@pytest.mark.parametrize("source", ["numeric", "series"])
-def test_dedupe_matches_pairwise_dedupe(source, monkeypatch):
-    def same_support_only(f, g, tol=None):
-        assert set(f.coeffs) == set(g.coeffs), "compared forms with different supports"
-        return forms_proportional(f, g, tol)
-
-    monkeypatch.setattr(thetalab.quadrics, "forms_proportional", same_support_only)
+def test_full_system_is_the_deduplicated_shift_orbit():
+    # the orbit construction keeps exactly what a search over all N shifts
+    # of the base forms keeps, form for form and in the same order
     for N in range(4, 17):
-        nd = numeric_nulls(N) if source == "numeric" else NullData.exact(N, N + 2)
-        tol = 1e-9 if source == "numeric" else None
+        nd = NullData.exact(N, N + 2)
         if N % 2:
             if N < 5:
                 continue
-            base = gen_odd_basis(nd)[: (N - 3) // 2]
+            full = gen_odd_basis(nd)
+            base = full[: (N - 3) // 2]
         else:
             eb = gen_even_basis(nd)
-            base = eb.V0 + eb.V1
-        forms = [f.shift(s) for s in range(N) for f in base]
-        got = _dedupe(forms, tol)
-        want = _quadratic_dedupe(forms, tol)
-        assert [id(f) for f in got] == [id(f) for f in want], (source, N)
-        assert len(got) == N * (N - 3) // 2
+            full, base = eb.full, eb.V0 + eb.V1
+        want = _quadratic_dedupe([f.shift(s) for s in range(N) for f in base])
+        assert [f.coeffs for f in full] == [f.coeffs for f in want], N
+        assert len(full) == N * (N - 3) // 2
     # proportional forms with one support, and forms with different supports
     f = QuadraticForm(6, {(0, 0): Fraction(1), (1, 5): Fraction(2)})
     g = QuadraticForm(6, {(0, 0): Fraction(3), (1, 5): Fraction(6)})
     h = QuadraticForm(6, {(0, 0): Fraction(1), (2, 4): Fraction(2)})
     empty = QuadraticForm(6, {})
+    assert forms_proportional(f, g) and not forms_proportional(f, h)
+    assert forms_proportional(h, h.shift(6)) and forms_proportional(empty, QuadraticForm(6, {}))
     forms = [f, h, g, empty, QuadraticForm(6, {}), h.shift(6)]
-    assert _dedupe(forms, None) == _quadratic_dedupe(forms, None) == [f, h, empty]
+    assert _quadratic_dedupe(forms) == [f, h, empty]
+
+
+@pytest.mark.parametrize("N", [8, 12, 16])
+@pytest.mark.parametrize("im_tau", [2, 5, 10])
+def test_full_rank_when_nulls_span_many_magnitudes(N, im_tau):
+    # at Im tau = 10 and N = 8 the nulls run from 1e-27 to 1, so the
+    # coefficients of distinct forms differ by up to 40 orders of magnitude
+    nd = NullData.numeric(ThetaContext(N, complex(0, im_tau), 1e-10))
+    forms = gen_even_basis(nd).full
+    assert len(forms) == N * (N - 3) // 2
+    assert rank_check(forms, N) == N * (N - 3) // 2
 
 
 @pytest.mark.parametrize("N, tau, tol", [(8, 0.3 + 1.1j, 1e-10), (12, 1j, 1e-10), (16, 0.5j, 1e-11)])

@@ -358,3 +358,30 @@ def test_transform_ratios_against_mpmath(N):
             for k in range(N):
                 assert abs(got[k] - ref[k]) < 1e-9 * scale * abs(ref[k]), (N, z, k)
         assert rep.passed
+
+
+def test_transform_deviation_is_projective_at_level_20():
+    """From N = 20 some coordinates lie far below the largest one, so
+    their ratios carry a large relative rounding error; the deviation is
+    the projective residual, which stays at rounding, while the 40-digit
+    ratios are k-independent."""
+    mpmath = pytest.importorskip("mpmath")
+    N, tau = 20, 1j
+    ctx = ThetaContext(N, tau, 1e-10)
+    rng = Random(0)  # the sample points of `verify --suite transform --N 20`
+    zs = [0.05 + 0.6 * rng.random() + (0.02 + 0.25 * rng.random()) * tau for _ in range(8)]
+    for z in zs:
+        rep = transform_check(z, ctx)
+        assert rep.max_dev < 1e-13 and rep.max_dev_shift < 1e-13, (z, rep.max_dev)
+    z = zs[2]  # the point whose float ratios deviate most in relative terms
+    with mpmath.workdps(40):
+        mz, mt = mpmath.mpc(z), mpmath.mpc(tau)
+        th = [_mp_theta_N(mpmath, N, j, mz, mt) for j in range(N)]
+        zeta = mpmath.exp(2j * mpmath.pi / N)
+        pre = mpmath.exp(1j * mpmath.pi * mz) * mpmath.sqrt(mt / N)
+        ratios = [
+            _mp_theta_N(mpmath, N, k, mz / mt, -1 / mt)
+            / (pre * mpmath.fsum(zeta ** (-j * k) * th[j] for j in range(N)))
+            for k in range(N)
+        ]
+        assert max(abs(r - ratios[0]) for r in ratios) < 1e-30 * abs(ratios[0])
