@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from random import Random
 from typing import Callable, NamedTuple
 
@@ -65,15 +64,17 @@ def default_order(order: int | None, level: int) -> int:
     return order if order is not None else max(50, 8 * level)
 
 
-@dataclass
 class RunConfig:
-    N: int = 4
-    order: int | None = None
-    tau: complex = 1j
-    tol: float = 1e-9
-    samples: int = 25
-    seed: int = 0
-    fmt: str = "text"
+    """The settings of one verify run; `validate` checks them."""
+
+    __slots__ = ("N", "order", "tau", "tol", "samples", "seed", "fmt")
+
+    def __init__(
+        self, N: int = 4, order: int | None = None, tau: complex = 1j, tol: float = 1e-9,
+        samples: int = 25, seed: int = 0, fmt: str = "text",
+    ):
+        self.N, self.order, self.tau, self.tol = N, order, tau, tol
+        self.samples, self.seed, self.fmt = samples, seed, fmt
 
     def series_order(self) -> int:
         return default_order(self.order, self.N)
@@ -272,14 +273,13 @@ def _suite_transform(cfg: RunConfig) -> list[IdentityRecord]:
     N = cfg.N
     ctx = cfg.context()
     rng = Random(cfg.seed)
-    worst = 0.0
-    worst_shift = 0.0
+    worst = worst_shift = unit_dev = 0.0
     for _ in range(min(cfg.samples, 8)):
         z = 0.05 + 0.6 * rng.random() + (0.02 + 0.25 * rng.random()) * cfg.tau
         t = transform_check(z, ctx, cfg.tol * 10)
         worst = max(worst, t.max_dev)
         worst_shift = max(worst_shift, t.max_dev_shift)
-    unit_dev = abs(abs(t.ratios_shift[0]) - 1.0)
+        unit_dev = max(unit_dev, abs(abs(t.ratios_shift[0]) - 1.0))
     out = [
         IdentityRecord(
             name="transform.k-independence", level=N, kind="numeric-vanishing",

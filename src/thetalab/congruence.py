@@ -8,12 +8,14 @@ points are rational pairs (u, v) modulo 1 standing for u + v*tau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd
+from typing import NamedTuple
 
 from .cyclotomic import CyclotomicNumber, zeta
+from .frozen import Frozen
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +27,12 @@ MAX_LEVEL = 12  # the largest level enumerated; sl2_mod stops at m = 2 * MAX_LEV
 
 @lru_cache(maxsize=None)
 def sl2_mod(m: int) -> tuple:
-    """All (a, b, c, d) mod m with ad - bc = 1."""
+    """All (a, b, c, d) mod m with ad - bc = 1, in lexicographic order.
+
+    For each (a, b, c), a d = 1 + bc (mod m) is solved for d: with
+    g = gcd(a, m), it has g solutions when g divides 1 + bc, namely
+    d0 + k m/g for k < g, d0 = (1 + bc)/g * (a/g)^(-1) mod m/g, and none
+    otherwise.  That is m^3 steps, not the m^4 of a scan over d."""
     if m < 1:
         raise ValueError("modulus must be positive")
     if m > 2 * MAX_LEVEL:
@@ -33,14 +40,24 @@ def sl2_mod(m: int) -> tuple:
     out = []
     rng = range(m)
     for a in rng:
+        g = gcd(a, m)
+        step = m // g
+        inv = pow(a // g, -1, step) if step > 1 else 0
+        # the d with a d = r (mod m), for each residue r
+        solutions = [range(r // g * inv % step, m, step) if r % g == 0 else () for r in rng]
         for b in rng:
-            for c in rng:
-                bc = (b * c) % m
-                # solve a d = 1 + b c (mod m) by scanning d
-                for d in rng:
-                    if (a * d - bc) % m == 1:
-                        out.append((a, b, c, d))
+            out += [(a, b, c, d) for c in rng for d in solutions[(1 + b * c) % m]]
     return tuple(out)
+
+
+def _identity_lifts(N: int, m: int) -> list:
+    """The elements of SL_2(Z/m) that reduce to the identity mod N, for N
+    dividing m, in lexicographic order."""
+    ones, zeros = range(1 % N, m, N), range(0, m, N)
+    return [
+        (a, b, c, d) for a, b, c, d in product(ones, zeros, zeros, ones)
+        if (a * d - b * c) % m == 1 % m
+    ]
 
 
 def _mat_mul(m1, m2, m):
@@ -54,8 +71,7 @@ def _mat_inv(mm, m):
     return (d % m, (-b) % m, (-c) % m, a % m)
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+class SubgroupSpec(NamedTuple):
     """family "gamma" is the principal congruence subgroup of level N;
     family "gammaN2N" is {a = d = 1 mod N, b = c = 0 mod 2N}."""
 
@@ -75,8 +91,7 @@ class SubgroupSpec:
         raise ValueError(f"unknown family {self.family!r}")
 
 
-@dataclass(frozen=True)
-class SubgroupInvariants:
+class SubgroupInvariants(NamedTuple):
     index_psl: int
     cusps: int
     genus: int
@@ -102,9 +117,10 @@ def subgroup_invariants(spec: SubgroupSpec) -> SubgroupInvariants:
     if not 2 <= spec.N <= MAX_LEVEL:
         raise ValueError(f"N out of the supported enumeration range 2..{MAX_LEVEL}")
     m = spec.modulus()
-    group = sl2_mod(m)
-    image = [g for g in group if spec.contains_residue(g)]
-    index_sl = len(group) // len(image)
+    # both families reduce to the identity mod N, so their image in
+    # SL_2(Z/m) lies among the lifts of the identity
+    image = [g for g in _identity_lifts(spec.N, m) if spec.contains_residue(g)]
+    index_sl = len(sl2_mod(m)) // len(image)
     minus = tuple(x % m for x in (-1, 0, 0, -1))
     has_minus = minus in set(image)
     index_psl = index_sl if has_minus else index_sl // 2
@@ -139,8 +155,7 @@ def subgroup_invariants(spec: SubgroupSpec) -> SubgroupInvariants:
     )
 
 
-@dataclass(frozen=True)
-class TowerReport:
+class TowerReport(NamedTuple):
     N: int
     quotient_orders: tuple
     checks: dict
@@ -158,8 +173,7 @@ def group_tower_check(N: int) -> TowerReport:
     if N % 2 or N > MAX_LEVEL:
         raise ValueError(f"even N <= {MAX_LEVEL} required")
     m = 2 * N
-    big = sl2_mod(m)
-    g1 = [g for g in big if all(x % N == y for x, y in zip(g, (1, 0, 0, 1)))]
+    g1 = _identity_lifts(N, m)
     spec = SubgroupSpec("gammaN2N", N)
     g2 = [g for g in g1 if spec.contains_residue(g)]
     g2set = set(g2)
@@ -188,21 +202,16 @@ def group_tower_check(N: int) -> TowerReport:
 # torsion points on the torus model and the Weil pairing
 
 
-@dataclass(frozen=True)
-class TorsionPoint:
+class TorsionPoint(Frozen):
     """(u + v*tau) + Lambda_tau with rational u, v taken modulo 1."""
 
-    u: Fraction
-    v: Fraction
-    n: int
+    __slots__ = ("u", "v", "n")
 
     def __init__(self, u, v, n: int):
         u, v = Fraction(u) % 1, Fraction(v) % 1
         if (u * n) % 1 or (v * n) % 1:
             raise ValueError(f"point is not {n}-torsion")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "n", n)
+        self._set(u=u, v=v, n=n)
 
     def coords(self) -> tuple[int, int]:
         """Integer coordinates (a, b) in the basis (tau/n, 1/n)."""
@@ -237,8 +246,7 @@ def structure_apply(pair, mat) -> tuple[TorsionPoint, TorsionPoint]:
     return (S.scaled(a) + T.scaled(c), S.scaled(b) + T.scaled(d))
 
 
-@dataclass(frozen=True)
-class StructuresResult:
+class StructuresResult(NamedTuple):
     N: int
     structures: tuple
     classes: tuple

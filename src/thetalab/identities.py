@@ -8,10 +8,10 @@ statement with an explicit tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ from .theta import (
 MIN_DEPTH = 10  # a series identity must be verified at least this deep in q
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(NamedTuple):
     """One verification row: what was checked, how, and the outcome."""
 
     name: str

@@ -12,19 +12,26 @@ checks read matrices as complex arrays (`complex_array`); points may be
 numeric.  Equality always means equality of projective classes.
 
 Exact matrices are multiplied as integer vectors over their field,
-packed one int per entry (Kronecker substitution, see packing.py);
-inverses of monomial matrices and of the DFT matrix A0 come in closed
-form, and Gauss-Jordan elimination serves the rest.
+packed one int per entry (Kronecker substitution, see packing.py): each
+output row's nonzero entries are laid side by side in one int and
+unpacked once, and the whole product is reduced modulo the cyclotomic
+polynomial once.  Projective equality B ~ A compares the zero patterns,
+then takes one packed cross product A * b_p - B * a_p over every entry,
+p the first nonzero place, and reduces it once.  Inverses of monomial
+matrices and of the DFT matrix A0 come in closed form, and Gauss-Jordan
+elimination serves the rest.  The group checks test each relation in
+the form that needs the fewest products: X^(-1) Y X ~ Z as Y X ~ X Z,
+and an order n as M^n ~ I with M^(n/p) not ~ I for each prime p | n.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from random import Random
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,13 +41,13 @@ from .cyclotomic import (
     encode_scalars,
     euler_phi,
     field_scalar,
-    reduce_vector,
+    reduce_vectors,
     scalar_inverse,
     scalar_is_zero,
     scalar_json,
     zeta,
 )
-from .packing import pack_many, pack_width, unpack
+from .packing import pack, pack_many, pack_width, unpack
 from .theta import ThetaContext, sample_blocks, sample_points, theta_N_eval
 
 
@@ -86,7 +93,7 @@ class ProjectivePoint:
         if len(self) != len(other):
             return False
         if self.exact and other.exact:
-            return proj_resid_exact(self.coords, other.coords)
+            return _ExactBlock.column(self.coords).proj_eq(_ExactBlock.column(other.coords))
         return proj_residual(self.coords, other.coords) < rtol
 
     def __repr__(self):
@@ -107,22 +114,6 @@ def proj_residual(u, v) -> float:
     c = v[rows, i] / u[rows, i]
     scale = np.maximum(np.max(np.abs(v), axis=1), 1e-300)
     return float(np.max(np.max(np.abs(v - c[:, None] * u), axis=1) / scale))
-
-
-def proj_resid_exact(u, v) -> bool:
-    """Exact projective equality via cross-multiplication."""
-    pivot = None
-    for i, x in enumerate(u):
-        if not scalar_is_zero(x):
-            pivot = i
-            break
-    if pivot is None or scalar_is_zero(v[pivot]):
-        return False
-    a, b = u[pivot], v[pivot]
-    for x, y in zip(u, v):
-        if not scalar_is_zero(x * b - y * a):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +166,7 @@ class ProjectiveMatrix:
         if isinstance(other, ProjectivePoint):
             if self.n != len(other):
                 raise ValueError("size mismatch")
-            col = _ExactBlock.from_rows([(c,) for c in other.coords])
+            col = _ExactBlock.column(other.coords)
             return ProjectivePoint(row[0] for row in (self._block @ col).scalars())
         raise TypeError(f"cannot multiply ProjectiveMatrix by {type(other).__name__}")
 
@@ -204,11 +195,7 @@ class ProjectiveMatrix:
 
     def proj_eq(self, other: "ProjectiveMatrix") -> bool:
         """Equality as classes in PGL."""
-        if self.n != other.n:
-            return False
-        return proj_resid_exact(
-            [c for r in self.rows for c in r], [c for r in other.rows for c in r]
-        )
+        return self.n == other.n and self._block.proj_eq(other._block)
 
     def complex_array(self) -> np.ndarray:
         def conv(c):
@@ -276,14 +263,15 @@ class _ExactBlock:
     entries are left out.  `scalars` reads every entry back as a scalar
     of the block's field: a Fraction when the order is 1, a
     CyclotomicNumber of the block's order otherwise, and Fraction(0) for
-    zero.
+    zero.  A block is never changed after it is built, so it keeps its
+    largest coefficient and its packed rows once computed.
     """
 
-    __slots__ = ("order", "den", "nz", "ncols", "_max")
+    __slots__ = ("order", "den", "nz", "ncols", "_max", "_packed")
 
     def __init__(self, order: int, den: int, nz: tuple, ncols: int):
         self.order, self.den, self.nz, self.ncols = order, den, nz, ncols
-        self._max = None
+        self._max, self._packed = None, {}
 
     @staticmethod
     def from_rows(rows) -> "_ExactBlock":
@@ -292,6 +280,11 @@ class _ExactBlock:
         it = iter(nums)
         nz = tuple(tuple((j, num) for j, num in zip(range(len(r)), it) if any(num)) for r in rows)
         return _ExactBlock(order, den, nz, len(rows[0]) if rows else 0)
+
+    @staticmethod
+    def column(coords) -> "_ExactBlock":
+        """The n x 1 block of a vector of exact scalars."""
+        return _ExactBlock.from_rows([(c,) for c in coords])
 
     def to_order(self, order: int) -> "_ExactBlock":
         """The same matrix written over Q(zeta_order), a multiple of self.order."""
@@ -304,8 +297,11 @@ class _ExactBlock:
 
     def packed(self, width: int) -> list:
         """Rows of (j, packed num) at the given slot width."""
-        ints = iter(pack_many([num for row in self.nz for _, num in row], width))
-        return [[(j, next(ints)) for j, _ in row] for row in self.nz]
+        rows = self._packed.get(width)
+        if rows is None:
+            ints = iter(pack_many([num for row in self.nz for _, num in row], width))
+            rows = self._packed[width] = [[(j, next(ints)) for j, _ in row] for row in self.nz]
+        return rows
 
     def max_abs(self) -> int:
         if self._max is None:
@@ -315,8 +311,9 @@ class _ExactBlock:
 
     def __matmul__(self, other: "_ExactBlock") -> "_ExactBlock":
         """The product over the lcm of the two orders: each entry a
-        row-sparse sum of packed int products, unpacked once and reduced
-        modulo Phi once."""
+        row-sparse sum of packed int products; each output row's nonzero
+        entries are unpacked at once, and the product is reduced modulo
+        Phi once."""
         order = lcm(self.order, other.order)
         a, b = self.to_order(order), other.to_order(order)
         phi = euler_phi(order)
@@ -327,26 +324,64 @@ class _ExactBlock:
         if not bound:
             return _ExactBlock(order, 1, ((),) * len(a.nz), b.ncols)
         width = pack_width(bound)
-        pa, pb = a.packed(width), b.packed(width)
-        nz = []
-        for row in pa:
+        pb = b.packed(width)
+        shift = 8 * width * nslots
+        places, flat = [], []
+        for row in a.packed(width):
             acc = [0] * b.ncols
             for k, x in row:
                 for j, y in pb[k]:
                     acc[j] += x * y
-            out = []
-            for j, s in enumerate(acc):
-                if s:
-                    num = reduce_vector(order, unpack(s, width, nslots))
-                    if any(num):
-                        out.append((j, num))
-            nz.append(tuple(out))
+            js = [j for j, s in enumerate(acc) if s]
+            if js:
+                # the row's nonzero entries side by side, nslots slots each
+                packed_row = sum(acc[j] << (shift * i) for i, j in enumerate(js))
+                flat += unpack(packed_row, width, nslots * len(js))
+            places.append(js)
+        nums = reduce_vectors(order, flat, nslots)
+        nz = [tuple((j, num) for j, num in zip(js, nums) if any(num)) for js in places]
         den = a.den * b.den
-        g = gcd(den, *(x for row in nz for _, num in row for x in num))
-        if g > 1:
-            den //= g
-            nz = [tuple((j, [x // g for x in num]) for j, num in row) for row in nz]
+        if den > 1:
+            g = gcd(den, *(x for row in nz for _, num in row for x in num))
+            if g > 1:
+                den //= g
+                nz = [tuple((j, tuple(x // g for x in num)) for j, num in row) for row in nz]
         return _ExactBlock(order, den, tuple(nz), b.ncols)
+
+    def proj_eq(self, other: "_ExactBlock") -> bool:
+        """Whether other = c * self for a nonzero scalar c.
+
+        The zero patterns must agree.  Then, over the lcm of the two
+        orders and with p the first nonzero place, every entry must have
+        a_ij * b_p - b_ij * a_p = 0: the numerators of all entries are
+        packed side by side, 2 phi - 1 slots apart, so that one packed
+        product of each block with the other's pivot gives every cross
+        product, and the difference is unpacked and reduced once.  The
+        common denominators are scalars, so they drop out."""
+        if self.ncols != other.ncols or len(self.nz) != len(other.nz):
+            return False
+        if any([j for j, _ in r] != [j for j, _ in s] for r, s in zip(self.nz, other.nz)):
+            return False
+        order = lcm(self.order, other.order)
+        a, b = self.to_order(order), other.to_order(order)
+        xs = [num for row in a.nz for _, num in row]
+        ys = [num for row in b.nz for _, num in row]
+        if not xs:
+            return False
+        phi = euler_phi(order)
+        stride = 2 * phi - 1
+        ap, bp = xs[0], ys[0]
+        # a slot of a_ij * b_p sums at most phi coefficient products
+        bound = phi * (a.max_abs() * max(map(abs, bp)) + b.max_abs() * max(map(abs, ap)))
+        width = pack_width(bound)
+        sa, sb = [0] * (stride * len(xs)), [0] * (stride * len(xs))
+        for i, x, y in zip(range(0, len(sa), stride), xs, ys):
+            sa[i:i + phi], sb[i:i + phi] = x, y
+        diff = pack(sa, width) * pack(bp, width) - pack(sb, width) * pack(ap, width)
+        if not diff:
+            return True
+        flat = unpack(diff, width, len(sa))
+        return not any(any(num) for num in reduce_vectors(order, flat, stride))
 
     def scalars(self) -> tuple:
         """The entries as scalars of the block's field."""
@@ -389,8 +424,7 @@ SL2_A = (0, -1, 1, 0)
 SL2_B = (1, 1, 0, 1)
 
 
-@dataclass(frozen=True)
-class SL2Word:
+class SL2Word(NamedTuple):
     """A word in the generators A = (0,-1;1,0) and B = (1,1;0,1)."""
 
     letters: tuple  # pairs (symbol, exponent), symbol in {"A", "B"}
@@ -420,8 +454,7 @@ class SL2Word:
 # canonical matrices and the projective representation
 
 
-@dataclass(frozen=True)
-class CanonicalMatrices:
+class CanonicalMatrices(NamedTuple):
     M_S: ProjectiveMatrix
     M_T: ProjectiveMatrix
     M_inv: ProjectiveMatrix
@@ -438,8 +471,7 @@ def build_canonical_matrices(N: int) -> CanonicalMatrices:
     return CanonicalMatrices(ProjectiveMatrix(ms), ProjectiveMatrix(mt), ProjectiveMatrix(mi))
 
 
-@dataclass(frozen=True)
-class RepGenerators:
+class RepGenerators(NamedTuple):
     A0: ProjectiveMatrix
     B0: ProjectiveMatrix
 
@@ -477,8 +509,7 @@ def kernel_word(N: int) -> SL2Word:
     )
 
 
-@dataclass(frozen=True)
-class PresentationReport:
+class PresentationReport(NamedTuple):
     N: int
     checks: dict
     passed: bool
@@ -491,15 +522,17 @@ def verify_presentation(N: int) -> PresentationReport:
     Verifies, over Q(zeta_2N) and as projective classes:
     (A0 B0)^3 = A0^2, A0^4 = I, and that the word representing
     (1+N, 0; 0, 1+N) mod 2N maps to the identity.  The integer-matrix
-    congruence behind the kernel word is asserted alongside.
+    congruence behind the kernel word is asserted alongside.  The braid
+    relation is tested in the equivalent form B0 A0 B0 = A0 B0^(-1)
+    A0^(-1), which takes one product of two dense matrices.
     """
     gens = build_rep_generators(N)
     A0, B0 = gens.A0, gens.B0
     ident = ProjectiveMatrix.identity(N)
     checks = {}
-    ab = A0 @ B0
-    checks["braid"] = (ab @ ab @ ab).proj_eq(A0 @ A0)
-    checks["order4"] = A0.power(4).proj_eq(ident)
+    checks["braid"] = (B0 @ A0 @ B0).proj_eq(A0 @ B0.inverse() @ A0.inverse())
+    a2 = A0 @ A0
+    checks["order4"] = (a2 @ a2).proj_eq(ident)
     word = kernel_word(N)
     m = word.evaluate_int()
     twoN = 2 * N
@@ -522,35 +555,44 @@ def conjugation_table_check(N: int) -> dict:
     A0: S -> T^(-1), T -> S, inv -> inv.  B0 commutes with M_T and sends
     M_S to M_S M_T (its action is only pinned down modulo the
     translation subgroup; this is the variant consistent with the
-    tau -> tau+1 coordinate change).
+    tau -> tau+1 coordinate change).  Each X^(-1) Y X ~ Z is tested as
+    Y X ~ X Z, so no product has two dense factors.
     """
     can = build_canonical_matrices(N)
     gens = build_rep_generators(N)
     A0, B0 = gens.A0, gens.B0
     MS, MT, MI = can.M_S, can.M_T, can.M_inv
-    A0i, B0i = A0.inverse(), B0.inverse()
-    ident = ProjectiveMatrix.identity(N)
-    # B0^k for k = 1..2N, each from the one before it
-    power, lower_order = B0, False
-    for _ in range(1, 2 * N):
-        lower_order = lower_order or power.proj_eq(ident)
-        power = power @ B0
     return {
-        "A0_S": (A0i @ MS @ A0).proj_eq(MT.inverse()),
-        "A0_T": (A0i @ MT @ A0).proj_eq(MS),
-        "A0_inv": (A0i @ MI @ A0).proj_eq(MI),
-        "B0_T": (B0i @ MT @ B0).proj_eq(MT),
-        "B0_S": (B0i @ MS @ B0).proj_eq(MS @ MT),
-        "B0_order_2N": power.proj_eq(ident) and not lower_order,
+        "A0_S": (MS @ A0).proj_eq(A0 @ MT.inverse()),
+        "A0_T": (MT @ A0).proj_eq(A0 @ MS),
+        "A0_inv": (MI @ A0).proj_eq(A0 @ MI),
+        "B0_T": (MT @ B0).proj_eq(B0 @ MT),
+        "B0_S": (MS @ B0).proj_eq(B0 @ MS @ MT),
+        "B0_order_2N": has_projective_order(B0, 2 * N),
     }
+
+
+def has_projective_order(m: ProjectiveMatrix, n: int) -> bool:
+    """Whether m has order exactly n in PGL: m^n ~ I, and m^(n/p) is not
+    ~ I for any prime p dividing n."""
+    ident = ProjectiveMatrix.identity(m.n)
+    if not m.power(n).proj_eq(ident):
+        return False
+    primes, rest, p = [], n, 2
+    while rest > 1:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return not any(m.power(n // p).proj_eq(ident) for p in primes)
 
 
 # ---------------------------------------------------------------------------
 # the induced representation on the fixed space of M_inv
 
 
-@dataclass(frozen=True)
-class RhoBar:
+class RhoBar(NamedTuple):
     """Restriction of the representation to the hyperplane-fixed space H.
 
     `Abar`, `Bbar` act on the coordinates Xbar_0 = X_0,
@@ -630,8 +672,7 @@ def immersion_point(z: complex, ctx: ThetaContext) -> ProjectivePoint:
     return ProjectivePoint(coords).canonical()
 
 
-@dataclass(frozen=True)
-class TranslationReport:
+class TranslationReport(NamedTuple):
     N: int
     samples: int
     max_resid_S: float
@@ -679,36 +720,38 @@ def translation_check(
 
 
 def rho_theta_candidates(N: int, kind: str) -> dict:
-    """The coset of candidates for a modular coordinate change.
+    """The coset of candidates for a modular coordinate change, as
+    complex arrays.
 
     kind "A" is the tau -> -1/tau family built on A0 = [zeta^(ij)];
     kind "B" the tau -> tau+1 family built on the diagonal B0.  The
     candidates are only pinned down modulo the four half-period
     translations, and the observed matrix may be the inverse class
     (point action versus function action), so inverses are included.
+    M_S^h is a permutation and M_T^h = diag((-1)^i), so each candidate
+    has the complex values of the exact product, entry for entry.
     """
     can = build_canonical_matrices(N)
     gens = build_rep_generators(N)
     base = gens.A0 if kind == "A" else gens.B0
-    base_inv = base.inverse()
+    pair = ((base.complex_array(), ""), (base.inverse().complex_array(), "^-1"))
     h = N // 2
-    msh = can.M_S.power(h)
-    mth = can.M_T.power(h)
+    msh = can.M_S.power(h).complex_array()
+    mth = can.M_T.power(h).complex_array()
     out = {}
     for name, t in (
-        ("", ProjectiveMatrix.identity(N)),
+        ("", np.eye(N, dtype=complex)),
         ("*MS^h", msh),
         ("*MT^h", mth),
         ("*MS^h*MT^h", msh @ mth),
     ):
-        for m, tag in ((base, ""), (base_inv, "^-1")):
+        for m, tag in pair:
             lbl = ("A0" if kind == "A" else "B0") + tag + name
             out[lbl] = m @ t
     return out
 
 
-@dataclass(frozen=True)
-class RhoThetaReport:
+class RhoThetaReport(NamedTuple):
     N: int
     kind: str
     matched: str | None
@@ -736,8 +779,7 @@ def rho_theta_match(
     moved = np.array([z / tau for z in zs.tolist()], dtype=complex) if kind == "A" else zs
     img = theta_N_eval(ks, moved[:, None], ctx2)
     best_name, best_resid = None, float("inf")
-    for name, cand in rho_theta_candidates(N, kind).items():
-        c = cand.complex_array()
+    for name, c in rho_theta_candidates(N, kind).items():
         resid = proj_residual([c @ b for b in base], img)
         if resid < best_resid:
             best_name, best_resid = name, resid

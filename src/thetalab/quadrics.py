@@ -13,12 +13,13 @@ assumed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .cyclotomic import CyclotomicNumber, scalar_is_zero, scalar_json
+from .frozen import Frozen
 from .series import PuiseuxSeries
 from .theta import ThetaContext, sample_blocks, theta_N_eval, theta_half_eval, theta_null_series
 
@@ -121,8 +122,7 @@ def forms_proportional(f: QuadraticForm, g: QuadraticForm) -> bool:
 # theta-null data
 
 
-@dataclass(frozen=True)
-class NullData:
+class NullData(Frozen):
     """Theta-null vector a_k (and, for numeric even-N data, the
     half-period vector s_k).
 
@@ -132,21 +132,19 @@ class NullData:
     nulls, so the convention only rescales whole forms.
     """
 
-    N: int
-    a: tuple
-    s: tuple | None
+    __slots__ = ("N", "a", "s")
 
-    def __post_init__(self):
-        N = self.N
-        if len(self.a) != N:
+    def __init__(self, N: int, a: tuple, s: tuple | None):
+        if len(a) != N:
             raise ValueError("need one null value per residue class")
-        if isinstance(self.a[0], PuiseuxSeries):
+        if isinstance(a[0], PuiseuxSeries):
             for k in range(1, N):
-                want = self.a[(N - k) % N] if N % 2 == 0 else -self.a[(N - k) % N]
-                if not (self.a[k] - want).is_zero():
+                want = a[(N - k) % N] if N % 2 == 0 else -a[(N - k) % N]
+                if not (a[k] - want).is_zero():
                     raise ValueError("null symmetry a_k = (-1)^N a_(N-k) violated")
-            if N % 2 and not self.a[0].is_zero():
+            if N % 2 and not a[0].is_zero():
                 raise ValueError("a_0 must vanish for odd N")
+        self._set(N=N, a=a, s=s)
 
     @staticmethod
     def numeric(ctx: ThetaContext) -> "NullData":
@@ -220,8 +218,7 @@ def _even_v1_form(nd: NullData, j: int) -> QuadraticForm:
     )
 
 
-@dataclass(frozen=True)
-class EvenBasis:
+class EvenBasis(NamedTuple):
     V0: list
     V1: list
     full: list
@@ -250,8 +247,7 @@ def gen_even_basis(nd: NullData) -> EvenBasis:
     return EvenBasis(V0=v0, V1=v1, full=full)
 
 
-@dataclass(frozen=True)
-class SBasis:
+class SBasis(NamedTuple):
     V0: list
     V1: list
 
@@ -301,8 +297,7 @@ def gen_even_s_basis(nd: NullData) -> SBasis:
 # verification
 
 
-@dataclass(frozen=True)
-class OnCurveReport:
+class OnCurveReport(NamedTuple):
     N: int
     samples: int
     n_forms: int

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from random import Random
+from typing import NamedTuple
 
 import numpy as np
 
+from .frozen import Frozen
 from .series import PuiseuxSeries
 
 TWO_PI_I = 2j * math.pi
@@ -142,20 +143,16 @@ def _theta_sum(p, q: float, z, tau: complex, tol: float) -> np.ndarray:
     return out.reshape(shape)
 
 
-@dataclass(frozen=True)
-class Characteristic:
+class Characteristic(Frozen):
     """The (p, q) pair of a theta characteristic."""
 
-    p: Fraction
-    q: Fraction
+    __slots__ = ("p", "q")
 
     def __init__(self, p, q):
-        object.__setattr__(self, "p", Fraction(p))
-        object.__setattr__(self, "q", Fraction(q))
+        self._set(p=Fraction(p), q=Fraction(q))
 
 
-@dataclass(frozen=True)
-class ThetaContext:
+class ThetaContext(Frozen):
     """Evaluation context: level N, modulus tau, target absolute error.
 
     The derived n_radius is the kernel's summation radius at Im z = 0
@@ -163,23 +160,20 @@ class ThetaContext:
     family); points with larger |Im z| get wider windows (window_radii).
     """
 
-    N: int
-    tau: complex
-    tol: float = 1e-10
-    n_radius: int = field(init=False)
+    __slots__ = ("N", "tau", "tol", "n_radius")
 
-    def __post_init__(self):
-        if self.N < 1:
+    def __init__(self, N: int, tau: complex, tol: float = 1e-10):
+        if N < 1:
             raise ValueError("N must be positive")
-        if self.tau.imag <= 0:
+        if tau.imag <= 0:
             raise ValueError("Im tau must be positive")
-        if self.tol <= 0:
+        if tol <= 0:
             raise ValueError("tol must be positive")
         try:
-            radius = window_radii(0.0, self.N * self.tau.imag, self.tol)
+            radius = window_radii(0.0, N * tau.imag, tol)
         except ValueError:
             raise ValueError("tolerance unreachable at this Im tau; raise tol or Im tau") from None
-        object.__setattr__(self, "n_radius", int(radius))
+        self._set(N=N, tau=tau, tol=tol, n_radius=int(radius))
 
     def with_tau(self, tau: complex) -> "ThetaContext":
         return ThetaContext(self.N, tau, self.tol)
@@ -308,8 +302,7 @@ def sample_blocks(tau: complex, samples: int, seed: int):
         yield sample_points(rng, tau, min(SAMPLE_BLOCK, samples - start))
 
 
-@dataclass(frozen=True)
-class TransformReport:
+class TransformReport(NamedTuple):
     """k-independence test of the two modular coordinate changes."""
 
     N: int

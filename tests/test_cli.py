@@ -238,6 +238,23 @@ def test_verify_translation_and_transform_reject_level_one(capsys):
             assert "N >= 2" in err
 
 
+def test_transform_reports_the_worst_unit_deviation(monkeypatch):
+    # |r'| - 1 is the worst over the sampled points, not the last point's
+    seen = []
+    check = thetalab.cli.transform_check
+
+    def recording(z, ctx, rtol):
+        t = check(z, ctx, rtol)
+        seen.append(abs(abs(t.ratios_shift[0]) - 1.0))
+        return t
+
+    monkeypatch.setattr(thetalab.cli, "transform_check", recording)
+    (rec,) = thetalab.cli._suite_transform(RunConfig(N=11, seed=0))
+    assert len(seen) == 8
+    assert seen[-1] < max(seen)  # this seed tells the two apart
+    assert rec.detail.endswith(f"|r'| - 1 = {max(seen):.3e}")
+
+
 def test_verify_all_at_levels_below_four(capsys, monkeypatch):
     # `all` runs exactly the suites that apply at N: the quadric systems
     # need N >= 4, and the structures enumeration stops at N = 12

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from thetalab.congruence import (
+    MAX_LEVEL,
     SubgroupSpec,
     TorsionPoint,
+    _identity_lifts,
     base_structure,
     enum_structures_above,
     group_tower_check,
@@ -22,6 +24,37 @@ def test_sl2_orders():
     assert len(sl2_mod(4)) == 48
     assert len(sl2_mod(8)) == 384
     assert len(sl2_mod(16)) == 3072
+
+
+def brute_force_sl2(m):
+    """Every (a, b, c, d) mod m with ad - bc = 1, by scanning all four."""
+    rng = range(m)
+    return tuple(
+        (a, b, c, d) for a in rng for b in rng for c in rng for d in rng
+        if (a * d - b * c - 1) % m == 0
+    )
+
+
+@pytest.mark.parametrize("m", range(1, 25))
+def test_sl2_order_formula(m):
+    # |SL_2(Z/m)| = m^3 prod_(p | m) (1 - p^-2)
+    want = Fraction(m**3)
+    for p in range(2, m + 1):
+        if m % p == 0 and all(p % q for q in range(2, p)):
+            want *= 1 - Fraction(1, p * p)
+    assert len(sl2_mod(m)) == want
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_sl2_matches_brute_force(m):
+    assert sl2_mod(m) == brute_force_sl2(m)
+
+
+def test_identity_lifts_match_filtered_group():
+    for N in range(2, MAX_LEVEL + 1):
+        for m in (N, 2 * N):
+            want = [g for g in sl2_mod(m) if all((x - y) % N == 0 for x, y in zip(g, (1, 0, 0, 1)))]
+            assert _identity_lifts(N, m) == want
 
 
 def test_torsion_point_validation():

@@ -13,6 +13,7 @@ from thetalab.projective import (
     build_rep_generators,
     build_rho_bar,
     conjugation_table_check,
+    has_projective_order,
     immersion_point,
     kernel_word,
     proj_residual,
@@ -94,6 +95,16 @@ def test_conjugation_tables():
     for N in (4, 6, 8):
         table = conjugation_table_check(N)
         assert all(table.values()), table
+
+
+def test_projective_order_helper():
+    for N in (2, 4, 6, 8, 12):
+        B0 = build_rep_generators(N).B0
+        assert has_projective_order(B0, 2 * N)
+        assert not has_projective_order(B0 @ B0, 2 * N)
+        assert not has_projective_order(B0, N)
+    assert has_projective_order(build_canonical_matrices(6).M_S, 6)
+    assert not has_projective_order(build_canonical_matrices(6).M_S, 12)
 
 
 def test_rho_bar_displays():

@@ -297,6 +297,107 @@ def test_power_without_identity():
 
 
 # ---------------------------------------------------------------------------
+# projective equality
+
+
+def reference_proj_eq(u, v):
+    """Projective equality of two scalar vectors by cross-multiplying
+    every pair against the first nonzero place of u."""
+    pivot = next((i for i, x in enumerate(u) if not is_zero(x)), None)
+    if pivot is None or is_zero(v[pivot]):
+        return False
+    a, b = u[pivot], v[pivot]
+    return all(is_zero(x * b - y * a) for x, y in zip(u, v))
+
+
+# (order of the matrix's base field, order of the scale factor)
+SCALE_ORDERS = ((4, 16), (1, 1), (1, 3), (3, 12), (5, 10), (6, 4))
+
+
+@st.composite
+def scaled_vectors(draw):
+    """(u, c, c * u): u of length 1..25 over Q(zeta_m) and Q(zeta_2m), c a
+    nonzero scalar of another order."""
+    m, mc = draw(st.sampled_from(SCALE_ORDERS))
+    u = draw(st.lists(scalars(m), min_size=1, max_size=25))
+    coeffs = draw(st.lists(fractions, min_size=1, max_size=euler_phi(mc)))
+    c = CyclotomicNumber(mc, coeffs) if mc > 1 else coeffs[0]
+    if is_zero(c):
+        c = c + 1
+    return u, c, [c * x for x in u]
+
+
+def as_square(u):
+    """The vector as the rows of a square matrix, padded with zeros."""
+    n = 1
+    while n * n < len(u):
+        n += 1
+    flat = list(u) + [Fraction(0)] * (n * n - len(u))
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
+def matrices_proj_eq(u, v):
+    return ProjectiveMatrix(as_square(u)).proj_eq(ProjectiveMatrix(as_square(v)))
+
+
+def nonzero_places(u):
+    return [i for i, x in enumerate(u) if not is_zero(x)]
+
+
+@KERNEL
+@given(scaled_vectors())
+def test_proj_eq_accepts_scalar_multiples(case):
+    u, c, v = case
+    want = bool(nonzero_places(u))  # the zero matrix is no projective class
+    assert reference_proj_eq(u, v) == want
+    assert matrices_proj_eq(u, v) == want
+    assert matrices_proj_eq(v, u) == want
+    if want:
+        assert ProjectivePoint(u).proj_eq(ProjectivePoint(v))
+        assert ProjectivePoint(v).proj_eq(ProjectivePoint(u))
+
+
+@KERNEL
+@given(scaled_vectors(), st.data())
+def test_proj_eq_rejects_changed_entries(case, data):
+    u, c, v = case
+    places = nonzero_places(u)
+    if len(places) < 2:
+        return
+    i = data.draw(st.sampled_from(places))
+    # one entry changed: doubled, while every other entry keeps the factor c
+    changed = v[:i] + [2 * v[i]] + v[i + 1:]
+    # a different zero pattern: that entry dropped
+    dropped = v[:i] + [Fraction(0)] + v[i + 1:]
+    for w in (changed, dropped):
+        assert not reference_proj_eq(u, w)
+        assert not matrices_proj_eq(u, w)
+        assert not matrices_proj_eq(w, u)
+        assert not ProjectivePoint(u).proj_eq(ProjectivePoint(w))
+        assert not ProjectivePoint(w).proj_eq(ProjectivePoint(u))
+
+
+@KERNEL
+@given(scaled_vectors())
+def test_proj_eq_rejects_zero_scale(case):
+    u, _, _ = case
+    zero = [0 * x for x in u]
+    assert not reference_proj_eq(u, zero)
+    assert not matrices_proj_eq(u, zero)
+    assert not matrices_proj_eq(zero, u)
+    with pytest.raises(ValueError):
+        ProjectivePoint(zero)
+
+
+@KERNEL
+@given(products(square=True))
+def test_proj_eq_matches_cross_multiplication(pair):
+    a, b = pair
+    want = reference_proj_eq([x for r in a for x in r], [x for r in b for x in r])
+    assert ProjectiveMatrix(a).proj_eq(ProjectiveMatrix(b)) == want
+
+
+# ---------------------------------------------------------------------------
 # closed-form inverses
 
 
