@@ -14,7 +14,7 @@ from itertools import product
 from math import gcd
 from typing import NamedTuple
 
-from .cyclotomic import CyclotomicNumber, zeta
+from .cyclotomic import CyclotomicNumber, prime_factors, zeta
 from .frozen import Frozen
 
 
@@ -48,6 +48,14 @@ def sl2_mod(m: int) -> tuple:
         for b in rng:
             out += [(a, b, c, d) for c in rng for d in solutions[(1 + b * c) % m]]
     return tuple(out)
+
+
+def sl2_order(m: int) -> int:
+    """|SL_2(Z/m)| = m^3 prod_(p | m) (1 - p^(-2)), the length of sl2_mod(m)."""
+    out = 1
+    for p, e in prime_factors(m):
+        out *= p ** (3 * e - 2) * (p * p - 1)
+    return out
 
 
 def _identity_lifts(N: int, m: int) -> list:
@@ -104,7 +112,8 @@ def _primitive_vectors(m: int) -> list:
 
 
 def subgroup_invariants(spec: SubgroupSpec) -> SubgroupInvariants:
-    """Index, cusp count, and genus by finite enumeration.
+    """Index, cusp count, and genus by finite enumeration, with
+    |SL_2(Z/m)| from its closed form (sl2_order).
 
     The genus uses g = 1 + mu/12 - cusps/2, valid because both families
     lie in Gamma(N), which has no elliptic elements for N >= 2: writing
@@ -120,7 +129,7 @@ def subgroup_invariants(spec: SubgroupSpec) -> SubgroupInvariants:
     # both families reduce to the identity mod N, so their image in
     # SL_2(Z/m) lies among the lifts of the identity
     image = [g for g in _identity_lifts(spec.N, m) if spec.contains_residue(g)]
-    index_sl = len(sl2_mod(m)) // len(image)
+    index_sl = sl2_order(m) // len(image)
     minus = tuple(x % m for x in (-1, 0, 0, -1))
     has_minus = minus in set(image)
     index_psl = index_sl if has_minus else index_sl // 2

@@ -136,16 +136,25 @@ def embed_vector(order: int, num, m: int) -> list:
     return reduce_vector(m, vec)
 
 
-def _mobius(n: int) -> int:
-    mu, p = 1, 2
+def prime_factors(n: int) -> list[tuple[int, int]]:
+    """The factorization of n >= 1 as (prime, exponent) pairs, primes increasing."""
+    out, p = [], 2
     while p * p <= n:
         if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
         p += 1
-    return -mu if n > 1 else mu
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _mobius(n: int) -> int:
+    factors = prime_factors(n)
+    return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
 
 
 @lru_cache(maxsize=None)

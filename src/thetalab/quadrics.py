@@ -8,6 +8,13 @@ Heisenberg translation), which moves the grading by 2; its members are
 pairwise non-proportional by construction, and that the system cuts out
 the curve is certified by the vanishing and rank checks rather than
 assumed.
+
+The forms vanish on the curve numerically, at sampled points for a
+fixed tau (verify_on_curve).  Their ranks are exact, over the field of
+q-series, for forms whose coefficients are the exact q-expansions of
+the nulls and half-period values: the rank of the leading terms bounds
+the rank from below (rank_check), and two points that forms vanish at
+bound it from above (half_period_bound).
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import CyclotomicNumber, scalar_is_zero, scalar_json
+from .cyclotomic import CyclotomicNumber, scalar_inverse, scalar_is_zero, scalar_json
 from .frozen import Frozen
 from .series import PuiseuxSeries
 from .theta import ThetaContext, sample_blocks, theta_N_eval, theta_half_eval, theta_null_series
@@ -38,6 +45,13 @@ def _scalar_zero(c) -> bool:
     return scalar_is_zero(c)
 
 
+def _dropped(c) -> bool:
+    """Whether a form leaves out a coefficient: an exact or numeric zero.
+    A series zero to its truncation stays, as it still says to what order
+    it is known (see rank_check)."""
+    return not isinstance(c, PuiseuxSeries) and scalar_is_zero(c)
+
+
 class QuadraticForm:
     """sum over unordered pairs {i, j} of c_(ij) X_i X_j on P^(N-1)."""
 
@@ -47,14 +61,14 @@ class QuadraticForm:
         self.N = N
         norm: dict = {}
         for (i, j), c in coeffs.items():
-            if _scalar_zero(c):
+            if _dropped(c):
                 continue
             key = (i % N, j % N)
             if key[0] > key[1]:
                 key = (key[1], key[0])
             if key in norm:
                 norm[key] = norm[key] + c
-                if _scalar_zero(norm[key]):
+                if _dropped(norm[key]):
                     del norm[key]
             else:
                 norm[key] = c
@@ -123,7 +137,7 @@ def forms_proportional(f: QuadraticForm, g: QuadraticForm) -> bool:
 
 
 class NullData(Frozen):
-    """Theta-null vector a_k (and, for numeric even-N data, the
+    """Theta-null vector a_k (and, for even N, optionally the
     half-period vector s_k).
 
     Scalars are exact Puiseux series or complex values at a fixed tau.
@@ -359,29 +373,95 @@ def verify_on_curve(
     return OnCurveReport.of(N, samples, rtol, residuals.tolist())
 
 
-RANK_RTOL = 1e-7  # singular values below this share of the largest count as zero
+def _leading_row(f: QuadraticForm) -> dict:
+    """The coefficients of f at q^v, v the least valuation among them,
+    by monomial (only the nonzero ones)."""
+    if not all(isinstance(c, PuiseuxSeries) for c in f.coeffs.values()):
+        raise TypeError("the exact rank needs q-series coefficients")
+    lows = {m: c.valuation() for m, c in f.coeffs.items() if not c.is_zero()}
+    if f.coeffs and not lows:
+        raise ValueError("a form's coefficients are all zero to their known order")
+    v = min(lows.values(), default=None)
+    for (i, j), c in f.coeffs.items():
+        if c.known_order() <= v:
+            raise ValueError(
+                f"coefficient of X_{i} X_{j} known only modulo q^({c.known_order()}), "
+                f"not past the form's leading exponent {v}"
+            )
+    return {m: c.terms[min(c.nums)] for m, c in f.coeffs.items() if lows.get(m) == v}
 
 
 def rank_check(forms: list[QuadraticForm], N: int) -> int:
-    """Numeric rank of the forms' coefficient matrix.
+    """Exact lower bound on the rank of level-N forms with q-series
+    coefficients, over the field of q-series.
 
-    Rows are forms, columns the N(N+1)/2 monomials; singular values
-    below RANK_RTOL * (largest singular value) count as zero."""
-    if not forms:
-        return 0
-    col = {m: c for c, m in enumerate(monomial_basis(N))}
-    mat = np.zeros((len(forms), len(col)), dtype=complex)
-    for row, f in zip(mat, forms):  # only the nonzero coefficients
-        for m, c in f.coeffs.items():
-            row[col[m]] = _to_complex(c)
-    # scale rows to unit max to keep the pivot threshold meaningful
-    norms = np.max(np.abs(mat), axis=1)
-    norms[norms == 0] = 1.0
-    mat = mat / norms[:, None]
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0:
-        return 0
-    return int(np.sum(sv > RANK_RTOL * sv[0]))
+    Each form contributes its coefficients at its own least valuation
+    q^v, and the bound is the rank of this leading-term matrix over
+    Q(zeta_m), by exact Gaussian elimination.  A nonzero minor of the
+    leading-term matrix is the leading coefficient of the same minor of
+    the forms scaled row by row by q^(-v), so the bound holds; it is the
+    exact rank when it equals the number of forms.  Every coefficient
+    must be known past its form's v, or the leading term could be
+    unknown (ValueError).  Forms of different graded classes share no
+    monomial, so the elimination runs class by class.  Numeric
+    coefficients raise TypeError."""
+    if any(f.N != N for f in forms):
+        raise ValueError(f"forms of another level than N = {N}")
+    pivots: dict = {}  # leading monomial -> echelon row, scaled to 1 there
+    for f in forms:
+        row = _leading_row(f)
+        while row:
+            m = min(row)
+            piv = pivots.get(m)
+            if piv is None:
+                inv = scalar_inverse(row[m])
+                pivots[m] = {k: inv * c for k, c in row.items()}
+                break
+            c = row[m]
+            for k, x in piv.items():
+                y = row.get(k, 0) - c * x
+                if scalar_is_zero(y):
+                    row.pop(k, None)
+                else:
+                    row[k] = y
+    return len(pivots)
+
+
+def half_period_bound(forms: list[QuadraticForm], s: tuple, order: int) -> tuple[int, str | None]:
+    """An upper bound on the rank of even-level forms with q-series
+    coefficients, from two points they vanish at.
+
+    The points are p = (s_k) and p' = (s_(k+h)), h = N/2: for the
+    half-period values s_k, the images of z = 1/(2N) and of its
+    translate by tau/2.  Let M be the monomials the forms use and w, w'
+    the values of M at p and p'.  When every form vanishes at both, to
+    q^order, its row lies in the annihilator of w and w', so the rank is
+    at most |M| - rank(w, w'), with rank(w, w') the exact lower bound of
+    rank_check.  Returns (bound, None) then, and otherwise (|M|, the
+    first form and point that fail, with the first nonzero coefficient).
+    Each monomial's value is a product of two s_k, computed once."""
+    N = len(s)
+    h = N // 2
+    pairs: dict = {}
+
+    def value(i: int, j: int, shift: int):
+        key = tuple(sorted(((i + shift) % N, (j + shift) % N)))
+        if key not in pairs:
+            pairs[key] = s[key[0]] * s[key[1]]
+        return pairs[key]
+
+    monos = sorted({m for f in forms for m in f.coeffs})
+    for i, f in enumerate(forms):
+        for name, shift in (("p", 0), ("p'", h)):
+            terms = [c * value(a, b, shift) for (a, b), c in f.coeffs.items()]
+            q = sum(terms[1:], terms[0]) if terms else PuiseuxSeries.zero(order)
+            if not q.is_zero():
+                e, c = q.items()[0]
+                return len(monos), f"form {i} at {name} has q^({e}) coefficient {c}"
+            if q.known_order() < order:
+                return len(monos), f"form {i} at {name} is known only to q^({q.known_order()})"
+    w = [QuadraticForm(N, {m: value(*m, shift) for m in monos}) for shift in (0, h)]
+    return len(monos) - rank_check(w, N), None
 
 
 def substitute_nulls(form: QuadraticForm, nd: NullData):

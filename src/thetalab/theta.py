@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .cyclotomic import zeta
 from .frozen import Frozen
 from .series import PuiseuxSeries
 
@@ -240,6 +241,25 @@ def jacobi_theta_eval(i: int, z, ctx: ThetaContext):
     return _as_output(_theta_sum(float(p), float(q), _as_points(z), ctx.tau, ctx.tol))
 
 
+def _theta_series(N: int, k: int, order: int, coeff) -> PuiseuxSeries:
+    """sum over a = N - 2k (mod 2N) of coeff(n, a) q^(a^2/8N), a = 2Nn + N - 2k,
+    known modulo q^order; terms of equal a^2 are added."""
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    ram = 8 * N
+    trunc = ram * order
+    terms: dict = {}
+    bound = (isqrt(trunc) + abs(N - 2 * k)) // (2 * N) + 2
+    for n in range(-bound, bound + 1):
+        a = 2 * N * n + N - 2 * k
+        num = a * a
+        if num < trunc:
+            terms[num] = terms.get(num, Fraction(0)) + coeff(n, a)
+    return PuiseuxSeries(ram, terms, trunc)
+
+
 def theta_null_series(N: int, k: int, order: int) -> PuiseuxSeries:
     """Exact q-expansion of the theta-null value a_k = theta_k(0, tau).
 
@@ -248,24 +268,24 @@ def theta_null_series(N: int, k: int, order: int) -> PuiseuxSeries:
     global scalar i^N is dropped so that coefficients stay rational, and
     the term signs are (-1)^(n+k).  The series is known modulo q^order.
     """
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    ram = 8 * N
-    trunc = ram * order
-    terms: dict[int, Fraction] = {}
-    bound = (isqrt(trunc) + abs(N - 2 * k)) // (2 * N) + 2
-    for n in range(-bound, bound + 1):
-        num = (2 * N * n + N - 2 * k) ** 2
-        if num >= trunc:
-            continue
-        if N % 2 == 0:
-            c = Fraction(-1 if (N // 2 - k) % 2 else 1)
-        else:
-            c = Fraction(-1 if (n + k) % 2 else 1)
-        terms[num] = terms.get(num, Fraction(0)) + c
-    return PuiseuxSeries(ram, terms, trunc)
+    if N % 2 == 0:
+        sign = Fraction(-1 if (N // 2 - k) % 2 else 1)
+        return _theta_series(N, k, order, lambda n, a: sign)
+    return _theta_series(N, k, order, lambda n, a: Fraction(-1 if (n + k) % 2 else 1))
+
+
+def theta_half_series(N: int, k: int, order: int) -> PuiseuxSeries:
+    """Exact q-expansion of the half-period value s_k = theta_k(1/(2N), tau).
+
+    The terms of theta_null_series with the phase e(a/4) of a/(2N) at
+    z = 0 replaced by its value at z = 1/(2N), zeta_4N^(a(N+1)), for
+    a = 2Nn + N - 2k.  N must be even; then a is even and the
+    coefficients zeta_2N^(a(N+1)/2) lie in Q(zeta_2N).  Known modulo
+    q^order.
+    """
+    if N % 2:
+        raise ValueError("half-period values are defined for even N")
+    return _theta_series(N, k, order, lambda n, a: zeta(2 * N, a // 2 * (N + 1)))
 
 
 def theta_zero_points(N: int, k: int, tau: complex, count: int = 5) -> list[complex]:

@@ -7,6 +7,10 @@ their implementation."""
 
 import cmath
 
+import numpy as np
+
+from thetalab.quadrics import monomial_basis
+
 
 def direct_theta_pq(p, q, z, tau, radius=60):
     """Raw lattice sum for theta_(p,q)(z, tau), no tail analysis."""
@@ -29,3 +33,26 @@ def jacobi_transform_vars(w, x, y, z):
     yp = 0.5 * (w - x + y - z)
     zp = 0.5 * (w - x - y + z)
     return wp, xp, yp, zp
+
+
+SVD_RTOL = 1e-7  # singular values below this share of the largest count as zero
+
+
+def svd_rank(forms, N):
+    """Numeric rank of quadratic forms with numeric coefficients: the
+    singular values of their coefficient matrix (rows are forms, columns
+    the N(N+1)/2 monomials, each row scaled to unit max) above SVD_RTOL
+    times the largest."""
+    if not forms:
+        return 0
+    col = {m: c for c, m in enumerate(monomial_basis(N))}
+    mat = np.zeros((len(forms), len(col)), dtype=complex)
+    for row, f in zip(mat, forms):
+        for m, c in f.coeffs.items():
+            row[col[m]] = complex(c)
+    norms = np.max(np.abs(mat), axis=1)
+    norms[norms == 0] = 1.0
+    sv = np.linalg.svd(mat / norms[:, None], compute_uv=False)
+    if sv[0] == 0:
+        return 0
+    return int(np.sum(sv > SVD_RTOL * sv[0]))

@@ -9,7 +9,7 @@ from random import Random
 
 import numpy as np
 
-from conftest import direct_theta_N
+from conftest import direct_theta_N, svd_rank
 from thetalab.congruence import (
     SubgroupSpec,
     enum_structures_above,
@@ -171,15 +171,17 @@ def test_criterion_4_quadrics():
             t0 = time.time()
             ctx = ThetaContext(N, tau, TOL)
             nd = NullData.numeric(ctx)
-            forms = gen_odd_basis(nd) if N % 2 else gen_even_basis(nd).full
+            gen = gen_odd_basis if N % 2 else lambda d: gen_even_basis(d).full
+            forms = gen(nd)
             rep = verify_on_curve(forms, ctx, samples=25, seed=0, rtol=1e-8)
-            rank = rank_check(forms, N)
+            rank = svd_rank(forms, N)
+            exact = rank_check(gen(NullData.exact(N, N)), N)
             want = N * (N - 3) // 2
             report(
                 "4",
                 f"quadrics N={N}, tau={tau}: {len(forms)} forms vanish "
-                f"({rep.max_residual:.2e} < 1e-8), rank {rank} = {want}",
-                rep.passed and rank == want,
+                f"({rep.max_residual:.2e} < 1e-8), rank {rank} = exact rank {exact} = {want}",
+                rep.passed and rank == exact == want,
             )
             assert time.time() - t0 < 10
 

@@ -365,3 +365,48 @@ def test_quadrics_suite_samples_each_point_once(monkeypatch):
         assert {r.name for r in records} >= {"quadrics.on-curve", "quadrics.s-basis.on-curve"}
         # null values a_k and s_k, then every sample once
         assert sum(seen) == 2 * N + 150 * N
+
+
+def test_transform_fails_when_the_shift_constant_leaves_the_unit_circle(monkeypatch):
+    # the tau -> tau + 1 constant r' is a root of unity, so |r'| - 1 is gated too
+    check = thetalab.cli.transform_check
+
+    def off_circle(z, ctx, rtol):
+        t = check(z, ctx, rtol)
+        return t._replace(ratios_shift=(1 + 1e-6,) + t.ratios_shift[1:])
+
+    monkeypatch.setattr(thetalab.cli, "transform_check", off_circle)
+    (rec,) = thetalab.cli._suite_transform(RunConfig(N=11, seed=0))
+    assert rec.status == "fail"
+    assert rec.residual < rec.tolerance  # the deviations alone pass
+    assert rec.detail.endswith("|r'| - 1 = 1.000e-06")
+
+
+def test_quadric_ranks_do_not_depend_on_tau(capsys):
+    details = set()
+    for im in ("0.5", "1", "10"):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "quadrics", "--N", "8", "--tau-im", im, "--format", "json"
+        )
+        assert code == 0
+        records = json.loads(out)["records"]
+        details.add(tuple(
+            (r["name"], r["status"], r["detail"]) for r in records
+            if r["name"] in ("quadrics.rank", "quadrics.s-basis.span")
+        ))
+    assert details == {(
+        ("quadrics.rank", "pass", "rank 20, expected 20"),
+        ("quadrics.s-basis.span", "pass", "graded piece 0: ranks 3/3/stacked 3"),
+    )}
+
+
+@pytest.mark.parametrize("N", ["11", "12"])
+def test_verify_all_needs_no_numpy_linalg(capsys, monkeypatch, N):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in dir(np.linalg):
+        if not name.startswith("_") and callable(getattr(np.linalg, name)):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--N", N)
+    assert code == 0, out

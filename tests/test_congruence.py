@@ -11,6 +11,7 @@ from thetalab.congruence import (
     enum_structures_above,
     group_tower_check,
     sl2_mod,
+    sl2_order,
     structure_apply,
     structure_class_index,
     subgroup_invariants,
@@ -42,7 +43,7 @@ def test_sl2_order_formula(m):
     for p in range(2, m + 1):
         if m % p == 0 and all(p % q for q in range(2, p)):
             want *= 1 - Fraction(1, p * p)
-    assert len(sl2_mod(m)) == want
+    assert len(sl2_mod(m)) == sl2_order(m) == want
 
 
 @pytest.mark.parametrize("m", range(1, 13))

@@ -7,7 +7,9 @@ import pytest
 from thetalab.cyclotomic import (
     CyclotomicNumber,
     cyclotomic_polynomial,
+    _mobius,
     euler_phi,
+    prime_factors,
     zeta,
 )
 
@@ -96,3 +98,18 @@ def test_power_basis_reduction_is_canonical():
     # sums reduce: 1 + zeta_3 + zeta_3^2 = 0
     assert (1 + zeta(3) + zeta(3) ** 2).is_zero()
     assert (zeta(5) + zeta(5, 2) + zeta(5, 3) + zeta(5, 4)) == -1
+
+
+def test_prime_factors():
+    for n in range(1, 400):
+        factors = prime_factors(n)
+        primes = [p for p, _ in factors]
+        assert primes == sorted(set(primes))
+        assert all(p > 1 and all(p % d for d in range(2, p)) for p in primes)
+        product = 1
+        for p, e in factors:
+            assert e >= 1
+            product *= p**e
+        assert product == n
+        assert _mobius(n) == (0 if any(e > 1 for _, e in factors) else (-1) ** len(factors))
+    assert [_mobius(n) for n in (1, 2, 4, 6, 30, 12)] == [1, -1, 0, 1, -1, 0]

@@ -18,6 +18,7 @@ from thetalab.projective import (
     kernel_word,
     proj_residual,
     rho_theta_match,
+    sl2_inv,
     translation_check,
     verify_presentation,
 )
@@ -266,3 +267,24 @@ def test_rho_bar_image_of_lower_triangular():
             ]
         )
         assert rho_bar_image(N, w, null_coords=True).proj_eq(anti)
+
+
+@pytest.mark.parametrize("N", range(2, 17, 2))
+def test_kernel_word_halves_agree_with_the_whole_word(N):
+    A0, B0 = build_rep_generators(N)
+    ident = ProjectiveMatrix.identity(N)
+    word = kernel_word(N)
+    assert word.evaluate_proj(A0, B0).proj_eq(ident)
+    assert word.maps_to_scalar(A0, B0)
+    half = len(word.letters) // 2
+    w1 = SL2Word(word.letters[:half]).evaluate_proj(A0, B0)
+    w2 = SL2Word(word.letters[half:]).evaluate_proj(A0, B0)
+    assert (w1 @ w2).proj_eq(word.evaluate_proj(A0, B0))
+    assert word.inverse().evaluate_int() == sl2_inv(word.evaluate_int())
+    # negative control: one exponent changed
+    for i, (sym, k) in enumerate(word.letters):
+        letters = list(word.letters)
+        letters[i] = (sym, k + 1)
+        bad = SL2Word(tuple(letters))
+        assert not bad.evaluate_proj(A0, B0).proj_eq(ident)
+        assert not bad.maps_to_scalar(A0, B0), (N, i)

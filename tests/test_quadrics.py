@@ -2,19 +2,25 @@ from fractions import Fraction
 
 import pytest
 
+import thetalab.cli
+from conftest import svd_rank
+from thetalab.cli import RunConfig, _suite_quadrics
 from thetalab.quadrics import (
+    EvenBasis,
     NullData,
     QuadraticForm,
     forms_proportional,
     gen_even_basis,
     gen_even_s_basis,
     gen_odd_basis,
+    half_period_bound,
     monomial_basis,
     rank_check,
     substitute_nulls,
     verify_on_curve,
 )
-from thetalab.theta import ThetaContext
+from thetalab.series import PuiseuxSeries
+from thetalab.theta import ThetaContext, theta_half_series
 
 TAUS = (1j, 0.3 + 1.1j)
 
@@ -134,7 +140,7 @@ def test_vanishing_on_curve_all_levels():
             forms = gen_odd_basis(nd) if N % 2 else gen_even_basis(nd).full
             rep = verify_on_curve(forms, ctx, samples=12, seed=1, rtol=1e-9)
             assert rep.passed, (N, tau, rep.max_residual)
-            assert rank_check(forms, N) == N * (N - 3) // 2
+            assert svd_rank(forms, N) == N * (N - 3) // 2
 
 
 def test_vanishing_level5_at_tau_2i():
@@ -153,18 +159,19 @@ def test_s_basis_vanishes_and_spans():
         rep = verify_on_curve(sb.V0 + sb.V1, ctx, samples=10, seed=2, rtol=1e-9)
         assert rep.passed
         eb = gen_even_basis(nd)
-        r_a = rank_check(eb.V0, N)
-        r_s = rank_check(sb.V0, N)
-        r_stacked = rank_check(eb.V0 + sb.V0, N)
+        r_a = svd_rank(eb.V0, N)
+        r_s = svd_rank(sb.V0, N)
+        r_stacked = svd_rank(eb.V0 + sb.V0, N)
         assert r_a == r_s == r_stacked == N // 2 - 1
-        r1_stacked = rank_check(eb.V1 + sb.V1, N)
+        r1_stacked = svd_rank(eb.V1 + sb.V1, N)
         assert r1_stacked == len(eb.V1)
 
 
 def test_rank_ignores_duplicates():
-    nd = numeric_nulls(6)
-    forms = gen_even_basis(nd).full
-    assert rank_check(forms + [forms[0]], 6) == rank_check(forms, 6)
+    forms = gen_even_basis(numeric_nulls(6)).full
+    assert svd_rank(forms + [forms[0]], 6) == svd_rank(forms, 6)
+    forms = gen_even_basis(NullData.exact(6, 6)).full
+    assert rank_check(forms + [forms[0]], 6) == rank_check(forms, 6) == len(forms)
     assert rank_check([], 6) == 0
 
 
@@ -224,7 +231,7 @@ def test_full_rank_when_nulls_span_many_magnitudes(N, im_tau):
     nd = NullData.numeric(ThetaContext(N, complex(0, im_tau), 1e-10))
     forms = gen_even_basis(nd).full
     assert len(forms) == N * (N - 3) // 2
-    assert rank_check(forms, N) == N * (N - 3) // 2
+    assert svd_rank(forms, N) == N * (N - 3) // 2
 
 
 @pytest.mark.parametrize("N, tau, tol", [(8, 0.3 + 1.1j, 1e-10), (12, 1j, 1e-10), (16, 0.5j, 1e-11)])
@@ -265,3 +272,111 @@ def test_form_json():
     assert obj["N"] == 4 and obj["class"] == 0
     assert all(len(t) == 3 for t in obj["terms"])
     assert len(monomial_basis(4)) == 10
+
+
+# -- the exact rank and span certificates ------------------------------------
+
+
+def exact_data(N):
+    """Exact nulls and, for even N, half-period values, known to q^N."""
+    nd = NullData.exact(N, N)
+    if N % 2:
+        return nd
+    return NullData(N, nd.a, tuple(theta_half_series(N, k, N) for k in range(N)))
+
+
+@pytest.mark.parametrize("N", range(4, 17))
+def test_exact_ranks_equal_the_svd_oracle(N):
+    numeric, exact = numeric_nulls(N, 1j), exact_data(N)
+    if N % 2:
+        pairs = [(gen_odd_basis(numeric), gen_odd_basis(exact))]
+    else:
+        eb, sb = gen_even_basis(numeric), gen_even_s_basis(numeric)
+        ebx, sbx = gen_even_basis(exact), gen_even_s_basis(exact)
+        pairs = [(eb.full, ebx.full), (eb.V0, ebx.V0), (sb.V0, sbx.V0),
+                 (eb.V0 + sb.V0, ebx.V0 + sbx.V0)]
+        # the two half-period points bound the stacked rank from above
+        assert half_period_bound(ebx.V0 + sbx.V0, exact.s, N) == (N // 2 - 1, None)
+    for numeric_forms, exact_forms in pairs:
+        assert rank_check(exact_forms, N) == svd_rank(numeric_forms, N)
+    assert rank_check(pairs[0][1], N) == N * (N - 3) // 2
+
+
+def test_rank_check_reads_only_known_leading_terms():
+    with pytest.raises(TypeError):
+        rank_check(gen_even_basis(numeric_nulls(6)).full, 6)
+    q = PuiseuxSeries(1, {1: 1}, 5)  # q + O(q^5)
+    # a coefficient known only modulo q^1 could hide a term at the leading q^1
+    with pytest.raises(ValueError):
+        rank_check([QuadraticForm(4, {(0, 0): q, (1, 1): PuiseuxSeries.zero(1)})], 4)
+    with pytest.raises(ValueError):
+        rank_check([QuadraticForm(4, {(0, 0): PuiseuxSeries.zero(3)})], 4)
+    # known past q^1, the O(q^2) coefficient is zero in the leading row
+    assert rank_check([QuadraticForm(4, {(0, 0): q, (1, 1): PuiseuxSeries.zero(2)})], 4) == 1
+    # a lower bound: independent forms with proportional leading rows
+    one = PuiseuxSeries.one(5)
+    forms = [QuadraticForm(4, {(0, 0): one, (1, 1): q}), QuadraticForm(4, {(0, 0): one})]
+    assert rank_check(forms, 4) == 1
+    with pytest.raises(ValueError):
+        rank_check(forms, 5)
+
+
+@pytest.mark.parametrize("N", [8, 9])
+@pytest.mark.parametrize("change", ["drop", "repeat"])
+def test_rank_record_fails_on_a_dropped_or_repeated_form(monkeypatch, N, change):
+    def mutated(forms):
+        return forms[1:] if change == "drop" else forms + forms[:1]
+
+    if N % 2:
+        gen = thetalab.cli.gen_odd_basis
+        monkeypatch.setattr(thetalab.cli, "gen_odd_basis", lambda nd: mutated(gen(nd)))
+    else:
+        gen = thetalab.cli.gen_even_basis
+
+        def even(nd):
+            eb = gen(nd)
+            return EvenBasis(eb.V0, eb.V1, mutated(eb.full))
+
+        monkeypatch.setattr(thetalab.cli, "gen_even_basis", even)
+    records = {r.name: r for r in _suite_quadrics(RunConfig(N=N))}
+    assert records["quadrics.rank"].status == "fail"
+
+
+@pytest.mark.parametrize("N", [4, 8, 12])
+def test_doubled_coefficient_breaks_the_vanishing_certificate(N):
+    exact = exact_data(N)
+    v0, s_v0 = gen_even_basis(exact).V0, gen_even_s_basis(exact).V0
+    for which in (0, len(v0)):  # eb.V0[0] and sb.V0[0] in the stacked list
+        f = (v0 + s_v0)[which]
+        for m, c in f.coeffs.items():
+            stacked = v0 + s_v0
+            stacked[which] = QuadraticForm(N, {**f.coeffs, m: 2 * c})
+            bound, witness = half_period_bound(stacked, exact.s, N)
+            assert bound == N // 2 + 1  # the number of class-0 monomials
+            assert witness.startswith(f"form {which} at p"), witness
+            assert "coefficient" in witness
+
+
+def test_half_period_bound_counts_independent_point_values():
+    # X_0^2 - X_2^2 vanishes at p = (1, 0, 1, 0) and at p' = p, whose
+    # monomial values are dependent: the bound is 2 - 1, not 2 - 2
+    one, zero = PuiseuxSeries.one(4), PuiseuxSeries.zero(4)
+    f = QuadraticForm(4, {(0, 0): one, (2, 2): -one})
+    assert half_period_bound([f], (one, zero, one, zero), 4) == (1, None)
+
+
+def test_span_record_names_the_witness(monkeypatch):
+    gen = thetalab.cli.gen_even_s_basis
+
+    def doubled(nd):
+        sb = gen(nd)
+        f = sb.V0[0]
+        m = max(f.coeffs)
+        return sb._replace(V0=[QuadraticForm(f.N, {**f.coeffs, m: 2 * f.coeffs[m]})] + sb.V0[1:])
+
+    monkeypatch.setattr(thetalab.cli, "gen_even_s_basis", doubled)
+    records = {r.name: r for r in _suite_quadrics(RunConfig(N=8))}
+    span = records["quadrics.s-basis.span"]
+    assert span.status == "fail"
+    assert span.detail.startswith("graded piece 0: ranks 3/3/stacked ")
+    assert "; stacked form 3 at p" in span.detail

@@ -13,6 +13,7 @@ from thetalab.theta import (
     jacobi_theta_eval,
     theta_N_eval,
     theta_half_eval,
+    theta_half_series,
     theta_null_series,
     theta_pq_eval,
     theta_zero_points,
@@ -187,6 +188,20 @@ def test_half_period_values():
             assert abs(lhs + e(Fraction(-k, N)) * s) < 2 * c.tol * max(1, abs(s))
     with pytest.raises(ValueError):
         theta_half_eval(5, 0, ctx(5))
+
+
+def test_half_period_series_match_the_numeric_values():
+    for N in range(4, 17, 2):
+        c = ctx(N, 0.3 + 1.1j, 1e-14)
+        num = theta_half_eval(N, np.arange(N), c)
+        for k in range(N):
+            s = theta_half_series(N, k, N)
+            assert s.known_order() == N
+            assert abs(s.eval_at_tau(c.tau) - num[k]) < 1e-13, (N, k)
+        assert theta_half_series(N, 0, N).is_zero()  # s_0 = 0
+        assert theta_half_series(N, N // 2, N).coefficient(0) == 1
+    with pytest.raises(ValueError):
+        theta_half_series(5, 0, 10)
 
 
 def test_jacobi_basics():
