@@ -42,7 +42,6 @@ from .identities import (
 from .projective import (
     build_canonical_matrices,
     conjugation_table_check,
-    proj_residual,
     rho_theta_match,
     translation_check,
     verify_presentation,
@@ -59,6 +58,7 @@ from .quadrics import (
 from .series import PuiseuxSeries, eta_series
 from .theta import (
     ThetaContext,
+    proj_residual,
     sample_points,
     theta_half_series,
     theta_N_eval,
@@ -193,19 +193,14 @@ def _suite_quadrics(cfg: RunConfig) -> list[IdentityRecord]:
     rep = both.part(0, len(forms))
     rank = rank_check(exact_forms, N)  # a lower bound, exact when it is the number of forms
     out = [
-        IdentityRecord(
-            name="quadrics.on-curve", level=N, kind="numeric-vanishing",
-            status="pass" if rep.passed else "fail", tolerance=cfg.tol * 10,
-            residual=rep.max_residual,
-            detail=f"{rep.n_forms} forms, {rep.samples} samples",
+        IdentityRecord.numeric(
+            "quadrics.on-curve", N, rep.max_residual, cfg.tol * 10,
+            f"{rep.n_forms} forms, {rep.samples} samples",
         ),
-        IdentityRecord(
-            name="quadrics.rank", level=N, kind="count",
-            status="pass" if rank == len(exact_forms) == expected else "fail",
-            detail=(
-                f"rank {rank}, expected {expected}" if rank == len(exact_forms)
-                else f"rank >= {rank} of {len(exact_forms)} forms, expected {expected}"
-            ),
+        IdentityRecord.count(
+            "quadrics.rank", N, rank == len(exact_forms) == expected,
+            f"rank {rank}, expected {expected}" if rank == len(exact_forms)
+            else f"rank >= {rank} of {len(exact_forms)} forms, expected {expected}",
         ),
     ]
     if N % 2 == 0:
@@ -217,22 +212,17 @@ def _suite_quadrics(cfg: RunConfig) -> list[IdentityRecord]:
         r_both = rank_check(stacked, N)
         # r_both is exact when it meets the upper bound
         upper, witness = half_period_bound(stacked, exact.s, N)
-        out.append(
-            IdentityRecord(
-                name="quadrics.s-basis.on-curve", level=N, kind="numeric-vanishing",
-                status="pass" if rep_s.passed else "fail", tolerance=cfg.tol * 10,
-                residual=rep_s.max_residual,
-                detail=f"{rep_s.n_forms} forms",
-            )
-        )
-        out.append(
-            IdentityRecord(
-                name="quadrics.s-basis.span", level=N, kind="count",
-                status="pass" if r_a == r_s == r_both == upper == N // 2 - 1 else "fail",
-                detail=f"graded piece 0: ranks {r_a}/{r_s}/stacked {r_both}"
+        out += [
+            IdentityRecord.numeric(
+                "quadrics.s-basis.on-curve", N, rep_s.max_residual, cfg.tol * 10,
+                f"{rep_s.n_forms} forms",
+            ),
+            IdentityRecord.count(
+                "quadrics.s-basis.span", N, r_a == r_s == r_both == upper == N // 2 - 1,
+                f"graded piece 0: ranks {r_a}/{r_s}/stacked {r_both}"
                 + (f"; stacked {witness}" if witness else ""),
-            )
-        )
+            ),
+        ]
     return out
 
 
@@ -242,19 +232,12 @@ def _suite_rep(cfg: RunConfig) -> list[IdentityRecord]:
     names = {"braid": "(A0 B0)^3 = A0^2", "order4": "A0^4 = I",
              "kernel_word": "kernel word = I",
              "kernel_word_congruence": "integer congruence behind the kernel word"}
-    out = [
-        IdentityRecord(
-            name=f"rep.{key}", level=N, kind="count",
-            status="pass" if ok else "fail", detail=names[key],
-        )
-        for key, ok in rep.checks.items()
-    ]
+    out = [IdentityRecord.count(f"rep.{key}", N, ok, names[key]) for key, ok in rep.checks.items()]
     conj = conjugation_table_check(N)
     out.append(
-        IdentityRecord(
-            name="rep.conjugation-table", level=N, kind="count",
-            status="pass" if all(conj.values()) else "fail",
-            detail=", ".join(f"{k}={v}" for k, v in sorted(conj.items())),
+        IdentityRecord.count(
+            "rep.conjugation-table", N, all(conj.values()),
+            ", ".join(f"{k}={v}" for k, v in sorted(conj.items())),
         )
     )
     return out
@@ -263,43 +246,30 @@ def _suite_rep(cfg: RunConfig) -> list[IdentityRecord]:
 def _suite_translation(cfg: RunConfig) -> list[IdentityRecord]:
     N = cfg.N
     ctx = cfg.context()
-    tr = translation_check(ctx, cfg.samples, cfg.seed, cfg.tol * 10)
-    out = [
-        IdentityRecord(
-            name="translation.equivariance", level=N, kind="numeric-vanishing",
-            status="pass" if tr.passed else "fail", tolerance=cfg.tol * 10,
-            residual=max(tr.max_resid_S, tr.max_resid_T),
-            detail=(
-                f"translate by tau/N vs M_S: {tr.max_resid_S:.3e}; "
-                f"translate by 1/N vs M_T^(-1): {tr.max_resid_T:.3e}"
-            ),
-        )
-    ]
+    tol = cfg.tol * 10
+    tr = translation_check(ctx, cfg.samples, cfg.seed, tol)
     minv = build_canonical_matrices(N).M_inv.complex_array()
     ks = np.arange(N)
     zs = sample_points(Random(cfg.seed), cfg.tau, min(cfg.samples, 10))[:, None]
     worst = proj_residual(theta_N_eval(ks, zs, ctx) @ minv.T, theta_N_eval(ks, -zs, ctx))
-    out.append(
-        IdentityRecord(
-            name="translation.inversion", level=N, kind="numeric-vanishing",
-            status="pass" if worst < cfg.tol * 10 else "fail",
-            tolerance=cfg.tol * 10, residual=worst,
-            detail="theta at -z vs M_inv action",
-        )
-    )
     origin = theta_N_eval(ks, 0.0, ctx).tolist()
     scale = max(abs(c) for c in origin)
     sign = 1 if N % 2 == 0 else -1  # null symmetry a_k = (-1)^N a_(N-k)
     dev = max(abs(origin[k] - sign * origin[(N - k) % N]) for k in range(N)) / scale
-    out.append(
-        IdentityRecord(
-            name="translation.origin-in-H", level=N, kind="numeric-vanishing",
-            status="pass" if dev < cfg.tol * 10 else "fail",
-            tolerance=cfg.tol * 10, residual=dev,
-            detail=f"origin is fixed by the inversion: X_k = {'' if sign == 1 else '-'}X_(N-k)",
-        )
-    )
-    return out
+    return [
+        IdentityRecord.numeric(
+            "translation.equivariance", N, max(tr.max_resid_S, tr.max_resid_T), tol,
+            f"translate by tau/N vs M_S: {tr.max_resid_S:.3e}; "
+            f"translate by 1/N vs M_T^(-1): {tr.max_resid_T:.3e}",
+        ),
+        IdentityRecord.numeric(
+            "translation.inversion", N, worst, tol, "theta at -z vs M_inv action"
+        ),
+        IdentityRecord.numeric(
+            "translation.origin-in-H", N, dev, tol,
+            f"origin is fixed by the inversion: X_k = {'' if sign == 1 else '-'}X_(N-k)",
+        ),
+    ]
 
 
 def _suite_transform(cfg: RunConfig) -> list[IdentityRecord]:
@@ -314,25 +284,21 @@ def _suite_transform(cfg: RunConfig) -> list[IdentityRecord]:
         worst_shift = max(worst_shift, t.max_dev_shift)
         unit_dev = max(unit_dev, abs(abs(t.ratios_shift[0]) - 1.0))
     out = [
-        IdentityRecord(
-            name="transform.k-independence", level=N, kind="numeric-vanishing",
+        IdentityRecord.numeric(
+            "transform.k-independence", N, max(worst, worst_shift), cfg.tol * 10,
+            f"tau->-1/tau dev {worst:.3e}; tau->tau+1 dev {worst_shift:.3e}; "
+            f"|r'| - 1 = {unit_dev:.3e}",
             # the tau -> tau + 1 constant is a root of unity: |r'| = 1
-            status="pass" if max(worst, worst_shift, unit_dev) < cfg.tol * 10 else "fail",
-            tolerance=cfg.tol * 10, residual=max(worst, worst_shift),
-            detail=(
-                f"tau->-1/tau dev {worst:.3e}; tau->tau+1 dev {worst_shift:.3e}; "
-                f"|r'| - 1 = {unit_dev:.3e}"
-            ),
+            ok=unit_dev < cfg.tol * 10,
         )
     ]
     if N % 2 == 0:
         for kind in ("A", "B"):
             m = rho_theta_match(ctx, kind, samples=4, seed=cfg.seed, rtol=cfg.tol * 10)
             out.append(
-                IdentityRecord(
-                    name=f"transform.rho-theta.{kind}", level=N, kind="count",
-                    status="pass" if m.passed else "fail", residual=m.residual,
-                    detail=f"matched candidate {m.matched}",
+                IdentityRecord.count(
+                    f"transform.rho-theta.{kind}", N, m.passed,
+                    f"matched candidate {m.matched}", residual=m.residual,
                 )
             )
     return out
@@ -349,33 +315,22 @@ def _suite_weierstrass(cfg: RunConfig) -> list[IdentityRecord]:
 def _suite_structures(cfg: RunConfig) -> list[IdentityRecord]:
     N = cfg.N
     res = enum_structures_above(N)
-    out = [
-        IdentityRecord(
-            name="structures.count", level=N, kind="count",
-            status="pass" if (len(res.structures), res.class_count) == (8, 4) else "fail",
-            detail=f"{len(res.structures)} refined structures in {res.class_count} classes",
-        )
-    ]
     tower = group_tower_check(N)
-    out.append(
-        IdentityRecord(
-            name="structures.tower", level=N, kind="count",
-            status="pass" if tower.passed and tower.quotient_orders == (4, 2) else "fail",
-            detail=f"quotient orders {tower.quotient_orders}",
-        )
-    )
     inv = subgroup_invariants(SubgroupSpec("gammaN2N", N))
-    euler_ok = 12 * (inv.genus - 1) + 6 * inv.cusps == inv.index_psl
-    out.append(
-        IdentityRecord(
-            name="structures.invariants", level=N, kind="count",
-            status="pass" if euler_ok else "fail",
-            detail=(
-                f"index {inv.index_psl}, cusps {inv.cusps}, genus {inv.genus}"
-            ),
-        )
-    )
-    return out
+    return [
+        IdentityRecord.count(
+            "structures.count", N, (len(res.structures), res.class_count) == (8, 4),
+            f"{len(res.structures)} refined structures in {res.class_count} classes",
+        ),
+        IdentityRecord.count(
+            "structures.tower", N, tower.passed, f"quotient orders {tower.quotient_orders}"
+        ),
+        IdentityRecord.count(
+            "structures.invariants", N,
+            12 * (inv.genus - 1) + 6 * inv.cusps == inv.index_psl,
+            f"index {inv.index_psl}, cusps {inv.cusps}, genus {inv.genus}",
+        ),
+    ]
 
 
 _SUITES = {
@@ -555,6 +510,10 @@ def main(argv=None) -> int:
         return 2
     except (OverflowError, FloatingPointError) as exc:
         print(f"error: numeric overflow ({exc}); lower --tau-im", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        reason = str(exc) or "allocation failed"  # a list too large to allocate says nothing
+        print(f"error: out of memory ({reason}); lower --order, --N or --samples", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ from .series import PuiseuxSeries, eta_series
 from .theta import (
     SAMPLE_BLOCK,
     ThetaContext,
+    proj_residual,
     sample_blocks,
     sample_points,
     theta_N_eval,
@@ -57,26 +58,52 @@ class IdentityRecord(NamedTuple):
             "detail": self.detail,
         }
 
+    # Every record is built by one of the three constructors below, which
+    # own each kind's pass rule and the fields it carries.
+
+    @staticmethod
+    def count(
+        name: str, level: int, ok: bool, detail: str, residual: float | None = None
+    ) -> "IdentityRecord":
+        """An exact or counting check: it passes when `ok` holds."""
+        return IdentityRecord(
+            name, level, "count", "pass" if ok else "fail", residual=residual, detail=detail
+        )
+
+    @staticmethod
+    def numeric(
+        name: str, level: int, residual: float, tolerance: float, detail: str,
+        ok: bool = True, order: int | None = None,
+    ) -> "IdentityRecord":
+        """A numeric vanishing check: it passes only when `ok` holds and the
+        residual is below the tolerance, so never at a NaN residual."""
+        return IdentityRecord(
+            name, level, "numeric-vanishing", "pass" if ok and residual < tolerance else "fail",
+            order, tolerance, residual, detail,
+        )
+
+    @staticmethod
+    def series(
+        name: str, level: int, kind: str, ok: bool, order: int, detail: str
+    ) -> "IdentityRecord":
+        """An exact series check (series-vanishing or series-equality) carried
+        to `order`: it passes when `ok` holds."""
+        return IdentityRecord(name, level, kind, "pass" if ok else "fail", order, detail=detail)
+
 
 def _series_record(
     name: str, level: int, diff: PuiseuxSeries, order: int, kind: str = "series-vanishing"
 ) -> IdentityRecord:
     depth = diff.known_order()
-    if diff.is_zero() and depth >= MIN_DEPTH:
-        return IdentityRecord(
-            name=name, level=level, kind=kind, status="pass", order=order,
-            detail=f"zero through q^({depth})",
-        )
-    if diff.is_zero():
-        return IdentityRecord(
-            name=name, level=level, kind=kind, status="fail", order=order,
-            detail=f"vanishes but only known through q^({depth}); raise the order",
-        )
-    e, c = diff.items()[0]
-    return IdentityRecord(
-        name=name, level=level, kind=kind, status="fail", order=order,
-        detail=f"first nonzero coefficient {c} at q^({e})",
-    )
+    ok = diff.is_zero() and depth >= MIN_DEPTH
+    if ok:
+        detail = f"zero through q^({depth})"
+    elif diff.is_zero():
+        detail = f"vanishes but only known through q^({depth}); raise the order"
+    else:
+        e, c = diff.items()[0]
+        detail = f"first nonzero coefficient {c} at q^({e})"
+    return IdentityRecord.series(name, level, kind, ok, order, detail)
 
 
 def _leading_record(
@@ -88,28 +115,20 @@ def _leading_record(
     term of the series up to the last listed exponent must match the
     list exactly (including absent terms in gaps)."""
     last = Fraction(expect[-1][0])
-    if series.known_order() <= last:
-        return IdentityRecord(
-            name=name, level=level, kind="series-equality", status="fail", order=order,
-            detail="series not known deep enough for the displayed terms",
-        )
     got = [(e, c) for e, c in series.items() if e <= last]
     want = [(Fraction(e), Fraction(c)) for e, c in expect]
-    if got == want:
-        return IdentityRecord(
-            name=name, level=level, kind="series-equality", status="pass", order=order,
-            detail=f"{len(expect)} leading terms match",
+    ok = False
+    if series.known_order() <= last:
+        detail = "series not known deep enough for the displayed terms"
+    elif got == want:
+        ok, detail = True, f"{len(expect)} leading terms match"
+    else:
+        detail = next(
+            (f"expected {wc} q^({we}), found {gc} q^({ge})"
+             for (ge, gc), (we, wc) in zip(got, want) if (ge, gc) != (we, wc)),
+            f"term count mismatch: {len(got)} stored vs {len(want)} displayed",
         )
-    for (ge, gc), (we, wc) in zip(got, want):
-        if (ge, gc) != (we, wc):
-            return IdentityRecord(
-                name=name, level=level, kind="series-equality", status="fail", order=order,
-                detail=f"expected {wc} q^({we}), found {gc} q^({ge})",
-            )
-    return IdentityRecord(
-        name=name, level=level, kind="series-equality", status="fail", order=order,
-        detail=f"term count mismatch: {len(got)} stored vs {len(want)} displayed",
-    )
+    return IdentityRecord.series(name, level, "series-equality", ok, order, detail)
 
 
 def _resolved_record(
@@ -121,10 +140,9 @@ def _resolved_record(
     names the first candidate whose difference vanishes, or "none"; the
     record passes only when exactly one vanishes."""
     zero = [label for label, diff in candidates if diff.is_zero()]
-    return IdentityRecord(
-        name=name, level=level, kind="series-equality",
-        status="pass" if len(zero) == 1 else "fail", order=order,
-        detail=detail.format(zero[0] if zero else "none") + ", resolved exactly",
+    return IdentityRecord.series(
+        name, level, "series-equality", len(zero) == 1, order,
+        detail.format(zero[0] if zero else "none") + ", resolved exactly",
     )
 
 
@@ -149,26 +167,39 @@ def lam_series(order: int) -> PuiseuxSeries:
     return a[0] * a[2] / (a[1] * a[1])
 
 
+# The level-6 coordinates as functions of the nulls a = (a_0, ..., a_5),
+# read both as exact series and as complex values (`hesse_check`).
+
+
+def _x6(a):
+    return 2 * a[1] * a[2] / (a[0] * a[3])
+
+
+def _y6(a):
+    a0s, a1s, a2s, a3s = (c ** 2 for c in a[:4])
+    return (a0s * a1s - a2s * a3s) / (a0s * a2s - a1s * a3s)
+
+
+def _mu6(x, y):
+    return (y * y - 3) / x
+
+
 @lru_cache(maxsize=None)
 def x6_series(order: int) -> PuiseuxSeries:
     """Level-6 coordinate X = 2 a_1 a_2 / (a_0 a_3)."""
-    a = nulls(6, order)
-    return 2 * a[1] * a[2] / (a[0] * a[3])
+    return _x6(nulls(6, order))
 
 
 @lru_cache(maxsize=None)
 def y6_series(order: int) -> PuiseuxSeries:
     """Level-6 coordinate Y = (a_0^2 a_1^2 - a_2^2 a_3^2)/(a_0^2 a_2^2 - a_1^2 a_3^2)."""
-    a0s, a1s, a2s, a3s = (c ** 2 for c in nulls(6, order)[:4])
-    return (a0s * a1s - a2s * a3s) / (a0s * a2s - a1s * a3s)
+    return _y6(nulls(6, order))
 
 
 @lru_cache(maxsize=None)
 def mu6_series(order: int) -> PuiseuxSeries:
     """Three times the Hesse parameter: 3 mu = (Y^2 - 3)/X."""
-    x = x6_series(order)
-    y = y6_series(order)
-    return (y * y - 3) / x
+    return _mu6(x6_series(order), y6_series(order))
 
 
 def b1_series(order: int) -> PuiseuxSeries:
@@ -512,22 +543,26 @@ def hesse_check(
     lead = _leading_record("level6.hesse-mu", 6, mu6_series(order), _MU_LEADING, order)
     ks = np.arange(6)
     a = theta_N_eval(ks, 0.0, ctx).tolist()
-    xm = 2 * a[1] * a[2] / (a[0] * a[3])
-    ym = (a[0] ** 2 * a[1] ** 2 - a[2] ** 2 * a[3] ** 2) / (
-        a[0] ** 2 * a[2] ** 2 - a[1] ** 2 * a[3] ** 2
-    )
-    mu3 = (ym * ym - 3) / xm
+    mu3 = _mu6(_x6(a), _y6(a))
     worst = 0.0
     for z in sample_blocks(ctx.tau, samples, seed):
         for x in theta_N_eval(ks, z[:, None], ctx).tolist():
             scale = max(abs(c) for c in x) ** 3 * max(1.0, abs(mu3))
             resid = abs(x[0] ** 3 + x[2] ** 3 + x[4] ** 3 - mu3 * x[0] * x[2] * x[4]) / scale
             worst = max(worst, resid)
-    ok = lead.passed and worst < rtol
-    return IdentityRecord(
-        name="level6.hesse", level=6, kind="numeric-vanishing",
-        status="pass" if ok else "fail", order=order, tolerance=rtol, residual=worst,
-        detail=f"cubic residual {worst:.3e} over {samples} samples; mu series: {lead.detail}",
+    return IdentityRecord.numeric(
+        "level6.hesse", 6, worst, rtol,
+        f"cubic residual {worst:.3e} over {samples} samples; mu series: {lead.detail}",
+        ok=lead.passed, order=order,
+    )
+
+
+def _level4_quadric_pair(a0, a1, a2, x0, x1, x2, x3):
+    """The two level-4 quadrics through the curve, with nulls
+    (a_0 : a_1 : a_2 : a_1), at the point (x_0 : x_1 : x_2 : x_3)."""
+    return (
+        a0 * a2 * (x0 ** 2 + x2 ** 2) - 2 * a1 ** 2 * x1 * x3,
+        2 * a1 ** 2 * x0 * x2 - a0 * a2 * (x1 ** 2 + x3 ** 2),
     )
 
 
@@ -566,8 +601,7 @@ def weierstrass_check_level4(
             if abs(den1) < 1e-6 * scale or abs(den2) < 1e-6 * scale:
                 continue
             accepted += 1
-            q1 = abs(a0 * a2 * (x0 ** 2 + x2 ** 2) - 2 * a1 ** 2 * x1 * x3) / scale
-            q2 = abs(2 * a1 ** 2 * x0 * x2 - a0 * a2 * (x1 ** 2 + x3 ** 2)) / scale
+            q1, q2 = _level4_quadric_pair(a0, a1, a2, x0, x1, x2, x3)
             xx = (a0 ** 2 - a2 ** 2) ** 2 * (a1 ** 2 * x0 * x2 + a0 * a2 * x1 * x3) / den1
             yy = (
                 4 * a1 ** 2 * (a0 ** 2 - a2 ** 2) ** 2
@@ -578,25 +612,19 @@ def weierstrass_check_level4(
             resid = abs(
                 yy ** 2 - xx * (xx - (a0 - a2) ** 4) * (xx - (a0 + a2) ** 4)
             ) / wscale
-            worst = max(worst, resid, q1, q2)
+            worst = max(worst, resid, abs(q1) / scale, abs(q2) / scale)
     # the half-period point z = 1/8 lies on the quadric pair
     x0, x1, x2, x3 = theta_N_eval(ks, Fraction(1, 8), ctx).tolist()
     scale = max(abs(c) for c in (x0, x1, x2, x3)) ** 2
-    worst = max(
-        worst,
-        abs(a0 * a2 * (x0 ** 2 + x2 ** 2) - 2 * a1 ** 2 * x1 * x3) / scale,
-        abs(2 * a1 ** 2 * x0 * x2 - a0 * a2 * (x1 ** 2 + x3 ** 2)) / scale,
-    )
+    q1, q2 = _level4_quadric_pair(a0, a1, a2, x0, x1, x2, x3)
+    worst = max(worst, abs(q1) / scale, abs(q2) / scale)
     s = nulls(4, 40)
     exact_ok = _level4_quartic(s[0], s[1], s[2]).is_zero()
-    ok = worst < rtol and accepted == samples and exact_ok
-    return IdentityRecord(
-        name="level4.weierstrass", level=4, kind="numeric-vanishing",
-        status="pass" if ok else "fail", tolerance=rtol, residual=worst,
-        detail=(
-            f"max residual {worst:.3e} over {accepted} samples incl. z=1/8; "
-            f"null point on quadric pair exactly: {exact_ok}"
-        ),
+    return IdentityRecord.numeric(
+        "level4.weierstrass", 4, worst, rtol,
+        f"max residual {worst:.3e} over {accepted} samples incl. z=1/8; "
+        f"null point on quadric pair exactly: {exact_ok}",
+        ok=accepted == samples and exact_ok,
     )
 
 
@@ -632,15 +660,11 @@ def degenerate_fibers_level4() -> IdentityRecord:
             all_ok = False
             details.append(f"failure at ({a0}:{a1}:{a2})")
     control_off = not _level4_quartic(one * 2, one, one).is_zero()
-    ok = all_ok and control_off and len(pts) == 12
-    return IdentityRecord(
-        name="level4.degenerate-fibers", level=4, kind="count",
-        status="pass" if ok else "fail",
-        detail=(
-            "12 points on the curve with vanishing cubic discriminant "
-            "(third coordinate alternates sign along the unit family); "
-            f"control point (2:1:1) off curve: {control_off}. " + "; ".join(details)
-        ),
+    return IdentityRecord.count(
+        "level4.degenerate-fibers", 4, all_ok and control_off,
+        "12 points on the curve with vanishing cubic discriminant "
+        "(third coordinate alternates sign along the unit family); "
+        f"control point (2:1:1) off curve: {control_off}. " + "; ".join(details),
     )
 
 
@@ -655,8 +679,6 @@ def null_invariance_check(N: int, tau: complex = 1j, rtol: float = 1e-8) -> Iden
     tau -> tau/(N tau + 1) reverses the index order."""
     if not has_null_invariance(N):
         raise ValueError("the invariance statement is for even N")
-    from .projective import proj_residual
-
     h = N // 2
     ctx = ThetaContext(N, tau, 1e-10)
     ks = np.arange(h + 1)
@@ -667,9 +689,7 @@ def null_invariance_check(N: int, tau: complex = 1j, rtol: float = 1e-8) -> Iden
     tau2 = tau / (N * tau + 1)
     lower = theta_N_eval(ks, 0.0, ctx.with_tau(tau2))
     r2 = proj_residual(base[::-1], lower)
-    worst = max(r1, r2)
-    return IdentityRecord(
-        name=f"level{N}.null-invariance", level=N, kind="numeric-vanishing",
-        status="pass" if worst < rtol else "fail", tolerance=rtol, residual=worst,
-        detail=f"sign-twist residual {r1:.3e}, reversal residual {r2:.3e}",
+    return IdentityRecord.numeric(
+        f"level{N}.null-invariance", N, max(r1, r2), rtol,
+        f"sign-twist residual {r1:.3e}, reversal residual {r2:.3e}",
     )

@@ -50,7 +50,7 @@ from .cyclotomic import (
     zeta,
 )
 from .packing import pack, pack_many, pack_width, unpack
-from .theta import ThetaContext, sample_blocks, sample_points, theta_N_eval
+from .theta import ThetaContext, proj_residual, sample_blocks, sample_points, theta_N_eval
 
 
 def _is_exact(x) -> bool:
@@ -100,22 +100,6 @@ class ProjectivePoint:
 
     def __repr__(self):
         return f"ProjectivePoint({self.coords!r})"
-
-
-def proj_residual(u, v) -> float:
-    """Relative deviation of two numeric vectors as projective points.
-
-    u and v may also be matching stacks of row vectors; the result is
-    then the largest deviation over the rows."""
-    u = np.atleast_2d(np.asarray(u, dtype=complex))
-    v = np.atleast_2d(np.asarray(v, dtype=complex))
-    rows = np.arange(len(u))
-    i = np.argmax(np.abs(u), axis=1)
-    if np.any(u[rows, i] == 0):
-        return float("inf")
-    c = v[rows, i] / u[rows, i]
-    scale = np.maximum(np.max(np.abs(v), axis=1), 1e-300)
-    return float(np.max(np.max(np.abs(v - c[:, None] * u), axis=1) / scale))
 
 
 # ---------------------------------------------------------------------------

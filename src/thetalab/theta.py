@@ -322,6 +322,22 @@ def sample_blocks(tau: complex, samples: int, seed: int):
         yield sample_points(rng, tau, min(SAMPLE_BLOCK, samples - start))
 
 
+def proj_residual(u, v) -> float:
+    """Relative deviation of two numeric vectors as projective points.
+
+    u and v may also be matching stacks of row vectors; the result is
+    then the largest deviation over the rows."""
+    u = np.atleast_2d(np.asarray(u, dtype=complex))
+    v = np.atleast_2d(np.asarray(v, dtype=complex))
+    rows = np.arange(len(u))
+    i = np.argmax(np.abs(u), axis=1)
+    if np.any(u[rows, i] == 0):
+        return float("inf")
+    c = v[rows, i] / u[rows, i]
+    scale = np.maximum(np.max(np.abs(v), axis=1), 1e-300)
+    return float(np.max(np.max(np.abs(v - c[:, None] * u), axis=1) / scale))
+
+
 class TransformReport(NamedTuple):
     """k-independence test of the two modular coordinate changes."""
 
@@ -348,8 +364,6 @@ def transform_check(z: complex, ctx: ThetaContext, rtol: float = 1e-8) -> Transf
     its error relative to the largest coordinate, not by the relative
     error of its own ratio, which rounding alone can push past rtol.
     """
-    from .projective import proj_residual
-
     N = ctx.N
     tau = ctx.tau
     ctx_inv = ctx.with_tau(-1.0 / tau)

@@ -124,8 +124,8 @@ def test_verify_rejects_level_below_two(capsys):
 
 
 def test_exit_code_mapping():
-    ok = IdentityRecord(name="x", level=4, kind="count", status="pass")
-    bad = IdentityRecord(name="y", level=4, kind="count", status="fail")
+    ok = IdentityRecord.count("x", 4, True, "")
+    bad = IdentityRecord.count("y", 4, False, "")
     assert report_exit_code([ok]) == 0
     assert report_exit_code([ok, bad]) == 1
     assert report_exit_code([]) == 0
@@ -410,3 +410,51 @@ def test_verify_all_needs_no_numpy_linalg(capsys, monkeypatch, N):
             monkeypatch.setattr(np.linalg, name, refuse)
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--N", N)
     assert code == 0, out
+
+
+def test_records_keep_the_shape_of_their_kind(capsys):
+    # (kind, whether order, tolerance and residual are set), with the
+    # records that carry a field their kind otherwise leaves out
+    seen = set()
+    for n in range(2, 17):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "all", "--N", str(n), "--format", "json"
+        )
+        assert code == 0
+        for r in json.loads(out)["records"]:
+            shape = tuple(r[field] is not None for field in ("order", "tolerance", "residual"))
+            if r["kind"] == "count":
+                assert shape == (False, False, r["name"].startswith("transform.rho-theta.")), r
+            elif r["kind"] == "numeric-vanishing":
+                assert shape == (r["name"] == "level6.hesse", True, True), r
+            else:
+                assert r["kind"] in ("series-vanishing", "series-equality"), r
+                assert shape == (True, False, False), r
+            seen.add((r["kind"], shape))
+    assert seen == {
+        ("count", (False, False, False)),
+        ("count", (False, False, True)),
+        ("numeric-vanishing", (False, True, True)),
+        ("numeric-vanishing", (True, True, True)),
+        ("series-vanishing", (True, False, False)),
+        ("series-equality", (True, False, False)),
+    }
+
+
+@pytest.mark.parametrize(
+    "exc, reason",
+    [
+        (MemoryError(), "allocation failed"),
+        (MemoryError("Unable to allocate 8 TiB"), "Unable to allocate 8 TiB"),
+    ],
+)
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch, exc, reason):
+    def exhausted(order):
+        raise exc
+
+    monkeypatch.setattr(thetalab.cli, "lam_series", exhausted)
+    code, out, err = run_cli(capsys, "qexp", "--object", "lambda", "--order", "1000000000000")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: out of memory ({reason}); lower --order, --N or --samples\n"
+    assert "Traceback" not in err

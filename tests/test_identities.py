@@ -164,3 +164,31 @@ def test_resolved_record_needs_exactly_one_vanishing_candidate():
         rec = _resolved_record("r", 4, 40, "x = {}", candidates)
         assert (rec.status, rec.detail) == (status, f"x = {label}, resolved exactly")
         assert rec.kind == "series-equality" and rec.order == 40
+
+
+def test_numeric_records_pass_only_below_their_tolerance():
+    from thetalab.identities import IdentityRecord
+
+    ok = IdentityRecord.numeric("n", 4, 1e-9, 1e-8, "d")
+    assert ok.passed and ok.kind == "numeric-vanishing"
+    assert (ok.residual, ok.tolerance, ok.order, ok.detail) == (1e-9, 1e-8, None, "d")
+    assert not IdentityRecord.numeric("n", 4, 1e-8, 1e-8, "d").passed  # at the tolerance
+    assert not IdentityRecord.numeric("n", 4, float("nan"), 1e-8, "d").passed
+    assert not IdentityRecord.numeric("n", 4, 1e-9, 1e-8, "d", ok=False).passed
+    assert IdentityRecord.numeric("n", 6, 0.0, 1e-7, "d", order=80).order == 80
+
+
+def test_count_and_series_records_keep_their_fields():
+    from thetalab.identities import IdentityRecord
+
+    rec = IdentityRecord.count("c", 4, True, "d", residual=2e-12)
+    assert (rec.kind, rec.status, rec.residual, rec.tolerance, rec.order) == (
+        "count", "pass", 2e-12, None, None
+    )
+    assert IdentityRecord.count("c", 4, False, "d").residual is None
+    assert IdentityRecord.count("c", 4, False, "d").status == "fail"
+    rec = IdentityRecord.series("s", 6, "series-equality", True, 120, "d")
+    assert (rec.kind, rec.status, rec.order, rec.tolerance, rec.residual) == (
+        "series-equality", "pass", 120, None, None
+    )
+    assert not IdentityRecord.series("s", 6, "series-vanishing", False, 120, "d").passed
