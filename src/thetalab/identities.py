@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from random import Random
 from typing import NamedTuple
 
 import numpy as np
@@ -18,11 +17,9 @@ import numpy as np
 from .cyclotomic import zeta
 from .series import PuiseuxSeries, eta_series
 from .theta import (
-    SAMPLE_BLOCK,
     ThetaContext,
     proj_residual,
     sample_blocks,
-    sample_points,
     theta_N_eval,
     theta_null_series,
 )
@@ -571,48 +568,46 @@ def weierstrass_check_level4(
 ) -> IdentityRecord:
     """Level-4 universal curve against its Weierstrass form.
 
-    At sampled immersion points, push (X_0..X_3) through the rational
+    At the seeded sample points, push (X_0..X_3) through the rational
     coordinate change and test Y^2 = X (X - (a_0-a_2)^4)(X - (a_0+a_2)^4),
-    alongside the defining quadric pair; samples too close to the
-    coordinate-change base locus are redrawn.  The exact statement that
-    the null point (a_0 : a_1 : a_2 : a_1) satisfies the quadric pair is
-    checked as a series identity."""
+    alongside the defining quadric pair.  Points too close to the
+    coordinate-change base locus are skipped, and the check reads on
+    through the stream, at most 20 * samples points, until `samples`
+    points are accepted.  The exact statement that the null point
+    (a_0 : a_1 : a_2 : a_1) satisfies the quadric pair is checked as a
+    series identity."""
     if ctx is None:
         ctx = ThetaContext(4, 1j, 1e-10)
     if ctx.N != 4:
         raise ValueError("level-4 check needs an N = 4 context")
-    tau = ctx.tau
     ks = np.arange(4)
     a0, a1, a2, _ = theta_N_eval(ks, 0.0, ctx).tolist()
-    rng = Random(seed)
     worst = 0.0
-    drawn = 0
     accepted = 0
-    while accepted < samples and drawn < 20 * samples:
-        # a block never outruns the draw budget or the samples still wanted,
-        # so the accepted samples are the ones a one-at-a-time loop accepts
-        count = min(SAMPLE_BLOCK, samples - accepted, 20 * samples - drawn)
-        drawn += count
-        zs = sample_points(rng, tau, count)[:, None]
-        for x0, x1, x2, x3 in theta_N_eval(ks, zs, ctx).tolist():
-            scale = max(abs(c) for c in (x0, x1, x2, x3)) ** 2
-            den1 = a1 ** 2 * x0 * x2 - a0 * a2 * x1 * x3
-            den2 = (x1 - x3) * (x0 - x2)
-            if abs(den1) < 1e-6 * scale or abs(den2) < 1e-6 * scale:
-                continue
-            accepted += 1
-            q1, q2 = _level4_quadric_pair(a0, a1, a2, x0, x1, x2, x3)
-            xx = (a0 ** 2 - a2 ** 2) ** 2 * (a1 ** 2 * x0 * x2 + a0 * a2 * x1 * x3) / den1
-            yy = (
-                4 * a1 ** 2 * (a0 ** 2 - a2 ** 2) ** 2
-                * (x1 + x3) * (x0 + x2) * (a0 * a2 * x0 * x2 - a1 ** 2 * x1 * x3)
-                / (den2 * den1)
-            )
-            wscale = max(abs(xx), abs(yy), abs(a0 - a2) ** 4, abs(a0 + a2) ** 4) ** 3
-            resid = abs(
-                yy ** 2 - xx * (xx - (a0 - a2) ** 4) * (xx - (a0 + a2) ** 4)
-            ) / wscale
-            worst = max(worst, resid, abs(q1) / scale, abs(q2) / scale)
+    # a block is evaluated only when the points before it fall short
+    points = (x for zs in sample_blocks(ctx.tau, 20 * samples, seed)
+              for x in theta_N_eval(ks, zs[:, None], ctx).tolist())
+    for x0, x1, x2, x3 in points:
+        scale = max(abs(c) for c in (x0, x1, x2, x3)) ** 2
+        den1 = a1 ** 2 * x0 * x2 - a0 * a2 * x1 * x3
+        den2 = (x1 - x3) * (x0 - x2)
+        if abs(den1) < 1e-6 * scale or abs(den2) < 1e-6 * scale:
+            continue
+        accepted += 1
+        q1, q2 = _level4_quadric_pair(a0, a1, a2, x0, x1, x2, x3)
+        xx = (a0 ** 2 - a2 ** 2) ** 2 * (a1 ** 2 * x0 * x2 + a0 * a2 * x1 * x3) / den1
+        yy = (
+            4 * a1 ** 2 * (a0 ** 2 - a2 ** 2) ** 2
+            * (x1 + x3) * (x0 + x2) * (a0 * a2 * x0 * x2 - a1 ** 2 * x1 * x3)
+            / (den2 * den1)
+        )
+        wscale = max(abs(xx), abs(yy), abs(a0 - a2) ** 4, abs(a0 + a2) ** 4) ** 3
+        resid = abs(
+            yy ** 2 - xx * (xx - (a0 - a2) ** 4) * (xx - (a0 + a2) ** 4)
+        ) / wscale
+        worst = max(worst, resid, abs(q1) / scale, abs(q2) / scale)
+        if accepted == samples:
+            break
     # the half-period point z = 1/8 lies on the quadric pair
     x0, x1, x2, x3 = theta_N_eval(ks, Fraction(1, 8), ctx).tolist()
     scale = max(abs(c) for c in (x0, x1, x2, x3)) ** 2

@@ -31,7 +31,6 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from random import Random
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +49,7 @@ from .cyclotomic import (
     zeta,
 )
 from .packing import pack, pack_many, pack_width, unpack
-from .theta import ThetaContext, proj_residual, sample_blocks, sample_points, theta_N_eval
+from .theta import ThetaContext, proj_residual, sample_blocks, theta_N_eval
 
 
 def _is_exact(x) -> bool:
@@ -511,7 +510,6 @@ class PresentationReport(NamedTuple):
     N: int
     checks: dict
     passed: bool
-    notes: tuple
 
 
 def verify_presentation(N: int) -> PresentationReport:
@@ -541,11 +539,7 @@ def verify_presentation(N: int) -> PresentationReport:
     )
     checks["kernel_word_congruence"] = target_ok
     checks["kernel_word"] = word.maps_to_scalar(A0, B0)
-    notes = (
-        "order-2N generator B0 has an infinite-order lift; the order-4 relation "
-        "belongs to A0",
-    )
-    return PresentationReport(N=N, checks=checks, passed=all(checks.values()), notes=notes)
+    return PresentationReport(N=N, checks=checks, passed=all(checks.values()))
 
 
 def conjugation_table_check(N: int) -> dict:
@@ -670,18 +664,24 @@ class TranslationReport(NamedTuple):
     max_resid_S: float
     max_resid_T: float
     matched_T_power: int
+    max_resid_inv: float
+    origin_dev: float
     passed: bool
 
 
 def translation_check(
     ctx: ThetaContext, samples: int = 20, seed: int = 0, rtol: float = 1e-8
 ) -> TranslationReport:
-    """Equivariance of the immersion under the two torsion translations.
+    """Equivariance of the immersion under the torsion translations and
+    the inversion, at the seeded sample points.
 
     Translation by tau/N acts as M_S.  Translation by 1/N acts by a
     power of the diagonal M_T; which power is measured, not assumed (the
     matrix itself acts on coordinate functions, its inverse on points),
-    and the matched exponent is reported.
+    and the matched exponent is reported.  z -> -z acts as M_inv, tested
+    on the first min(samples, 10) points against their base values.  The
+    origin is fixed by the inversion: origin_dev is the largest
+    |a_k - (-1)^N a_(N-k)| relative to the largest null a_k.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -690,9 +690,11 @@ def translation_check(
     ms = can.M_S.complex_array()
     mt = can.M_T.complex_array()
     mt_inv = can.M_T.inverse().complex_array()
+    minv = can.M_inv.complex_array()
     ks = np.arange(N)
     worst_s = 0.0
     worst_t = {1: 0.0, -1: 0.0}
+    worst_inv = None
     for z in sample_blocks(tau, samples, seed):
         # each point and its two translates in one kernel call
         pts = np.stack([z, z + tau / N, z + 1.0 / N])
@@ -700,14 +702,21 @@ def translation_check(
         worst_s = max(worst_s, proj_residual(base @ ms.T, ts))
         worst_t[1] = max(worst_t[1], proj_residual(base @ mt.T, tt))
         worst_t[-1] = max(worst_t[-1], proj_residual(base @ mt_inv.T, tt))
+        if worst_inv is None:  # the first block holds the first min(samples, 10) points
+            worst_inv = proj_residual(base[:10] @ minv.T, theta_N_eval(ks, -z[:10, None], ctx))
     power = min(worst_t, key=worst_t.get)
+    a = theta_N_eval(ks, 0.0, ctx).tolist()
+    sign = 1 if N % 2 == 0 else -1
+    origin_dev = max(abs(a[k] - sign * a[(N - k) % N]) for k in range(N)) / max(map(abs, a))
     return TranslationReport(
         N=N,
         samples=samples,
         max_resid_S=worst_s,
         max_resid_T=worst_t[power],
         matched_T_power=power,
-        passed=worst_s < rtol and worst_t[power] < rtol,
+        max_resid_inv=worst_inv,
+        origin_dev=origin_dev,
+        passed=all(r < rtol for r in (worst_s, worst_t[power], worst_inv, origin_dev)),
     )
 
 
@@ -756,8 +765,9 @@ def rho_theta_match(
 ) -> RhoThetaReport:
     """Identify the numeric modular coordinate change within the coset.
 
-    Samples z, evaluates the immersion at the transformed modulus, and
-    reports which candidate class (if any) matches on every sample."""
+    Takes the seeded sample points, evaluates the immersion at the
+    transformed modulus, and reports which candidate class (if any)
+    matches on every sample."""
     N, tau = ctx.N, ctx.tau
     if kind == "A":
         ctx2 = ctx.with_tau(-1.0 / tau)
@@ -765,7 +775,7 @@ def rho_theta_match(
         ctx2 = ctx.with_tau(tau + 1.0)
     else:
         raise ValueError("kind must be 'A' or 'B'")
-    zs = sample_points(Random(seed), tau, samples)
+    zs = np.concatenate(list(sample_blocks(tau, samples, seed)))
     ks = np.arange(N)
     base = theta_N_eval(ks, zs[:, None], ctx)
     moved = np.array([z / tau for z in zs.tolist()], dtype=complex) if kind == "A" else zs

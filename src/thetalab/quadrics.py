@@ -28,7 +28,9 @@ import numpy as np
 from .cyclotomic import CyclotomicNumber, scalar_inverse, scalar_is_zero, scalar_json
 from .frozen import Frozen
 from .series import PuiseuxSeries
-from .theta import ThetaContext, sample_blocks, theta_N_eval, theta_half_eval, theta_null_series
+from .theta import (
+    ThetaContext, sample_blocks, theta_N_eval, theta_half_eval, theta_half_series, theta_null_series,
+)
 
 
 def _to_complex(c) -> complex:
@@ -137,8 +139,8 @@ def forms_proportional(f: QuadraticForm, g: QuadraticForm) -> bool:
 
 
 class NullData(Frozen):
-    """Theta-null vector a_k (and, for even N, optionally the
-    half-period vector s_k).
+    """Theta-null vector a_k and, for even N, the half-period vector s_k
+    (both factories give it at even N; it is None at odd N).
 
     Scalars are exact Puiseux series or complex values at a fixed tau.
     For odd N the exact series use the normalized convention with the
@@ -170,7 +172,8 @@ class NullData(Frozen):
     @staticmethod
     def exact(N: int, order: int) -> "NullData":
         a = tuple(theta_null_series(N, k, order) for k in range(N))
-        return NullData(N=N, a=a, s=None)
+        s = tuple(theta_half_series(N, k, order) for k in range(N)) if N % 2 == 0 else None
+        return NullData(N=N, a=a, s=s)
 
 
 # ---------------------------------------------------------------------------

@@ -308,7 +308,9 @@ SAMPLE_BLOCK = 64  # sample points whose theta values a numeric check holds at o
 def sample_points(rng: Random, tau: complex, count: int) -> np.ndarray:
     """The next `count` points z = u + v tau with u, v uniform on [0.05, 0.95].
 
-    Two draws per point, u first, in the order a scalar loop makes them."""
+    Two draws per point, u first, in the order a scalar loop makes them,
+    so the i-th point drawn from a stream does not depend on how the
+    draws are split into calls."""
     return np.array(
         [0.05 + 0.9 * rng.random() + (0.05 + 0.9 * rng.random()) * tau for _ in range(count)],
         dtype=complex,
@@ -316,7 +318,15 @@ def sample_points(rng: Random, tau: complex, count: int) -> np.ndarray:
 
 
 def sample_blocks(tau: complex, samples: int, seed: int):
-    """The seeded sample points of a numeric check, SAMPLE_BLOCK at a time."""
+    """The seeded sample stream: the first `samples` points of
+    sample_points(Random(seed), tau, ...), SAMPLE_BLOCK at a time.
+
+    Every sampled check reads its points here (quadric vanishing,
+    translation and inversion, the Hesse cubic, the level-4 Weierstrass
+    form and the rho-theta match), and evaluates each point once.  A
+    check that stops early, as the Weierstrass check does once enough
+    points are accepted, sees the points a longer stream would start
+    with."""
     rng = Random(seed)
     for start in range(0, samples, SAMPLE_BLOCK):
         yield sample_points(rng, tau, min(SAMPLE_BLOCK, samples - start))

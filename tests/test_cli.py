@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -227,6 +228,21 @@ def test_verify_rejects_bad_numeric_input(capsys):
         assert err.startswith("error: ") and flag in err, (argv, err)
     code, _, _ = run_cli(capsys, "verify", "--suite", "translation", "--N", "4", "--tol", "1e-15")
     assert code == 0
+
+
+def test_verify_reduces_a_large_real_part_of_tau(capsys):
+    # theta_k(z, tau + 8N) = theta_k(z, tau); unreduced, Re tau = 1e9 rounds
+    # the kernel's phases away, and -1/tau leaves no usable Im tau
+    for suite, n in (("translation", 4), ("quadrics", 6), ("all", 8)):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", suite, "--N", str(n), "--tau-re", "1e9", "--format", "json"
+        )
+        assert (code, err) == (0, ""), (suite, err)
+        report = json.loads(out)
+        assert report["config"]["tau"] == [math.fmod(1e9, 8 * n), 1.0]
+        assert all(r["status"] == "pass" for r in report["records"])
+    code, out, _ = run_cli(capsys, "verify", "--suite", "translation", "--tau-re=-5.5", "--format", "json")
+    assert code == 0 and json.loads(out)["config"]["tau"] == [-5.5, 1.0]  # |Re tau| < 8N stays
 
 
 def test_verify_translation_and_transform_reject_level_one(capsys):

@@ -1,5 +1,7 @@
 from fractions import Fraction
+from random import Random
 
+import numpy as np
 import pytest
 
 from thetalab.identities import (
@@ -18,7 +20,7 @@ from thetalab.identities import (
     x6_series,
     y6_series,
 )
-from thetalab.theta import ThetaContext
+from thetalab.theta import ThetaContext, sample_points, theta_N_eval
 
 
 def assert_all_pass(records):
@@ -121,6 +123,52 @@ def test_weierstrass_level4():
         assert rec.residual < 1e-7
     with pytest.raises(ValueError):
         weierstrass_check_level4(ThetaContext(6, 1j, 1e-10))
+
+
+@pytest.mark.parametrize("seed", (85, 189))
+def test_weierstrass_reads_the_stream_as_a_one_at_a_time_loop(seed):
+    # at tau = 2i these seeds reject draw 37 and draw 58, so the 64th
+    # accepted point is the first point of the stream's second block
+    ctx = ThetaContext(4, 2j, 1e-10)
+    samples = 64
+    ks = np.arange(4)
+    a0, a1, a2, _ = theta_N_eval(ks, 0.0, ctx).tolist()
+
+    def quadric_pair(x0, x1, x2, x3):
+        return (
+            a0 * a2 * (x0 ** 2 + x2 ** 2) - 2 * a1 ** 2 * x1 * x3,
+            2 * a1 ** 2 * x0 * x2 - a0 * a2 * (x1 ** 2 + x3 ** 2),
+        )
+
+    rng = Random(seed)
+    worst, drawn, accepted = 0.0, 0, 0
+    while accepted < samples and drawn < 20 * samples:
+        drawn += 1
+        x0, x1, x2, x3 = theta_N_eval(ks, sample_points(rng, ctx.tau, 1)[0], ctx).tolist()
+        scale = max(abs(c) for c in (x0, x1, x2, x3)) ** 2
+        den1 = a1 ** 2 * x0 * x2 - a0 * a2 * x1 * x3
+        den2 = (x1 - x3) * (x0 - x2)
+        if abs(den1) < 1e-6 * scale or abs(den2) < 1e-6 * scale:
+            continue
+        accepted += 1
+        q1, q2 = quadric_pair(x0, x1, x2, x3)
+        xx = (a0 ** 2 - a2 ** 2) ** 2 * (a1 ** 2 * x0 * x2 + a0 * a2 * x1 * x3) / den1
+        yy = (
+            4 * a1 ** 2 * (a0 ** 2 - a2 ** 2) ** 2
+            * (x1 + x3) * (x0 + x2) * (a0 * a2 * x0 * x2 - a1 ** 2 * x1 * x3)
+            / (den2 * den1)
+        )
+        wscale = max(abs(xx), abs(yy), abs(a0 - a2) ** 4, abs(a0 + a2) ** 4) ** 3
+        resid = abs(yy ** 2 - xx * (xx - (a0 - a2) ** 4) * (xx - (a0 + a2) ** 4)) / wscale
+        worst = max(worst, resid, abs(q1) / scale, abs(q2) / scale)
+    assert (drawn, accepted) == (samples + 1, samples)
+    x0, x1, x2, x3 = theta_N_eval(ks, Fraction(1, 8), ctx).tolist()
+    scale = max(abs(c) for c in (x0, x1, x2, x3)) ** 2
+    q1, q2 = quadric_pair(x0, x1, x2, x3)
+    worst = max(worst, abs(q1) / scale, abs(q2) / scale)
+    rec = weierstrass_check_level4(ctx, samples=samples, seed=seed)
+    assert rec.residual == worst  # bit for bit
+    assert f"over {samples} samples" in rec.detail and rec.passed
 
 
 def test_degenerate_fibers():

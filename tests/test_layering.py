@@ -54,3 +54,27 @@ def test_records_are_built_only_by_the_three_constructors():
             and id(node) not in inside
         ]
     assert not callers, f"IdentityRecord(...) called outside its constructors: {callers}"
+
+
+def test_sample_points_are_drawn_only_by_the_sample_stream():
+    # every sampled check reads theta.sample_blocks; the transform suite
+    # draws its own box [0.05, 0.65] + [0.02, 0.27] tau
+    allowed = {
+        ("theta.py", "sample_blocks", "Random"),
+        ("theta.py", "sample_blocks", "sample_points"),
+        ("cli.py", "_suite_transform", "Random"),
+    }
+    calls = set()
+    for path in SOURCES:
+        tree = parse(path)
+        owner = {}  # innermost enclosing function; ast.walk visits outer ones first
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("Random", "sample_points"):
+                    calls.add((path.name, owner.get(id(node)), name))
+    assert ("theta.py", "sample_blocks", "sample_points") in calls
+    assert calls <= allowed, f"sample draws outside the sample stream: {calls - allowed}"

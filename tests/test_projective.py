@@ -4,6 +4,7 @@ from random import Random
 import numpy as np
 import pytest
 
+import thetalab.projective
 from thetalab.cyclotomic import zeta
 from thetalab.projective import (
     ProjectiveMatrix,
@@ -22,7 +23,7 @@ from thetalab.projective import (
     translation_check,
     verify_presentation,
 )
-from thetalab.theta import ThetaContext, theta_N_eval
+from thetalab.theta import ThetaContext, sample_points, theta_N_eval
 
 
 def test_projective_point_equality():
@@ -182,6 +183,53 @@ def test_translation_equivariance():
             rep = translation_check(ctx, samples=8, seed=0)
             assert rep.passed, rep
             assert rep.max_resid_S < 1e-8 and rep.max_resid_T < 1e-8
+
+
+@pytest.mark.parametrize("N", (2, 3, 5, 8))
+@pytest.mark.parametrize("samples", (5, 25))
+def test_translation_inversion_and_origin_figures(monkeypatch, N, samples):
+    # the inversion is tested on the first min(samples, 10) points of the
+    # stream, drawn afresh here, and the origin on the null vector
+    ctx = ThetaContext(N, 0.3 + 1.1j, 1e-10)
+    seen = []
+
+    def counting(k, z, ctx):
+        seen.append(np.broadcast(np.asarray(k), np.asarray(z)).size)
+        return theta_N_eval(k, z, ctx)
+
+    monkeypatch.setattr(thetalab.projective, "theta_N_eval", counting)
+    rep = translation_check(ctx, samples=samples, seed=3)
+    # each point and its two translates, the first points at -z, the origin
+    assert sum(seen) == N * (3 * samples + min(samples, 10) + 1)
+    ks = np.arange(N)
+    zs = sample_points(Random(3), ctx.tau, min(samples, 10))[:, None]
+    minv = build_canonical_matrices(N).M_inv.complex_array()
+    worst = proj_residual(theta_N_eval(ks, zs, ctx) @ minv.T, theta_N_eval(ks, -zs, ctx))
+    a = theta_N_eval(ks, 0.0, ctx).tolist()
+    sign = (-1) ** N
+    dev = max(abs(a[k] - sign * a[(N - k) % N]) for k in range(N)) / max(abs(c) for c in a)
+    assert (rep.max_resid_inv, rep.origin_dev) == (worst, dev)
+    assert rep.passed
+
+
+@pytest.mark.parametrize("fault", ("inversion", "origin"))
+def test_translation_report_fails_on_either_new_figure(monkeypatch, fault):
+    ctx = ThetaContext(4, 1j, 1e-10)
+    good = translation_check(ctx, samples=5)
+    if fault == "inversion":  # M_T in place of M_inv
+        can = build_canonical_matrices(4)
+        monkeypatch.setattr(
+            thetalab.projective, "build_canonical_matrices", lambda N: can._replace(M_inv=can.M_T)
+        )
+    else:  # a_1 doubled at the origin only
+        monkeypatch.setattr(
+            thetalab.projective, "theta_N_eval",
+            lambda k, z, ctx: theta_N_eval(k, z, ctx) * ([1, 2, 1, 1] if np.ndim(z) == 0 else 1),
+        )
+    bad = translation_check(ctx, samples=5)
+    assert (bad.max_resid_S, bad.max_resid_T) == (good.max_resid_S, good.max_resid_T)
+    assert max(bad.max_resid_inv, bad.origin_dev) > 0.1
+    assert good.passed and not bad.passed
 
 
 def test_translation_at_origin():

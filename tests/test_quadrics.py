@@ -129,7 +129,7 @@ def test_parity_errors():
         gen_even_basis(numeric_nulls(5, 1j))
     nd = NullData.exact(6, 50)
     with pytest.raises(ValueError):
-        gen_even_s_basis(nd)  # exact data carries no half-period values
+        gen_even_s_basis(NullData(6, nd.a, None))  # no half-period values
 
 
 def test_vanishing_on_curve_all_levels():
@@ -277,17 +277,14 @@ def test_form_json():
 # -- the exact rank and span certificates ------------------------------------
 
 
-def exact_data(N):
-    """Exact nulls and, for even N, half-period values, known to q^N."""
-    nd = NullData.exact(N, N)
-    if N % 2:
-        return nd
-    return NullData(N, nd.a, tuple(theta_half_series(N, k, N) for k in range(N)))
+def test_exact_null_data_carries_the_half_period_series_at_even_n():
+    assert NullData.exact(5, 5).s is None
+    assert NullData.exact(6, 6).s == tuple(theta_half_series(6, k, 6) for k in range(6))
 
 
 @pytest.mark.parametrize("N", range(4, 17))
 def test_exact_ranks_equal_the_svd_oracle(N):
-    numeric, exact = numeric_nulls(N, 1j), exact_data(N)
+    numeric, exact = numeric_nulls(N, 1j), NullData.exact(N, N)
     if N % 2:
         pairs = [(gen_odd_basis(numeric), gen_odd_basis(exact))]
     else:
@@ -344,7 +341,7 @@ def test_rank_record_fails_on_a_dropped_or_repeated_form(monkeypatch, N, change)
 
 @pytest.mark.parametrize("N", [4, 8, 12])
 def test_doubled_coefficient_breaks_the_vanishing_certificate(N):
-    exact = exact_data(N)
+    exact = NullData.exact(N, N)
     v0, s_v0 = gen_even_basis(exact).V0, gen_even_s_basis(exact).V0
     for which in (0, len(v0)):  # eb.V0[0] and sb.V0[0] in the stacked list
         f = (v0 + s_v0)[which]
