@@ -1,7 +1,8 @@
 """Batch driver: q-expansion printing, verification suites, invariants.
 
 Exit codes: 0 everything passed, 1 at least one check failed, 2 usage
-or configuration error.  Reports are deterministic for a fixed
+or configuration error, 141 (128 + SIGPIPE) stdout closed before the
+output was written.  Reports are deterministic for a fixed
 configuration: sampling is seeded and records are assembled in name
 order."""
 
@@ -10,11 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from random import Random
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .congruence import MAX_LEVEL, SubgroupSpec, enum_structures_above, group_tower_check, subgroup_invariants
 from .identities import (
@@ -39,6 +39,7 @@ from .identities import (
     x6_series,
     y6_series,
 )
+from .lazy import np
 from .projective import conjugation_table_check, rho_theta_match, translation_check, verify_presentation
 from .quadrics import (
     NullData,
@@ -55,6 +56,9 @@ from .theta import ThetaContext, theta_null_series, transform_check
 
 class ConfigError(Exception):
     pass
+
+
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: a shell's code for a command whose reader went away
 
 
 MIN_TOL = 1e-15  # numeric checks pass below 10 * tol; a smaller tol asks for less than rounding error
@@ -333,24 +337,27 @@ class Scope(NamedTuple):
     applies: Callable[[int], bool]  # of the level N
     error: str  # the ConfigError for any other N; {N} is filled in
     series: bool = False  # reads exact series, known to order >= 8N
+    numeric: Callable[[int], bool] = lambda N: True  # runs numpy at level N
 
 
 # where each suite applies: `all` runs the suites that apply at N, and a
 # single suite outside its levels is a configuration error
 _SCOPES = {
     "identities": Scope(
-        lambda N: N in SERIES_LEVELS, "no series identities catalogued for N = {N}", series=True
+        lambda N: N in SERIES_LEVELS, "no series identities catalogued for N = {N}", series=True,
+        numeric=lambda N: N == HESSE_LEVEL or has_null_invariance(N),
     ),
     "quadrics": Scope(lambda N: N >= 4, "quadric systems need N >= 4"),
     "rep": Scope(
-        lambda N: N >= 2 and N % 2 == 0, "the projective representation suite needs even N >= 2"
+        lambda N: N >= 2 and N % 2 == 0, "the projective representation suite needs even N >= 2",
+        numeric=lambda N: False,
     ),
     "translation": Scope(lambda N: N >= 2, "the translation suite needs N >= 2"),
     "transform": Scope(lambda N: N >= 2, "the transform suite needs N >= 2"),
     "weierstrass": Scope(lambda N: N == 4, "the Weierstrass suite is specific to N = 4"),
     "structures": Scope(
         lambda N: 2 <= N <= MAX_LEVEL and N % 2 == 0,
-        f"refined structures need even N >= 2 and N <= {MAX_LEVEL}",
+        f"refined structures need even N >= 2 and N <= {MAX_LEVEL}", numeric=lambda N: False,
     ),
 }
 
@@ -375,14 +382,17 @@ def run_suites(cfg: RunConfig, suite: str) -> list[IdentityRecord]:
         raise ConfigError(f"order must be >= {8 * cfg.N} for N = {cfg.N}")
     records = []
     for name in names:
-        records += _run_suite(_SUITES[name], cfg)
+        records += _run_suite(name, cfg)
     return sorted(records, key=lambda r: r.name)
 
 
-def _run_suite(fn, cfg: RunConfig) -> list[IdentityRecord]:
-    """One suite, with numpy overflow raised as Python's scalar arithmetic raises it."""
+def _run_suite(name: str, cfg: RunConfig) -> list[IdentityRecord]:
+    """One suite.  Where it runs numpy, numpy overflow is raised as Python's
+    scalar arithmetic raises it; elsewhere numpy is never executed."""
+    if not _SCOPES[name].numeric(cfg.N):
+        return _SUITES[name](cfg)
     with np.errstate(over="raise", invalid="raise"):
-        return fn(cfg)
+        return _SUITES[name](cfg)
 
 
 def report_exit_code(records: list[IdentityRecord]) -> int:
@@ -506,5 +516,23 @@ def main(argv=None) -> int:
     return 2
 
 
+def run():
+    """The command line: main(), then exit without interpreter teardown.
+
+    os._exit skips atexit handlers, finalizers and module cleanup, which
+    thetalab does not use, so stdout and stderr are flushed first.  A
+    reader that closes stdout early ends the command quietly with
+    EXIT_BROKEN_PIPE."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is still buffered, or written later, goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

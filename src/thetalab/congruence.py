@@ -244,13 +244,6 @@ def base_structure(N: int) -> tuple[TorsionPoint, TorsionPoint]:
     return TorsionPoint(0, Fraction(1, N), N), TorsionPoint(Fraction(1, N), 0, N)
 
 
-def structure_apply(pair, mat) -> tuple[TorsionPoint, TorsionPoint]:
-    """(S, T) * (a, b; c, d) = (aS + cT, bS + dT)."""
-    S, T = pair
-    a, b, c, d = mat
-    return (S.scaled(a) + T.scaled(c), S.scaled(b) + T.scaled(d))
-
-
 class StructuresResult(NamedTuple):
     N: int
     structures: tuple
@@ -306,13 +299,3 @@ def enum_structures_above(
         classes=tuple(classes),
         class_count=len(classes),
     )
-
-
-def structure_class_index(result: StructuresResult, pair) -> int:
-    """Which similarity class a refined structure belongs to."""
-    key = (pair[0].u, pair[0].v, pair[1].u, pair[1].v)
-    for i, cls in enumerate(result.classes):
-        for member in cls:
-            if (member[0].u, member[0].v, member[1].u, member[1].v) == key:
-                return i
-    raise ValueError("structure not found among the enumerated ones")

@@ -12,9 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
 from .cyclotomic import zeta
+from .lazy import np
 from .series import PuiseuxSeries, eta_series
 from .theta import (
     ThetaContext,

@@ -1,0 +1,32 @@
+"""numpy, bound once and executed at its first attribute access.
+
+Importing numpy takes longer than most exact commands, which never
+call it.  So `np` is bound here with the LazyLoader recipe of the
+importlib documentation: `numpy` is registered in sys.modules at once,
+and its code runs only when some path first reads `np.<attr>`.  A
+process that imported numpy before thetalab keeps that module.
+
+Every other module reads numpy as `from .lazy import np`, and none
+reads an `np.` attribute at import (tests/test_layering.py), so an
+exact command never executes numpy.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+
+
+def _lazy(name: str):
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+np = _lazy("numpy")

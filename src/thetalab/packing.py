@@ -4,8 +4,8 @@ A vector v is packed as sum(v[i] * 2^(8*width*i)), so the product of two
 packed vectors is their packed convolution, and a sum of such products
 is the packed sum of the convolutions (Harvey 2009).  Slots are whole
 bytes, so packing and unpacking go through bytes objects; slots of 1,
-2, 4 or 8 bytes go through a numpy array of machine integers in one
-call.  Both the series product and the exact matrix product use it.
+2, 4 or 8 bytes go through struct as little-endian machine integers in
+one call.  Both the series product and the exact matrix product use it.
 
 Adding half of each slot's range to every slot (the bias) turns signed
 slots into non-negative ones, so they read off without borrows, and
@@ -14,10 +14,10 @@ XOR with the bias turns a biased slot into its two's complement.
 
 from __future__ import annotations
 
-import numpy as np
+import struct
 
-# slot widths in bytes that numpy reads as one little-endian machine integer
-_DTYPES = {w: np.dtype(f"<i{w}") for w in (1, 2, 4, 8)}
+# struct's code for a little-endian signed integer of each slot width
+_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def slot_width(bound: int) -> int:
@@ -28,15 +28,20 @@ def slot_width(bound: int) -> int:
 
 def pack_width(bound: int) -> int:
     """The slot width both products pack at: slot_width(bound) rounded
-    up to 1, 2, 4 or 8 bytes, which pack through numpy in one call; a
+    up to 1, 2, 4 or 8 bytes, which pack through struct in one call; a
     wider slot keeps its own width and takes the byte loop."""
     width = slot_width(bound)
-    return next((w for w in _DTYPES if w >= width), width)
+    return next((w for w in _CODES if w >= width), width)
 
 
 def _bias(width: int, n: int) -> int:
     """Half of each slot's range in each of n slots."""
     return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
+def _format(width: int, n: int) -> str:
+    """The struct format of n slots of a width in _CODES."""
+    return f"<{n}{_CODES[width]}"
 
 
 def pack(slots, width: int) -> int:
@@ -48,14 +53,11 @@ def pack_many(vectors: list, width: int) -> list:
     """pack() of each of several vectors of one length."""
     if not vectors:
         return []
-    dtype = _DTYPES.get(width)
-    if dtype is not None:
+    if width in _CODES:
         # two's complement slots XOR the bias are the biased slots
-        size = width * len(vectors[0])
+        fmt = _format(width, len(vectors[0]))
         bias = _bias(width, len(vectors[0]))
-        raw = np.array(vectors, dtype).tobytes()
-        return [(int.from_bytes(raw[i:i + size], "little") ^ bias) - bias
-                for i in range(0, len(raw), size)]
+        return [(int.from_bytes(struct.pack(fmt, *v), "little") ^ bias) - bias for v in vectors]
     zero = bytes(width)
     out = []
     for slots in vectors:
@@ -74,7 +76,6 @@ def unpack(value: int, width: int, n: int) -> list:
     size = width * n
     bias = _bias(width, n)
     raw = (((value + bias) & ((1 << (8 * size)) - 1)) ^ bias).to_bytes(size, "little")
-    dtype = _DTYPES.get(width)
-    if dtype is not None:
-        return np.frombuffer(raw, dtype).tolist()
+    if width in _CODES:
+        return list(struct.unpack(_format(width, n), raw))
     return [int.from_bytes(raw[i:i + width], "little", signed=True) for i in range(0, size, width)]

@@ -33,8 +33,6 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-import numpy as np
-
 from .cyclotomic import (
     CyclotomicNumber,
     embed_vector,
@@ -48,6 +46,7 @@ from .cyclotomic import (
     scalar_json,
     zeta,
 )
+from .lazy import np
 from .packing import pack, pack_many, pack_width, unpack
 from .theta import ThetaContext, proj_residual, sample_blocks, theta_N_eval
 
@@ -636,14 +635,6 @@ def build_rho_bar(N: int) -> RhoBar:
         )
 
     return RhoBar(Abar=abar, Bbar=bbar, Abar_null=conj(abar), Bbar_null=conj(bbar))
-
-
-def rho_bar_image(N: int, word: SL2Word, null_coords: bool = False) -> ProjectiveMatrix:
-    """The fixed-space image of an SL_2(Z) word."""
-    rb = build_rho_bar(N)
-    a = rb.Abar_null if null_coords else rb.Abar
-    b = rb.Bbar_null if null_coords else rb.Bbar
-    return word.evaluate_proj(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,9 @@ import json
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .cyclotomic import CyclotomicNumber, scalar_inverse, scalar_is_zero, scalar_json
 from .frozen import Frozen
+from .lazy import np
 from .series import PuiseuxSeries
 from .theta import (
     ThetaContext, sample_blocks, theta_N_eval, theta_half_eval, theta_half_series, theta_null_series,
@@ -39,12 +38,6 @@ def _to_complex(c) -> complex:
     if isinstance(c, PuiseuxSeries):
         raise TypeError("series coefficients have no canonical numeric value here")
     return complex(c)
-
-
-def _scalar_zero(c) -> bool:
-    if isinstance(c, PuiseuxSeries):
-        return c.is_zero()
-    return scalar_is_zero(c)
 
 
 def _dropped(c) -> bool:
@@ -116,22 +109,6 @@ class QuadraticForm:
 
     def __repr__(self):
         return f"QuadraticForm(N={self.N}, {len(self.coeffs)} monomials, class={self.graded_class()})"
-
-
-def monomial_basis(N: int) -> list[tuple[int, int]]:
-    """All unordered index pairs, the N(N+1)/2 degree-2 monomials."""
-    return [(i, j) for i in range(N) for j in range(i, N)]
-
-
-def forms_proportional(f: QuadraticForm, g: QuadraticForm) -> bool:
-    """Exact equality as projective forms (same class up to a global scalar)."""
-    if f.N != g.N or set(f.coeffs) != set(g.coeffs):
-        return False
-    if not f.coeffs:
-        return True
-    key0 = next(iter(f.coeffs))
-    a, b = f.coeffs[key0], g.coeffs[key0]
-    return all(_scalar_zero(c * b - g.coeffs[key] * a) for key, c in f.coeffs.items())
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +443,3 @@ def half_period_bound(forms: list[QuadraticForm], s: tuple, order: int) -> tuple
     w = [QuadraticForm(N, {m: value(*m, shift) for m in monos}) for shift in (0, h)]
     return len(monos) - rank_check(w, N), None
 
-
-def substitute_nulls(form: QuadraticForm, nd: NullData):
-    """Q with X_i replaced by the null values a_i (series or numeric)."""
-    return form.evaluate(nd.a)

@@ -58,30 +58,9 @@ from .cyclotomic import (
     field_scalar,
     reduce_vectors,
     scalar_inverse,
-    scalar_is_zero,
     scalar_json,
 )
 from .packing import pack, pack_width, unpack
-
-
-def _schoolbook_product(a: dict, b: dict, t: int) -> dict:
-    """Terms below t of the product of two term maps, pair by pair (the tests' reference)."""
-    terms: dict = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            if k >= t:
-                continue
-            p = ca * cb
-            if k in terms:
-                s = terms[k] + p
-                if scalar_is_zero(s):
-                    del terms[k]
-                else:
-                    terms[k] = s
-            else:
-                terms[k] = p
-    return terms
 
 
 def _slots(nums: dict, v: int, offsets: list, g: int, stride: int) -> list:
@@ -344,10 +323,6 @@ class PuiseuxSeries:
         return PuiseuxSeries._of(self.ram * den, self.order, self.den, nums, self.trunc * num)
 
     # -- comparisons, evaluation, formatting ------------------------------
-
-    def same_series(self, other) -> bool:
-        """True when self - other vanishes identically to the shared truncation."""
-        return (self - other).is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):

@@ -24,10 +24,9 @@ from math import isqrt
 from random import Random
 from typing import NamedTuple
 
-import numpy as np
-
 from .cyclotomic import zeta
 from .frozen import Frozen
+from .lazy import np
 from .series import PuiseuxSeries
 
 TWO_PI_I = 2j * math.pi

@@ -9,7 +9,8 @@ import cmath
 
 import numpy as np
 
-from thetalab.quadrics import monomial_basis
+from thetalab.cyclotomic import scalar_is_zero
+from thetalab.series import PuiseuxSeries
 
 
 def direct_theta_pq(p, q, z, tau, radius=60):
@@ -33,6 +34,26 @@ def jacobi_transform_vars(w, x, y, z):
     yp = 0.5 * (w - x + y - z)
     zp = 0.5 * (w - x - y + z)
     return wp, xp, yp, zp
+
+
+def monomial_basis(N):
+    """All unordered index pairs, the N(N+1)/2 degree-2 monomials."""
+    return [(i, j) for i in range(N) for j in range(i, N)]
+
+
+def is_zero(c):
+    return c.is_zero() if isinstance(c, PuiseuxSeries) else scalar_is_zero(c)
+
+
+def forms_proportional(f, g):
+    """Exact equality as projective forms (same class up to a global scalar)."""
+    if f.N != g.N or set(f.coeffs) != set(g.coeffs):
+        return False
+    if not f.coeffs:
+        return True
+    key0 = next(iter(f.coeffs))
+    a, b = f.coeffs[key0], g.coeffs[key0]
+    return all(is_zero(c * b - g.coeffs[key] * a) for key, c in f.coeffs.items())
 
 
 SVD_RTOL = 1e-7  # singular values below this share of the largest count as zero

@@ -474,3 +474,18 @@ def test_out_of_memory_is_a_usage_error(capsys, monkeypatch, exc, reason):
     assert out == ""
     assert err == f"error: out of memory ({reason}); lower --order, --N or --samples\n"
     assert "Traceback" not in err
+
+
+def test_numpy_overflow_in_a_numeric_suite_is_a_usage_error(capsys, monkeypatch):
+    # numpy overflow still raises where numeric suites run: huge coordinates
+    # overflow the quadric residuals' products instead of reading inf
+    inner = thetalab.quadrics.theta_N_eval
+
+    def huge(k, z, ctx):
+        return inner(k, z, ctx) * 1e200
+
+    monkeypatch.setattr(thetalab.quadrics, "theta_N_eval", huge)
+    code, out, err = run_cli(capsys, "verify", "--suite", "quadrics", "--N", "8")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: numeric overflow (")
+    assert err.endswith("); lower --tau-im\n")

@@ -12,8 +12,6 @@ from thetalab.congruence import (
     group_tower_check,
     sl2_mod,
     sl2_order,
-    structure_apply,
-    structure_class_index,
     subgroup_invariants,
     weil_pairing,
 )
@@ -98,6 +96,23 @@ def test_structures_count_and_classes():
         assert res.class_count == 4
         # classes partition the survivors in pairs
         assert sorted(len(c) for c in res.classes) == [2, 2, 2, 2]
+
+
+def structure_apply(pair, mat):
+    """(S, T) * (a, b; c, d) = (aS + cT, bS + dT)."""
+    S, T = pair
+    a, b, c, d = mat
+    return (S.scaled(a) + T.scaled(c), S.scaled(b) + T.scaled(d))
+
+
+def structure_class_index(result, pair) -> int:
+    """Which similarity class a refined structure belongs to."""
+    key = (pair[0].u, pair[0].v, pair[1].u, pair[1].v)
+    for i, cls in enumerate(result.classes):
+        for member in cls:
+            if (member[0].u, member[0].v, member[1].u, member[1].v) == key:
+                return i
+    raise ValueError("structure not found among the enumerated ones")
 
 
 def test_coset_representatives_distinct():

@@ -16,6 +16,15 @@ def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def owners(tree: ast.Module) -> dict:
+    """The name of the innermost function around each node, by node id."""
+    owner = {}
+    for fn in ast.walk(tree):  # outer functions come first, so inner ones overwrite
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), fn.name) for node in ast.walk(fn))
+    return owner
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_import_inside_a_function(path):
     found = [
@@ -67,10 +76,7 @@ def test_sample_points_are_drawn_only_by_the_sample_stream():
     calls = set()
     for path in SOURCES:
         tree = parse(path)
-        owner = {}  # innermost enclosing function; ast.walk visits outer ones first
-        for fn in ast.walk(tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        owner = owners(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
@@ -78,3 +84,104 @@ def test_sample_points_are_drawn_only_by_the_sample_stream():
                     calls.add((path.name, owner.get(id(node)), name))
     assert ("theta.py", "sample_blocks", "sample_points") in calls
     assert calls <= allowed, f"sample draws outside the sample stream: {calls - allowed}"
+
+
+def imported_modules(tree: ast.Module) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_only_the_lazy_module_binds_numpy():
+    # every other module reads numpy as `from .lazy import np`
+    found = [
+        path.name for path in SOURCES
+        if any(n == "numpy" or n.startswith("numpy.") for n in imported_modules(parse(path)))
+    ]
+    assert not found, f"modules that import numpy: {found}"
+    assert '_lazy("numpy")' in (PACKAGE / "lazy.py").read_text()
+
+
+def run_at_import(tree: ast.Module):
+    """The nodes of a module that Python evaluates when it imports it: all
+    but function and lambda bodies (decorators, default values and class
+    bodies are in), and annotations only where they are not postponed."""
+    postponed = any(
+        isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        and any(alias.name == "annotations" for alias in node.names)
+        for node in tree.body
+    )
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            todo += getattr(node, "decorator_list", [])
+            todo += args.defaults + [d for d in args.kw_defaults if d is not None]
+            if not postponed and not isinstance(node, ast.Lambda):
+                every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+                todo += [a.annotation for a in every if a is not None and a.annotation]
+                todo += [node.returns] if node.returns else []
+        elif postponed and isinstance(node, ast.AnnAssign):
+            todo += [node.target] + ([node.value] if node.value else [])
+        else:
+            todo += ast.iter_child_nodes(node)
+
+
+def np_reads_at_import(tree: ast.Module) -> list:
+    return [
+        node.lineno for node in run_at_import(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "np"
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_numpy_attribute_is_read_at_import(path):
+    # such a read would execute numpy in every command
+    assert not np_reads_at_import(parse(path)), path.name
+
+
+def test_the_import_time_rule_sees_every_place_code_runs_at_import():
+    reads = [
+        "X = np.pi",
+        "@np.vectorize\ndef f(x):\n    return x",
+        "def f(x=np.pi):\n    return x",
+        "def f(*, x=np.pi):\n    return x",
+        "g = lambda x=np.pi: x",
+        "class C:\n    x = np.pi",
+        "class C(np.ndarray):\n    pass",
+        "T = {w: np.dtype(w) for w in 'ab'}",
+        "def f(x: np.ndarray) -> np.ndarray:\n    return x",
+        "x: np.ndarray = 1",
+    ]
+    for src in reads:
+        assert np_reads_at_import(ast.parse(src)), src
+    deferred = [
+        "def f(x):\n    return np.pi",
+        "g = lambda x: np.pi",
+        "class C:\n    def f(self):\n        return np.pi",
+        "from __future__ import annotations\ndef f(x: np.ndarray) -> np.ndarray:\n    return x",
+        "from __future__ import annotations\nx: np.ndarray = 1",
+    ]
+    for src in deferred:
+        assert not np_reads_at_import(ast.parse(src)), src
+
+
+def test_only_cli_run_exits_without_teardown():
+    calls = []
+    for path in SOURCES:
+        tree = parse(path)
+        owner = owners(tree)
+        calls += [
+            (path.name, owner.get(id(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_exit"
+            or isinstance(node, ast.alias) and node.name == "_exit"
+        ]
+    assert calls == [("cli.py", "run")]

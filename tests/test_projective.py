@@ -283,10 +283,18 @@ def test_translation_matched_power_is_reported():
     assert rep.matched_T_power == -1  # point action inverts the diagonal
 
 
+def rho_bar_image(N: int, word, null_coords: bool = False) -> ProjectiveMatrix:
+    """The fixed-space image of an SL_2(Z) word."""
+    rb = build_rho_bar(N)
+    a = rb.Abar_null if null_coords else rb.Abar
+    b = rb.Bbar_null if null_coords else rb.Bbar
+    return word.evaluate_proj(a, b)
+
+
 def test_rho_bar_commutes_with_restriction():
     # the compressed image of a word equals the word in the compressed
     # generators, for several words mixing both generators
-    from thetalab.projective import SL2Word, build_rep_generators, restrict_to_fixed_space, rho_bar_image
+    from thetalab.projective import SL2Word, build_rep_generators, restrict_to_fixed_space
 
     for N in (4, 6):
         gens = build_rep_generators(N)
@@ -302,7 +310,7 @@ def test_rho_bar_commutes_with_restriction():
 
 def test_rho_bar_image_of_lower_triangular():
     # the word for (1, 0; N, 1) restricts to the antidiagonal flip
-    from thetalab.projective import SL2Word, rho_bar_image
+    from thetalab.projective import SL2Word
 
     for N in (4, 6, 8):
         h = N // 2

@@ -1,0 +1,96 @@
+"""One-shot processes: what each command executes, and how it exits.
+
+numpy is bound lazily (thetalab.lazy), so a command that reads no `np.`
+attribute never executes it; `python -m thetalab` ends through cli.run,
+which flushes its output and exits without interpreter teardown."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from thetalab.cli import EXIT_BROKEN_PIPE, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ENV = dict(os.environ, PYTHONPATH=str(SRC))
+
+# runs main in a fresh interpreter, then says whether numpy was executed:
+# the lazy binding registers only `numpy`, and executing it imports numpy.*
+PROBE = (
+    "import sys; from thetalab.cli import main; code = main(sys.argv[1:]); "
+    "print(code, any(name.startswith('numpy.') for name in sys.modules))"
+)
+
+
+def label(value):
+    return " ".join(value) if isinstance(value, tuple) else None
+
+
+def child(*args, **kwargs):
+    kwargs = {"capture_output": True, **kwargs}
+    return subprocess.run([sys.executable, *args], env=ENV, text=True, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv, executed",
+    [
+        (("qexp", "--object", "mu6"), False),
+        (("qexp", "--object", "b4"), False),
+        (("qexp", "--object", "lambda"), False),
+        (("qexp", "--object", "theta-null", "--k", "1"), False),
+        (("invariants", "--family", "gamma", "--N", "12"), False),
+        (("invariants", "--family", "gammaN2N", "--N", "12"), False),
+        (("verify", "--suite", "rep", "--N", "16"), False),
+        (("verify", "--suite", "structures", "--N", "12"), False),
+        (("verify", "--suite", "identities", "--N", "5"), False),
+        (("verify", "--suite", "identities", "--N", "7"), False),
+        # the null-invariance and Hesse records are numeric
+        (("verify", "--suite", "identities", "--N", "4"), True),
+        (("verify", "--suite", "quadrics", "--N", "8"), True),
+    ],
+    ids=label,
+)
+def test_exact_commands_never_execute_numpy(argv, executed):
+    proc = child("-c", PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {executed}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("qexp", "--object", "mu6", "--order", "400"),  # ends in the final flush
+        ("verify", "--suite", "all", "--N", "4", "--format", "json"),
+        ("verify", "--suite", "quadrics", "--N", "16", "--tol", "1e-15"),  # a check fails
+        ("verify", "--suite", "rep", "--N", "3"),  # a configuration error
+    ],
+    ids=label,
+)
+def test_module_exits_with_the_code_and_output_of_main(capsys, argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    proc = child("-m", "thetalab", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.out, out.err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("qexp", "--object", "lambda", "--order", "32"),  # fits the buffer: raises at the flush
+        ("verify", "--suite", "translation", "--N", "4", "--format", "json"),
+        ("qexp", "--object", "lambda", "--order", "600"),  # 20 kB: raises inside print
+    ],
+    ids=label,
+)
+def test_closed_stdout_exits_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe fails with EPIPE
+    try:
+        proc = child("-m", "thetalab", *argv, stdout=write_end, capture_output=False,
+                     stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE == 141
+    assert "Traceback" not in proc.stderr and proc.stderr == ""
