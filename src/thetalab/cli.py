@@ -23,6 +23,7 @@ from .identities import (
     QUOTIENT_MODELS,
     SERIES_LEVELS,
     IdentityRecord,
+    ThetaUnderflow,
     b1_series,
     b4_series,
     degenerate_fibers_level4,
@@ -337,7 +338,7 @@ class Scope(NamedTuple):
     applies: Callable[[int], bool]  # of the level N
     error: str  # the ConfigError for any other N; {N} is filled in
     series: bool = False  # reads exact series, known to order >= 8N
-    numeric: Callable[[int], bool] = lambda N: True  # runs numpy at level N
+    numeric: bool = True  # runs numpy
 
 
 # where each suite applies: `all` runs the suites that apply at N, and a
@@ -345,19 +346,19 @@ class Scope(NamedTuple):
 _SCOPES = {
     "identities": Scope(
         lambda N: N in SERIES_LEVELS, "no series identities catalogued for N = {N}", series=True,
-        numeric=lambda N: N == HESSE_LEVEL or has_null_invariance(N),
+        numeric=False,
     ),
     "quadrics": Scope(lambda N: N >= 4, "quadric systems need N >= 4"),
     "rep": Scope(
         lambda N: N >= 2 and N % 2 == 0, "the projective representation suite needs even N >= 2",
-        numeric=lambda N: False,
+        numeric=False,
     ),
     "translation": Scope(lambda N: N >= 2, "the translation suite needs N >= 2"),
     "transform": Scope(lambda N: N >= 2, "the transform suite needs N >= 2"),
     "weierstrass": Scope(lambda N: N == 4, "the Weierstrass suite is specific to N = 4"),
     "structures": Scope(
         lambda N: 2 <= N <= MAX_LEVEL and N % 2 == 0,
-        f"refined structures need even N >= 2 and N <= {MAX_LEVEL}", numeric=lambda N: False,
+        f"refined structures need even N >= 2 and N <= {MAX_LEVEL}", numeric=False,
     ),
 }
 
@@ -388,8 +389,8 @@ def run_suites(cfg: RunConfig, suite: str) -> list[IdentityRecord]:
 
 def _run_suite(name: str, cfg: RunConfig) -> list[IdentityRecord]:
     """One suite.  Where it runs numpy, numpy overflow is raised as Python's
-    scalar arithmetic raises it; elsewhere numpy is never executed."""
-    if not _SCOPES[name].numeric(cfg.N):
+    scalar arithmetic raises it; the other suites never execute numpy."""
+    if not _SCOPES[name].numeric:
         return _SUITES[name](cfg)
     with np.errstate(over="raise", invalid="raise"):
         return _SUITES[name](cfg)
@@ -505,6 +506,9 @@ def main(argv=None) -> int:
         return 2
     except (OverflowError, FloatingPointError) as exc:
         print(f"error: numeric overflow ({exc}); lower --tau-im", file=sys.stderr)
+        return 2
+    except ThetaUnderflow as exc:
+        print(f"error: {exc}; lower --tau-im", file=sys.stderr)
         return 2
     except MemoryError as exc:
         reason = str(exc) or "allocation failed"  # a list too large to allocate says nothing

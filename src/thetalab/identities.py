@@ -526,6 +526,15 @@ SERIES_LEVELS = frozenset(
 # Hesse cubic, Weierstrass model, degenerate fibers
 
 
+class ThetaUnderflow(ArithmeticError):
+    """A theta value that a numeric check divides by is zero in double precision."""
+
+
+def _nulls_at(ctx: ThetaContext, count: int) -> list[complex]:
+    """The null values a_0, ..., a_(count-1) at ctx.tau, one point each."""
+    return [theta_N_eval(k, 0.0, ctx, ctx.n_radius) for k in range(count)]
+
+
 def hesse_check(
     order: int, ctx: ThetaContext | None = None, samples: int = 20, seed: int = 0,
     rtol: float = 1e-7,
@@ -533,16 +542,26 @@ def hesse_check(
     """The even-index degree-6 coordinates satisfy a Hesse cubic.
 
     Series part: the displayed 3mu expansion; numeric part: the cubic
-    X_0^3 + X_2^3 + X_4^3 = 3mu X_0 X_2 X_4 at sampled curve points."""
+    X_0^3 + X_2^3 + X_4^3 = 3mu X_0 X_2 X_4 at sampled curve points.
+    Raises ThetaUnderflow where 3mu divides by a null that is 0.0 in
+    double precision (a_0 from Im tau = 159 on)."""
     if ctx is None:
         ctx = ThetaContext(HESSE_LEVEL, 1j, 1e-10)
     lead = _leading_record("level6.hesse-mu", 6, mu6_series(order), _MU_LEADING, order)
-    ks = np.arange(6)
-    a = theta_N_eval(ks, 0.0, ctx).tolist()
-    mu3 = _mu6(_x6(a), _y6(a))
+    a = _nulls_at(ctx, 6)
+    try:
+        mu3 = _mu6(_x6(a), _y6(a))
+    except ZeroDivisionError:
+        raise ThetaUnderflow(
+            f"the level-6 theta nulls underflow to zero at Im tau = {ctx.tau.imag:.3g}"
+        ) from None
     worst = 0.0
-    for z in sample_blocks(ctx.tau, samples, seed):
-        for x in theta_N_eval(ks, z[:, None], ctx).tolist():
+    for zs in sample_blocks(ctx.tau, samples, seed):
+        # a block's radii come first, so a point whose terms overflow is
+        # reported before any residual of the block can overflow
+        radii = [ctx.radius(z) for z in zs]
+        for z, r in zip(zs, radii):
+            x = [theta_N_eval(k, z, ctx, r) for k in range(6)]
             scale = max(abs(c) for c in x) ** 3 * max(1.0, abs(mu3))
             resid = abs(x[0] ** 3 + x[2] ** 3 + x[4] ** 3 - mu3 * x[0] * x[2] * x[4]) / scale
             worst = max(worst, resid)
@@ -585,7 +604,7 @@ def weierstrass_check_level4(
     accepted = 0
     # a block is evaluated only when the points before it fall short
     points = (x for zs in sample_blocks(ctx.tau, 20 * samples, seed)
-              for x in theta_N_eval(ks, zs[:, None], ctx).tolist())
+              for x in theta_N_eval(ks, np.asarray(zs)[:, None], ctx).tolist())
     for x0, x1, x2, x3 in points:
         scale = max(abs(c) for c in (x0, x1, x2, x3)) ** 2
         den1 = a1 ** 2 * x0 * x2 - a0 * a2 * x1 * x3
@@ -675,13 +694,10 @@ def null_invariance_check(N: int, tau: complex = 1j, rtol: float = 1e-8) -> Iden
         raise ValueError("the invariance statement is for even N")
     h = N // 2
     ctx = ThetaContext(N, tau, 1e-10)
-    ks = np.arange(h + 1)
-    base = theta_N_eval(ks, 0.0, ctx)
-    shift = theta_N_eval(ks, 0.0, ctx.with_tau(tau + N))
-    twist = np.array([(-1) ** k for k in range(h + 1)])
-    r1 = proj_residual(twist * base, shift)
-    tau2 = tau / (N * tau + 1)
-    lower = theta_N_eval(ks, 0.0, ctx.with_tau(tau2))
+    base = _nulls_at(ctx, h + 1)
+    shift = _nulls_at(ctx.with_tau(tau + N), h + 1)
+    r1 = proj_residual([(-1) ** k * b for k, b in enumerate(base)], shift)
+    lower = _nulls_at(ctx.with_tau(tau / (N * tau + 1)), h + 1)
     r2 = proj_residual(base[::-1], lower)
     return IdentityRecord.numeric(
         f"level{N}.null-invariance", N, max(r1, r2), rtol,

@@ -8,7 +8,9 @@ process that imported numpy before thetalab keeps that module.
 
 Every other module reads numpy as `from .lazy import np`, and none
 reads an `np.` attribute at import (tests/test_layering.py), so an
-exact command never executes numpy.
+exact command never executes numpy; nor does a one-point theta value
+(theta.py sums it in plain Python), so neither does the identities
+suite at any level.
 """
 
 from __future__ import annotations

@@ -686,7 +686,8 @@ def translation_check(
     worst_s = 0.0
     worst_t = {1: 0.0, -1: 0.0}
     worst_inv = None
-    for z in sample_blocks(tau, samples, seed):
+    for block in sample_blocks(tau, samples, seed):
+        z = np.asarray(block)
         # each point and its two translates in one kernel call
         pts = np.stack([z, z + tau / N, z + 1.0 / N])
         base, ts, tt = theta_N_eval(ks, pts[:, :, None], ctx)

@@ -341,9 +341,9 @@ def verify_on_curve(
     norm = np.array([forms[col].max_coeff_abs() for col in live])
     ks = np.arange(N)
     worst = np.zeros(len(live))
-    for z in sample_blocks(ctx.tau, samples, seed):
-        x = theta_N_eval(ks, z[:, None], ctx)
-        acc = np.zeros((len(z), len(live)), dtype=complex)
+    for zs in sample_blocks(ctx.tau, samples, seed):
+        x = theta_N_eval(ks, np.asarray(zs)[:, None], ctx)
+        acc = np.zeros((len(zs), len(live)), dtype=complex)
         for t in range(width):
             acc += coef[t] * x[:, idx[0, t]] * x[:, idx[1, t]]
         scale2 = np.max(np.abs(x), axis=1) ** 2

@@ -10,9 +10,11 @@ with e(x) = exp(2 pi i x), and the degree-N family
 
 indexed by k mod N (integers or half-integers).  Numeric sums are
 truncated point by point, where a Gaussian tail bound puts the rest
-below the tolerance and below rounding of the peak term; the exact
-q-expansions of the null values theta_k(0, tau) are produced as
-Puiseux series.
+below the tolerance and below rounding of the peak term.  One point
+(a scalar k and z) is summed in plain Python with math and cmath, so
+it never executes numpy; arrays of points are summed by a numpy block
+kernel that gives the same values bit for bit.  The exact q-expansions
+of the null values theta_k(0, tau) are produced as Puiseux series.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import cmath
 import math
 from fractions import Fraction
 from math import isqrt
+from numbers import Number
 from random import Random
 from typing import NamedTuple
 
@@ -41,8 +44,18 @@ def e(x) -> complex:
     return cmath.exp(TWO_PI_I * x)
 
 
-def window_radii(b: np.ndarray, y: float, tol: float) -> np.ndarray:
-    """Summation radius around the peak for each point with Im z = b.
+def _overflow(b: float, y: float) -> ValueError:
+    return ValueError(
+        f"theta terms overflow double precision at Im z = {b:.3g}, Im tau = {y:.3g}"
+        " (N z and N tau for the degree-N family); lower Im tau"
+    )
+
+
+_UNREACHABLE = "tail bound unreachable at this (tol, Im tau, Im z)"
+
+
+def tail_radius(b: float, y: float, tol: float) -> int:
+    """Summation radius around the peak for the point with Im z = b.
 
     The summand at m = n + p has magnitude
     amp * exp(-pi y (m + b/y)^2) with amp = exp(pi b^2 / y) and
@@ -51,28 +64,45 @@ def window_radii(b: np.ndarray, y: float, tol: float) -> np.ndarray:
 
         2 amp exp(-pi y R^2) / (1 - exp(-2 pi y R)).
 
-    Each radius is the smallest integer R >= 1 at which this is below
+    The radius is the smallest integer R >= 1 at which this is below
     min(tol, 2^-60 amp): the tail left out is below tol and below double
     rounding of the peak term (the pointwise truncation of Deconinck et
-    al., Computing Riemann theta functions, Math. Comp. 73, 2004).  The
-    radii are found for the whole array at once, stepping up from a
-    Gaussian lower bound.  Returned as floats with the shape of b.
-    """
+    al., Computing Riemann theta functions, Math. Comp. 73, 2004).  It is
+    found stepping up from a Gaussian lower bound: the majorant exceeds
+    2 amp exp(-pi y R^2), so no radius below
+    sqrt(log(2 amp / limit) / (pi y)) proves the bound; the margin keeps
+    rounding from starting past the radius."""
+    log_amp = math.pi * b * b / y
+    try:
+        amp = math.exp(log_amp)
+    except OverflowError:
+        amp = math.inf
+    if not math.isfinite(amp):
+        raise _overflow(b, y)
+    limit = min(tol, 2.0**-60 * amp)
+    log_ratio = max(log_amp - math.log(tol), 60 * math.log(2))
+    radius = max(1, math.ceil(math.sqrt((log_ratio + math.log(2)) / (math.pi * y)) - 1e-9))
+    while True:
+        if radius > MAX_RADIUS:
+            raise ValueError(_UNREACHABLE)
+        decay = math.exp(-math.pi * y * radius * radius)
+        denom = 1.0 - math.exp(-2.0 * math.pi * y * radius)
+        if 2.0 * amp * decay / denom < limit:
+            return radius
+        radius += 1
+
+
+def window_radii(b: np.ndarray, y: float, tol: float) -> np.ndarray:
+    """tail_radius for an array of Im z at once, as floats with the shape
+    of b: the same operations, stepping every point up together."""
     shape = np.shape(b)
     b = np.asarray(b, dtype=float).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
         log_amp = math.pi * b * b / y
         amp = np.exp(log_amp)
         if not np.isfinite(amp).all():
-            bad = b[np.argmin(np.isfinite(amp))]
-            raise ValueError(
-                f"theta terms overflow double precision at Im z = {bad:.3g}, Im tau = {y:.3g}"
-                " (N z and N tau for the degree-N family); lower Im tau"
-            )
+            raise _overflow(b[np.argmin(np.isfinite(amp))], y)
         limit = np.minimum(tol, 2.0**-60 * amp)
-        # the majorant exceeds 2 amp exp(-pi y R^2), so no radius below
-        # sqrt(log(2 amp / limit) / (pi y)) proves the bound; the margin
-        # keeps rounding from starting a point past its radius
         log_ratio = np.maximum(log_amp - math.log(tol), 60 * math.log(2))
         start = np.sqrt((log_ratio + math.log(2)) / (math.pi * y)) - 1e-9
         radius = np.maximum(1.0, np.ceil(start))
@@ -80,7 +110,7 @@ def window_radii(b: np.ndarray, y: float, tol: float) -> np.ndarray:
         while todo.size:
             r = radius[todo]
             if r.max() > MAX_RADIUS:
-                raise ValueError("tail bound unreachable at this (tol, Im tau, Im z)")
+                raise ValueError(_UNREACHABLE)
             decay = np.exp(-math.pi * y * r * r)
             denom = 1.0 - np.exp(-2.0 * math.pi * y * r)
             todo = todo[~(2.0 * amp[todo] * decay / denom < limit[todo])]
@@ -88,20 +118,18 @@ def window_radii(b: np.ndarray, y: float, tol: float) -> np.ndarray:
     return radius.reshape(shape)
 
 
-def _theta_sum(p, q: float, z, tau: complex, tol: float) -> np.ndarray:
+def _theta_sum(p, q: float, z, tau: complex, tol: float, radius: int | None = None):
     """Direct sum for theta_(p,q)(z, tau) with a proven < tol tail.
 
-    p and z broadcast against each other; q and tau are shared.  Each
-    point sums its own window [floor(peak - p - R), ceil(peak - p + R)]
-    centred on its peak m = -Im z / Im tau, with R from window_radii.
-    Points are summed BLOCK at a time: a block's terms form one
-    (window offset x point) table, built with one exp and with every
-    term formed by the same floating-point operations as the scalar
-    expression exp(2 pi i ((1/2) m^2 tau + m (z + q))).  Terms past a
-    point's own window are set to zero, and the rows are added in
-    increasing n, so each value is the one a scalar loop over n would
-    give, bit for bit.  (A reduction over the offset axis would not be:
-    numpy sums a contiguous axis pairwise.)
+    Each point sums its own window [floor(peak - p - R), ceil(peak - p + R)]
+    centred on its peak m = -Im z / Im tau, with R = tail_radius(Im z),
+    adding the terms exp(2 pi i ((1/2) m^2 tau + m (z + q))) in increasing
+    n.  A float p with a complex z is one point: its window is summed in
+    plain Python (_point_sum), with `radius` when the caller has it.  p and
+    z may instead be arrays that broadcast against each other, and go to
+    the block kernel (_block_sum).  Both form every term by the same
+    floating-point operations and add them in the same order, so they give
+    the same value bit for bit.
 
     Error model: tol bounds only the tail left out of the window.
     Rounding in the sum adds about 1e-16 * exp(pi Im(z)^2 / Im tau), the
@@ -111,6 +139,39 @@ def _theta_sum(p, q: float, z, tau: complex, tol: float) -> np.ndarray:
     y = tau.imag
     if y <= 0:
         raise ValueError("Im tau must be positive")
+    if isinstance(p, float) and isinstance(z, complex):
+        return _point_sum(p, q, z, tau, tail_radius(z.imag, y, tol) if radius is None else radius)
+    if radius is not None:
+        raise TypeError("a radius is given only for a single point")
+    return _block_sum(p, q, z, tau, tol)
+
+
+def _point_sum(p: float, q: float, z: complex, tau: complex, radius: int) -> complex:
+    """One window of _theta_sum, term by term with math and cmath."""
+    b = z.imag
+    x, y = tau.real, tau.imag
+    peak = -b / y
+    w_re = z.real + q
+    acc = 0j
+    for n in range(math.floor(peak - p - radius), math.ceil(peak - p + radius) + 1):
+        m = n + p
+        half_m2 = 0.5 * m * m
+        re = (half_m2 * y + m * b) * -TWO_PI
+        acc += cmath.exp(complex(re, (half_m2 * x + m * w_re) * TWO_PI))
+    return acc
+
+
+def _block_sum(p, q: float, z, tau: complex, tol: float) -> np.ndarray:
+    """The windows of _theta_sum for broadcasting arrays p and z.
+
+    Points are summed BLOCK at a time: a block's terms form one
+    (window offset x point) table, built with one exp and with every
+    term formed by the same floating-point operations as _point_sum.
+    Terms past a point's own window are set to zero, and the rows are
+    added in increasing n, so each value is the one _point_sum gives,
+    bit for bit.  (A reduction over the offset axis would not be: numpy
+    sums a contiguous axis pairwise.)"""
+    y = tau.imag
     p = np.asarray(p, dtype=float)
     z = np.asarray(z, dtype=complex)
     # radii depend on Im z alone, so find them before z is broadcast against p
@@ -157,7 +218,7 @@ class ThetaContext(Frozen):
 
     The derived n_radius is the kernel's summation radius at Im z = 0
     for the inner sum at N*tau (the tau actually used by the degree-N
-    family); points with larger |Im z| get wider windows (window_radii).
+    family); points with larger |Im z| get wider windows (`radius`).
     """
 
     __slots__ = ("N", "tau", "tol", "n_radius")
@@ -170,25 +231,25 @@ class ThetaContext(Frozen):
         if tol <= 0:
             raise ValueError("tol must be positive")
         try:
-            radius = window_radii(0.0, N * tau.imag, tol)
+            radius = tail_radius(0.0, N * tau.imag, tol)
         except ValueError:
             raise ValueError("tolerance unreachable at this Im tau; raise tol or Im tau") from None
-        self._set(N=N, tau=tau, tol=tol, n_radius=int(radius))
+        self._set(N=N, tau=tau, tol=tol, n_radius=radius)
 
     def with_tau(self, tau: complex) -> "ThetaContext":
         return ThetaContext(self.N, tau, self.tol)
 
+    def radius(self, z) -> int:
+        """theta_N_eval's summation radius at the point z; it depends on Im z alone."""
+        return tail_radius(complex(self.N * z).imag, (self.N * self.tau).imag, self.tol)
 
-def _as_points(z, scale: int = 1) -> np.ndarray:
-    """scale * z as a complex array; exact (Fraction) scalars are scaled exactly."""
-    if np.ndim(z) == 0:
-        return np.asarray(complex(scale * z))
+
+def _scaled(z, scale: int = 1):
+    """scale * z: a complex for a scalar z (an exact Fraction is scaled
+    exactly), else a complex array."""
+    if isinstance(z, Number):
+        return complex(scale * z)
     return scale * np.asarray(z, dtype=complex)
-
-
-def _as_output(vals: np.ndarray):
-    """A Python complex for a scalar evaluation, else the array."""
-    return complex(vals) if vals.ndim == 0 else vals
 
 
 def theta_pq_eval(ch: Characteristic, z, ctx: ThetaContext):
@@ -197,19 +258,21 @@ def theta_pq_eval(ch: Characteristic, z, ctx: ThetaContext):
     The tail left out is below ctx.tol; rounding adds about
     1e-16 * exp(pi Im(z)^2 / Im tau), the size of the peak term (see
     _theta_sum).  z may be an array; a scalar z gives a Python complex."""
-    return _as_output(_theta_sum(float(ch.p), float(ch.q), _as_points(z), ctx.tau, ctx.tol))
+    return _theta_sum(float(ch.p), float(ch.q), _scaled(z), ctx.tau, ctx.tol)
 
 
-def theta_N_eval(k, z, ctx: ThetaContext):
+def theta_N_eval(k, z, ctx: ThetaContext, radius: int | None = None):
     """theta_k of the degree-N family at (z, ctx.tau); k may be half-integral.
 
     k and z broadcast against each other (arrays of indices and of
-    points); scalar k and z give a Python complex.  The tail left out is
-    below ctx.tol; rounding adds about 1e-16 * exp(pi N Im(z)^2 / Im tau),
-    the size of the peak term of the sum at (N z, N tau)."""
+    points); scalar k and z give a Python complex, summed without numpy.
+    A caller that evaluates several k at one scalar z can pass
+    radius=ctx.radius(z), found once.  The tail left out is below
+    ctx.tol; rounding adds about 1e-16 * exp(pi N Im(z)^2 / Im tau), the
+    size of the peak term of the sum at (N z, N tau)."""
     N = ctx.N
-    p = 0.5 - np.asarray(k, dtype=float) / N
-    return _as_output(_theta_sum(p, N / 2.0, _as_points(z, N), N * ctx.tau, ctx.tol))
+    p = 0.5 - (float(k) if isinstance(k, Number) else np.asarray(k, dtype=float)) / N
+    return _theta_sum(p, N / 2.0, _scaled(z, N), N * ctx.tau, ctx.tol, radius)
 
 
 def theta_half_eval(N: int, k, ctx: ThetaContext):
@@ -237,7 +300,7 @@ def jacobi_theta_eval(i: int, z, ctx: ThetaContext):
     if not 0 <= i <= 3:
         raise ValueError("Jacobi theta index must be 0..3")
     p, q = _JACOBI_CHARS[i]
-    return _as_output(_theta_sum(float(p), float(q), _as_points(z), ctx.tau, ctx.tol))
+    return _theta_sum(float(p), float(q), _scaled(z), ctx.tau, ctx.tol)
 
 
 def _theta_series(N: int, k: int, order: int, coeff) -> PuiseuxSeries:
@@ -304,16 +367,13 @@ def theta_zero_points(N: int, k: int, tau: complex, count: int = 5) -> list[comp
 SAMPLE_BLOCK = 64  # sample points whose theta values a numeric check holds at once
 
 
-def sample_points(rng: Random, tau: complex, count: int) -> np.ndarray:
+def sample_points(rng: Random, tau: complex, count: int) -> list[complex]:
     """The next `count` points z = u + v tau with u, v uniform on [0.05, 0.95].
 
     Two draws per point, u first, in the order a scalar loop makes them,
     so the i-th point drawn from a stream does not depend on how the
     draws are split into calls."""
-    return np.array(
-        [0.05 + 0.9 * rng.random() + (0.05 + 0.9 * rng.random()) * tau for _ in range(count)],
-        dtype=complex,
-    )
+    return [0.05 + 0.9 * rng.random() + (0.05 + 0.9 * rng.random()) * tau for _ in range(count)]
 
 
 def sample_blocks(tau: complex, samples: int, seed: int):
@@ -325,7 +385,8 @@ def sample_blocks(tau: complex, samples: int, seed: int):
     form and the rho-theta match), and evaluates each point once.  A
     check that stops early, as the Weierstrass check does once enough
     points are accepted, sees the points a longer stream would start
-    with."""
+    with.  Each block is a list of complex; a check that sums on numpy
+    arrays wraps it with np.asarray."""
     rng = Random(seed)
     for start in range(0, samples, SAMPLE_BLOCK):
         yield sample_points(rng, tau, min(SAMPLE_BLOCK, samples - start))
@@ -334,8 +395,20 @@ def sample_blocks(tau: complex, samples: int, seed: int):
 def proj_residual(u, v) -> float:
     """Relative deviation of two numeric vectors as projective points.
 
-    u and v may also be matching stacks of row vectors; the result is
-    then the largest deviation over the rows."""
+    A pair of 1-D sequences is compared in plain Python.  u and v may
+    also be matching stacks of row vectors (numpy); the result is then
+    the largest deviation over the rows.  A zero vector u gives inf."""
+    if len(u) and isinstance(u[0], Number):
+        u, v = [complex(x) for x in u], [complex(x) for x in v]
+        mags = [abs(x) for x in u]
+        i = mags.index(max(mags))
+        if u[i] == 0:
+            return float("inf")
+        c = v[i] / u[i]
+        devs = [abs(y - c * x) for x, y in zip(u, v)]
+        if math.isnan(sum(devs)):  # max() would skip a NaN that np.max keeps
+            return math.nan
+        return max(devs) / max(max(abs(y) for y in v), 1e-300)
     u = np.atleast_2d(np.asarray(u, dtype=complex))
     v = np.atleast_2d(np.asarray(v, dtype=complex))
     rows = np.arange(len(u))

@@ -476,6 +476,17 @@ def test_out_of_memory_is_a_usage_error(capsys, monkeypatch, exc, reason):
     assert "Traceback" not in err
 
 
+def test_underflowing_level6_nulls_are_a_usage_error(capsys):
+    # at Im tau = 300 the null a_0 is 0.0 in double precision, and the
+    # level-6 coordinate X = 2 a_1 a_2 / (a_0 a_3) divides by it
+    argv = ("verify", "--suite", "identities", "--N", "6", "--tau-im", "300")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the level-6 theta nulls underflow to zero at Im tau = 300; lower --tau-im\n"
+    )
+
+
 def test_numpy_overflow_in_a_numeric_suite_is_a_usage_error(capsys, monkeypatch):
     # numpy overflow still raises where numeric suites run: huge coordinates
     # overflow the quadric residuals' products instead of reading inf

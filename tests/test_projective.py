@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -46,6 +47,26 @@ def test_numeric_projective_scale_invariance():
         q = ProjectivePoint(tuple(c * v))
         assert p.proj_eq(q)
         assert proj_residual(v, c * v) < 1e-12
+
+
+def test_proj_residual_one_pair_agrees_with_rows():
+    # a pair of 1-D sequences is compared in plain Python, a stack of rows
+    # with numpy; the two agree to rounding
+    rng = Random(8)
+    for n in (1, 2, 5, 12):
+        for _ in range(40):
+            u = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+            c = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+            noise = 10.0 ** rng.uniform(-16, 0)
+            v = [c * x + noise * complex(rng.gauss(0, 1), rng.gauss(0, 1)) for x in u]
+            one = proj_residual(u, v)
+            assert isinstance(one, float)
+            assert abs(one - proj_residual(np.array([u]), np.array([v]))) < 1e-15, (u, v)
+            assert proj_residual(tuple(u), np.array(v)) == one
+    zero = [0j, 0j, 0j]
+    assert proj_residual(zero, [1, 2j, 3]) == float("inf")
+    assert proj_residual(np.array([zero]), np.array([[1, 2j, 3]])) == float("inf")
+    assert math.isnan(proj_residual([1, 2, math.nan], [1, 2, 3]))
 
 
 def test_canonical_matrix_relations():
@@ -202,7 +223,7 @@ def test_translation_inversion_and_origin_figures(monkeypatch, N, samples):
     # each point and its two translates, the first points at -z, the origin
     assert sum(seen) == N * (3 * samples + min(samples, 10) + 1)
     ks = np.arange(N)
-    zs = sample_points(Random(3), ctx.tau, min(samples, 10))[:, None]
+    zs = np.asarray(sample_points(Random(3), ctx.tau, min(samples, 10)))[:, None]
     minv = build_canonical_matrices(N).M_inv.complex_array()
     worst = proj_residual(theta_N_eval(ks, zs, ctx) @ minv.T, theta_N_eval(ks, -zs, ctx))
     a = theta_N_eval(ks, 0.0, ctx).tolist()

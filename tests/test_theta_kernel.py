@@ -1,9 +1,10 @@
-"""The vectorised theta kernel against a scalar reference and an oracle.
+"""The theta kernel's two paths against a scalar reference and an oracle.
 
 `_scalar_theta_sum` below is the one-point-at-a-time summation the
-kernel replaced, kept here as a test-only reference: the array kernel
-must reproduce it exactly (==), point by point, including the window
-and radius rule.  `_guard_band_theta_sum` keeps the radius rule before
+block kernel replaced, kept here as a test-only reference: the block
+kernel (array arguments) and the one-point path (a scalar k and z,
+summed in plain Python) must both reproduce it exactly (==), point by
+point, including the window and radius rule.  `_guard_band_theta_sum` keeps the radius rule before
 per-point radii (the Gaussian radius plus a guard band of 6, widened in
 steps of 4), whose values the kernel still gives bit for bit at the
 CLI's settings.  mpmath's jtheta gives an independent check of the
@@ -27,6 +28,7 @@ from thetalab.theta import (
     jacobi_theta_eval,
     sample_points,
     theta_N_eval,
+    tail_radius,
     theta_pq_eval,
     transform_check,
     window_radii,
@@ -101,7 +103,12 @@ def test_array_values_equal_scalar_sum(N, im_tau, tol):
     assert got.shape == (len(ks), len(zs))
     for a, k in enumerate(ks):
         for c, z in enumerate(zs):
-            assert got[a, c] == _scalar_theta_N(k, z, ctx), (k, z)
+            want = _scalar_theta_N(k, z, ctx)
+            assert got[a, c] == want, (k, z)
+            assert theta_N_eval(k, z, ctx) == want, (k, z)
+    for z in zs:  # one radius for every k at a point
+        r = ctx.radius(z)
+        assert [theta_N_eval(k, z, ctx, r) for k in ks] == [theta_N_eval(k, z, ctx) for k in ks]
 
 
 def test_block_boundaries_and_mixed_windows():
@@ -110,7 +117,9 @@ def test_block_boundaries_and_mixed_windows():
     rng = Random(3)
     zs = np.array([complex(rng.uniform(-2, 2), rng.uniform(-2.5, 2.5)) for _ in range(700)])
     got = theta_N_eval(2, zs, ctx)
-    assert [complex(g) for g in got] == [_scalar_theta_N(2, z, ctx) for z in zs]
+    want = [_scalar_theta_N(2, z, ctx) for z in zs]
+    assert [complex(g) for g in got] == want
+    assert [theta_N_eval(2, z, ctx) for z in zs] == want
 
 
 def test_widened_windows_equal_scalar_sum():
@@ -121,13 +130,17 @@ def test_widened_windows_equal_scalar_sum():
     assert all(window_radii(4 * z.imag, 1.6, ctx.tol) > ctx.n_radius for z in zs[:4])
     got = theta_N_eval(np.arange(4)[:, None], np.array(zs), ctx)
     for k in range(4):
-        assert got[k].tolist() == [_scalar_theta_N(k, z, ctx) for z in zs]
+        want = [_scalar_theta_N(k, z, ctx) for z in zs]
+        assert got[k].tolist() == want
+        assert [theta_N_eval(k, z, ctx) for z in zs] == want
     jac = ThetaContext(1, 0.4j, 1e-11)
     zs = [0.1 + 5.5j, -0.4 - 6.0j, 0.25 + 0.1j]
     assert window_radii(6.0, 0.4, jac.tol) > jac.n_radius
     for i, (jp, jq) in enumerate(((0, 0.5), (0.5, 0.5), (0.5, 0), (0, 0))):
         got = jacobi_theta_eval(i, np.array(zs), jac)
-        assert got.tolist() == [_scalar_theta_sum(jp, jq, z, 0.4j, jac.tol) for z in zs]
+        want = [_scalar_theta_sum(jp, jq, z, 0.4j, jac.tol) for z in zs]
+        assert got.tolist() == want
+        assert [jacobi_theta_eval(i, z, jac) for z in zs] == want
 
 
 def test_pq_and_jacobi_equal_scalar_sum():
@@ -138,10 +151,14 @@ def test_pq_and_jacobi_equal_scalar_sum():
         zs = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(40)])
         p, q = Fraction(rng.randint(-3, 3), 4), Fraction(rng.randint(-3, 3), 4)
         got = theta_pq_eval(Characteristic(p, q), zs, ctx)
-        assert got.tolist() == [_scalar_theta_sum(float(p), float(q), z, tau, ctx.tol) for z in zs]
+        want = [_scalar_theta_sum(float(p), float(q), z, tau, ctx.tol) for z in zs]
+        assert got.tolist() == want
+        assert [theta_pq_eval(Characteristic(p, q), z, ctx) for z in zs] == want
         for i, (jp, jq) in enumerate(((0, 0.5), (0.5, 0.5), (0.5, 0), (0, 0))):
             got = jacobi_theta_eval(i, zs, ctx)
-            assert got.tolist() == [_scalar_theta_sum(jp, jq, z, tau, ctx.tol) for z in zs]
+            want = [_scalar_theta_sum(jp, jq, z, tau, ctx.tol) for z in zs]
+            assert got.tolist() == want
+            assert [jacobi_theta_eval(i, z, ctx) for z in zs] == want
 
 
 def test_single_point_equals_scalar_sum():
@@ -166,7 +183,9 @@ def test_terms_past_a_window_are_left_out():
     zs = [0.1, 0.3 + 0.01j, -0.2 + 0.03j, 0.45 - 0.04j, 0.05 + 0.3j, 0.2 + 0.001j, 0.2 - 0.8j]
     assert window_radii(-0.8, tau.imag, tol) > window_radii(0.001, tau.imag, tol)
     got = theta_pq_eval(Characteristic(0, 0), np.array(zs), ctx)
-    assert got.tolist() == [_scalar_theta_sum(0.0, 0.0, z, tau, tol) for z in zs]
+    want = [_scalar_theta_sum(0.0, 0.0, z, tau, tol) for z in zs]
+    assert got.tolist() == want
+    assert [theta_pq_eval(Characteristic(0, 0), z, ctx) for z in zs] == want
 
 
 def test_radius_is_the_least_that_proves_the_bound():
@@ -187,10 +206,13 @@ def test_radius_is_the_least_that_proves_the_bound():
                 assert _tail_bound(amp, y, r) < limit, (y, tol, b, r)
                 assert r == 1 or not _tail_bound(amp, y, r - 1) < limit, (y, tol, b, r)
                 assert window_radii(b, y, tol) == r
+                assert tail_radius(b, y, tol) == r
             assert window_radii(0.0, y, tol) == ThetaContext(1, 1j * y, tol).n_radius
     assert window_radii(np.zeros((2, 3)), 1.0, 1e-10).shape == (2, 3)
     with pytest.raises(ValueError, match="unreachable"):
         window_radii(np.zeros(2), 1e-8, 1e-10)
+    with pytest.raises(ValueError, match="unreachable"):
+        tail_radius(0.0, 1e-8, 1e-10)
     with pytest.raises(ValueError, match="unreachable at this Im tau"):
         ThetaContext(4, 1e-8j)
 
@@ -204,12 +226,13 @@ def test_values_equal_guard_band_rule_at_cli_settings(N, im_tau, tol):
     rng = Random(N * 100 + int(im_tau * 10) + int(-math.log10(tol)))
     tau = complex(rng.uniform(-0.5, 0.5), im_tau)
     ctx = ThetaContext(N, tau, tol)
-    z = sample_points(rng, tau, 12)
+    z = np.asarray(sample_points(rng, tau, 12))
     pts = np.concatenate([z, z + tau / N, z + 1.0 / N, -z, [0.0]])
     got = theta_N_eval(np.arange(N)[:, None], pts[None, :], ctx)
     for k in range(N):
         want = [_guard_band_theta_sum(0.5 - k / N, N / 2.0, N * w, N * tau, tol) for w in pts]
         assert got[k].tolist() == want, k
+        assert [theta_N_eval(k, w, ctx) for w in pts] == want, k
 
 
 def test_shapes_and_types():
@@ -232,12 +255,35 @@ def test_shapes_and_types():
     row = theta_N_eval(ks, 0.3 + 0.2j, ctx)
     assert row.dtype == complex
     assert row.tolist() == [theta_N_eval(k, 0.3 + 0.2j, ctx) for k in range(6)]
+    with pytest.raises(TypeError, match="single point"):
+        theta_N_eval(ks, 0.3 + 0.2j, ctx, ctx.radius(0.3 + 0.2j))
 
 
 def test_overflowing_amplitude_is_a_value_error():
     ctx = ThetaContext(8, 1j)
     with pytest.raises(ValueError, match="overflow"):
         theta_N_eval(0, 200j, ctx)
+
+
+def _error_text(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+def test_both_paths_raise_the_same_errors():
+    # one point and a block holding it raise the same ValueError text
+    ctx = ThetaContext(8, 1j)
+    text = _error_text(lambda: theta_N_eval(0, 200j, ctx))
+    assert text.startswith("theta terms overflow double precision at Im z = 1.6e+03, Im tau = 8 ")
+    assert _error_text(lambda: theta_N_eval(0, np.array([0.1, 200j]), ctx)) == text
+    assert _error_text(lambda: ctx.radius(200j)) == text
+    # at Im tau = 1e-5 a point with Im z = 0.045 needs a radius past MAX_RADIUS
+    ctx = ThetaContext(1, 1e-5j, 1e-10)
+    ch = Characteristic(0, 0)
+    text = _error_text(lambda: theta_pq_eval(ch, 0.045j, ctx))
+    assert text == "tail bound unreachable at this (tol, Im tau, Im z)"
+    assert _error_text(lambda: theta_pq_eval(ch, np.array([0.0, 0.045j]), ctx)) == text
 
 
 def test_on_curve_memory_stays_blocked():
