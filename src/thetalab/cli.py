@@ -23,7 +23,6 @@ from .identities import (
     QUOTIENT_MODELS,
     SERIES_LEVELS,
     IdentityRecord,
-    ThetaUnderflow,
     b1_series,
     b4_series,
     degenerate_fibers_level4,
@@ -413,7 +412,7 @@ def render_report(records: list[IdentityRecord], cfg: RunConfig, fmt: str) -> st
                     "samples": cfg.samples,
                     "seed": cfg.seed,
                 },
-                "records": [r.to_dict() for r in records],
+                "records": [r._asdict() for r in records],
             },
             sort_keys=True,
         )
@@ -505,10 +504,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OverflowError, FloatingPointError) as exc:
-        print(f"error: numeric overflow ({exc}); lower --tau-im", file=sys.stderr)
-        return 2
-    except ThetaUnderflow as exc:
-        print(f"error: {exc}; lower --tau-im", file=sys.stderr)
+        # a float power raises (errno, text); print the text alone
+        reason = exc.args[-1] if exc.args else exc
+        print(f"error: numeric overflow ({reason}); lower --tau-im", file=sys.stderr)
         return 2
     except MemoryError as exc:
         reason = str(exc) or "allocation failed"  # a list too large to allocate says nothing

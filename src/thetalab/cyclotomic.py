@@ -209,13 +209,6 @@ class CyclotomicNumber:
     def from_rational(x, order: int = 1) -> "CyclotomicNumber":
         return CyclotomicNumber(order, [_as_fraction(x)])
 
-    @staticmethod
-    def zeta_power(m: int, k: int = 1) -> "CyclotomicNumber":
-        num = [0] * euler_phi(m)
-        for j, r in _power_table(m)[k % m]:
-            num[j] = r
-        return _make(m, num, 1)
-
     # -- order manipulation -------------------------------------------
 
     def to_order(self, m: int) -> "CyclotomicNumber":
@@ -374,7 +367,10 @@ class CyclotomicNumber:
 
 def zeta(m: int, k: int = 1) -> CyclotomicNumber:
     """The root of unity zeta_m^k as an exact cyclotomic number."""
-    return CyclotomicNumber.zeta_power(m, k)
+    num = [0] * euler_phi(m)
+    for j, r in _power_table(m)[k % m]:
+        num[j] = r
+    return _make(m, num, 1)
 
 
 # -- exact scalars -----------------------------------------------------------
@@ -435,3 +431,11 @@ def scalar_json(x):
             return [f"{c.numerator}/{c.denominator}" for c in x.coeffs]
         x = x.rational_value()
     return f"{x.numerator}/{x.denominator}"
+
+
+def scalar_complex(x) -> complex:
+    """The numeric value of a scalar: a CyclotomicNumber's complex_value,
+    else complex(x) (an int, a Fraction or a number)."""
+    if isinstance(x, CyclotomicNumber):
+        return x.complex_value()
+    return complex(x)

@@ -42,18 +42,6 @@ class IdentityRecord(NamedTuple):
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "level": self.level,
-            "kind": self.kind,
-            "status": self.status,
-            "order": self.order,
-            "tolerance": self.tolerance,
-            "residual": self.residual,
-            "detail": self.detail,
-        }
-
     # Every record is built by one of the three constructors below, which
     # own each kind's pass rule and the fields it carries.
 
@@ -526,13 +514,9 @@ SERIES_LEVELS = frozenset(
 # Hesse cubic, Weierstrass model, degenerate fibers
 
 
-class ThetaUnderflow(ArithmeticError):
-    """A theta value that a numeric check divides by is zero in double precision."""
-
-
 def _nulls_at(ctx: ThetaContext, count: int) -> list[complex]:
     """The null values a_0, ..., a_(count-1) at ctx.tau, one point each."""
-    return [theta_N_eval(k, 0.0, ctx, ctx.n_radius) for k in range(count)]
+    return [theta_N_eval(k, 0.0, ctx) for k in range(count)]
 
 
 def hesse_check(
@@ -542,9 +526,11 @@ def hesse_check(
     """The even-index degree-6 coordinates satisfy a Hesse cubic.
 
     Series part: the displayed 3mu expansion; numeric part: the cubic
-    X_0^3 + X_2^3 + X_4^3 = 3mu X_0 X_2 X_4 at sampled curve points.
-    Raises ThetaUnderflow where 3mu divides by a null that is 0.0 in
-    double precision (a_0 from Im tau = 159 on)."""
+    X_0^3 + X_2^3 + X_4^3 = 3mu X_0 X_2 X_4 at sampled curve points,
+    each point scaled to largest coordinate modulus 1 before cubing (the
+    cubic is homogeneous), so no valid modulus overflows the residual.
+    Raises ValueError where 3mu divides by a null that is 0.0 in double
+    precision (a_0 from Im tau = 159 on)."""
     if ctx is None:
         ctx = ThetaContext(HESSE_LEVEL, 1j, 1e-10)
     lead = _leading_record("level6.hesse-mu", 6, mu6_series(order), _MU_LEADING, order)
@@ -552,18 +538,17 @@ def hesse_check(
     try:
         mu3 = _mu6(_x6(a), _y6(a))
     except ZeroDivisionError:
-        raise ThetaUnderflow(
+        raise ValueError(
             f"the level-6 theta nulls underflow to zero at Im tau = {ctx.tau.imag:.3g}"
+            "; lower --tau-im"
         ) from None
     worst = 0.0
     for zs in sample_blocks(ctx.tau, samples, seed):
-        # a block's radii come first, so a point whose terms overflow is
-        # reported before any residual of the block can overflow
-        radii = [ctx.radius(z) for z in zs]
-        for z, r in zip(zs, radii):
-            x = [theta_N_eval(k, z, ctx, r) for k in range(6)]
-            scale = max(abs(c) for c in x) ** 3 * max(1.0, abs(mu3))
-            resid = abs(x[0] ** 3 + x[2] ** 3 + x[4] ** 3 - mu3 * x[0] * x[2] * x[4]) / scale
+        for z in zs:
+            x = [theta_N_eval(k, z, ctx) for k in range(6)]
+            top = max(abs(c) for c in x)
+            x0, x2, x4 = x[0] / top, x[2] / top, x[4] / top
+            resid = abs(x0 ** 3 + x2 ** 3 + x4 ** 3 - mu3 * x0 * x2 * x4) / max(1.0, abs(mu3))
             worst = max(worst, resid)
     return IdentityRecord.numeric(
         "level6.hesse", 6, worst, rtol,

@@ -41,6 +41,7 @@ from .cyclotomic import (
     field_scalar,
     prime_factors,
     reduce_vectors,
+    scalar_complex,
     scalar_inverse,
     scalar_is_zero,
     scalar_json,
@@ -182,12 +183,7 @@ class ProjectiveMatrix:
         return self.n == other.n and self._block.proj_eq(other._block)
 
     def complex_array(self) -> np.ndarray:
-        def conv(c):
-            if isinstance(c, CyclotomicNumber):
-                return c.complex_value()
-            return complex(c)
-
-        return np.array([[conv(c) for c in row] for row in self.rows], dtype=complex)
+        return np.array([[scalar_complex(c) for c in row] for row in self.rows], dtype=complex)
 
     def to_json(self) -> str:
         return json.dumps([[scalar_json(c) for c in row] for row in self.rows], sort_keys=True)

@@ -23,21 +23,13 @@ import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cyclotomic import CyclotomicNumber, scalar_inverse, scalar_is_zero, scalar_json
+from .cyclotomic import CyclotomicNumber, scalar_complex, scalar_inverse, scalar_is_zero, scalar_json
 from .frozen import Frozen
 from .lazy import np
 from .series import PuiseuxSeries
 from .theta import (
     ThetaContext, sample_blocks, theta_N_eval, theta_half_eval, theta_half_series, theta_null_series,
 )
-
-
-def _to_complex(c) -> complex:
-    if isinstance(c, CyclotomicNumber):
-        return c.complex_value()
-    if isinstance(c, PuiseuxSeries):
-        raise TypeError("series coefficients have no canonical numeric value here")
-    return complex(c)
 
 
 def _dropped(c) -> bool:
@@ -89,7 +81,7 @@ class QuadraticForm:
         return acc
 
     def max_coeff_abs(self) -> float:
-        return max(abs(_to_complex(c)) for c in self.coeffs.values())
+        return max(abs(scalar_complex(c)) for c in self.coeffs.values())
 
     def to_json(self) -> str:
         def enc(c):
@@ -186,28 +178,35 @@ def gen_odd_basis(nd: NullData) -> list[QuadraticForm]:
     return [f.shift(s) for s in range(N) for f in base]
 
 
-def _even_v0_form(nd: NullData, j: int) -> QuadraticForm:
+def _null_form(nd: NullData, e: int, j: int) -> QuadraticForm:
+    """Form j of V_e (e = 0 or 1) with null coefficients:
+
+        a_j a_(j+e) X_0 X_e + a_(h+j) a_(h+j+e) X_h X_(h+e)
+          - a_0 a_e X_(j+e) X_(N-j) - a_h a_(h+e) X_(h+j+e) X_(h-j)."""
     N, a, h = nd.N, nd.a, nd.N // 2
     return QuadraticForm(
         N,
         {
-            (0, 0): a[j % N] * a[j % N],
-            (h, h): a[(h + j) % N] * a[(h + j) % N],
-            (j % N, (N - j) % N): -(a[0] * a[0]),
-            ((h + j) % N, (h - j) % N): -(a[h] * a[h]),
+            (0, e): a[j] * a[j + e],
+            (h, h + e): a[h + j] * a[h + j + e],
+            (j + e, N - j): -(a[0] * a[e]),
+            (h + j + e, h - j): -(a[h] * a[h + e]),
         },
     )
 
 
-def _even_v1_form(nd: NullData, j: int) -> QuadraticForm:
-    N, a, h = nd.N, nd.a, nd.N // 2
+def _half_period_form(nd: NullData, e: int, j: int) -> QuadraticForm:
+    """Form j of V_e (e = 0 or 1) with half-period coefficients:
+
+        s_(j+e) s_(N-j) X_0 X_e + s_(h-j) s_(h+j+e) X_h X_(h+e)
+          - s_h s_(h+e) X_(h-j) X_(h+j+e)."""
+    N, s, h = nd.N, nd.s, nd.N // 2
     return QuadraticForm(
         N,
         {
-            (0, 1): a[j % N] * a[(j + 1) % N],
-            (h, h + 1): a[(h + j) % N] * a[(h + j + 1) % N],
-            ((j + 1) % N, (N - j) % N): -(a[0] * a[1]),
-            ((h + j + 1) % N, (h - j) % N): -(a[h] * a[(h + 1) % N]),
+            (0, e): s[j + e] * s[N - j],
+            (h, h + e): s[h - j] * s[h + j + e],
+            (h - j, h + j + e): -(s[h] * s[h + e]),
         },
     )
 
@@ -235,8 +234,8 @@ def gen_even_basis(nd: NullData) -> EvenBasis:
     if N < 4:
         raise ValueError("need N >= 4")
     h = N // 2
-    v0 = [_even_v0_form(nd, j) for j in range(1, h)]
-    v1 = [_even_v1_form(nd, j) for j in range(1, h - 1)]
+    v0 = [_null_form(nd, 0, j) for j in range(1, h)]
+    v1 = [_null_form(nd, 1, j) for j in range(1, h - 1)]
     full = [f.shift(s) for s in range(h) for f in v0 + v1]
     return EvenBasis(V0=v0, V1=v1, full=full)
 
@@ -258,32 +257,9 @@ def gen_even_s_basis(nd: NullData) -> SBasis:
         raise ValueError("half-period generator called with odd N")
     if nd.s is None:
         raise ValueError("no half-period values present in NullData")
-    s = nd.s
     h = N // 2
-    v0 = []
-    for j in range(1, h):
-        v0.append(
-            QuadraticForm(
-                N,
-                {
-                    (0, 0): s[j % N] * s[(N - j) % N],
-                    (h, h): s[(h - j) % N] * s[(h + j) % N],
-                    ((h - j) % N, (h + j) % N): -(s[h] * s[h]),
-                },
-            )
-        )
-    v1 = []
-    for j in range(1, h - 1):
-        v1.append(
-            QuadraticForm(
-                N,
-                {
-                    (0, 1): s[(j + 1) % N] * s[(N - j) % N],
-                    (h, h + 1): s[(h - j) % N] * s[(h + j + 1) % N],
-                    ((h - j) % N, (h + j + 1) % N): -(s[h] * s[(h + 1) % N]),
-                },
-            )
-        )
+    v0 = [_half_period_form(nd, 0, j) for j in range(1, h)]
+    v1 = [_half_period_form(nd, 1, j) for j in range(1, h - 1)]
     return SBasis(V0=v0, V1=v1)
 
 
@@ -336,7 +312,7 @@ def verify_on_curve(
     idx = np.zeros((2, width, len(live)), dtype=np.intp)
     for slot, col in enumerate(live):
         for t, ((i, j), c) in enumerate(forms[col].coeffs.items()):
-            coef[t, slot] = _to_complex(c)
+            coef[t, slot] = scalar_complex(c)
             idx[:, t, slot] = i, j
     norm = np.array([forms[col].max_coeff_abs() for col in live])
     ks = np.arange(N)

@@ -57,6 +57,7 @@ from .cyclotomic import (
     euler_phi,
     field_scalar,
     reduce_vectors,
+    scalar_complex,
     scalar_inverse,
     scalar_json,
 )
@@ -342,8 +343,7 @@ class PuiseuxSeries:
         """Numeric value at q = e(tau) = exp(2*pi*i*tau)."""
         acc = 0j
         for k, c in self.terms.items():
-            cc = c.complex_value() if isinstance(c, CyclotomicNumber) else complex(c)
-            acc += cc * cmath.exp(2j * cmath.pi * tau * k / self.ram)
+            acc += scalar_complex(c) * cmath.exp(2j * cmath.pi * tau * k / self.ram)
         return acc
 
     def __str__(self):

@@ -118,18 +118,17 @@ def window_radii(b: np.ndarray, y: float, tol: float) -> np.ndarray:
     return radius.reshape(shape)
 
 
-def _theta_sum(p, q: float, z, tau: complex, tol: float, radius: int | None = None):
+def _theta_sum(p, q: float, z, tau: complex, tol: float):
     """Direct sum for theta_(p,q)(z, tau) with a proven < tol tail.
 
     Each point sums its own window [floor(peak - p - R), ceil(peak - p + R)]
     centred on its peak m = -Im z / Im tau, with R = tail_radius(Im z),
     adding the terms exp(2 pi i ((1/2) m^2 tau + m (z + q))) in increasing
     n.  A float p with a complex z is one point: its window is summed in
-    plain Python (_point_sum), with `radius` when the caller has it.  p and
-    z may instead be arrays that broadcast against each other, and go to
-    the block kernel (_block_sum).  Both form every term by the same
-    floating-point operations and add them in the same order, so they give
-    the same value bit for bit.
+    plain Python (_point_sum).  p and z may instead be arrays that
+    broadcast against each other, and go to the block kernel (_block_sum).
+    Both form every term by the same floating-point operations and add
+    them in the same order, so they give the same value bit for bit.
 
     Error model: tol bounds only the tail left out of the window.
     Rounding in the sum adds about 1e-16 * exp(pi Im(z)^2 / Im tau), the
@@ -140,9 +139,7 @@ def _theta_sum(p, q: float, z, tau: complex, tol: float, radius: int | None = No
     if y <= 0:
         raise ValueError("Im tau must be positive")
     if isinstance(p, float) and isinstance(z, complex):
-        return _point_sum(p, q, z, tau, tail_radius(z.imag, y, tol) if radius is None else radius)
-    if radius is not None:
-        raise TypeError("a radius is given only for a single point")
+        return _point_sum(p, q, z, tau, tail_radius(z.imag, y, tol))
     return _block_sum(p, q, z, tau, tol)
 
 
@@ -218,7 +215,7 @@ class ThetaContext(Frozen):
 
     The derived n_radius is the kernel's summation radius at Im z = 0
     for the inner sum at N*tau (the tau actually used by the degree-N
-    family); points with larger |Im z| get wider windows (`radius`).
+    family); points with larger |Im z| get wider windows.
     """
 
     __slots__ = ("N", "tau", "tol", "n_radius")
@@ -239,10 +236,6 @@ class ThetaContext(Frozen):
     def with_tau(self, tau: complex) -> "ThetaContext":
         return ThetaContext(self.N, tau, self.tol)
 
-    def radius(self, z) -> int:
-        """theta_N_eval's summation radius at the point z; it depends on Im z alone."""
-        return tail_radius(complex(self.N * z).imag, (self.N * self.tau).imag, self.tol)
-
 
 def _scaled(z, scale: int = 1):
     """scale * z: a complex for a scalar z (an exact Fraction is scaled
@@ -261,18 +254,17 @@ def theta_pq_eval(ch: Characteristic, z, ctx: ThetaContext):
     return _theta_sum(float(ch.p), float(ch.q), _scaled(z), ctx.tau, ctx.tol)
 
 
-def theta_N_eval(k, z, ctx: ThetaContext, radius: int | None = None):
+def theta_N_eval(k, z, ctx: ThetaContext):
     """theta_k of the degree-N family at (z, ctx.tau); k may be half-integral.
 
     k and z broadcast against each other (arrays of indices and of
     points); scalar k and z give a Python complex, summed without numpy.
-    A caller that evaluates several k at one scalar z can pass
-    radius=ctx.radius(z), found once.  The tail left out is below
-    ctx.tol; rounding adds about 1e-16 * exp(pi N Im(z)^2 / Im tau), the
-    size of the peak term of the sum at (N z, N tau)."""
+    The tail left out is below ctx.tol; rounding adds about
+    1e-16 * exp(pi N Im(z)^2 / Im tau), the size of the peak term of the
+    sum at (N z, N tau)."""
     N = ctx.N
     p = 0.5 - (float(k) if isinstance(k, Number) else np.asarray(k, dtype=float)) / N
-    return _theta_sum(p, N / 2.0, _scaled(z, N), N * ctx.tau, ctx.tol, radius)
+    return _theta_sum(p, N / 2.0, _scaled(z, N), N * ctx.tau, ctx.tol)
 
 
 def theta_half_eval(N: int, k, ctx: ThetaContext):
@@ -460,8 +452,14 @@ def transform_check(z: complex, ctx: ThetaContext, rtol: float = 1e-8) -> Transf
         e(z / 2.0) * root * sum(zeta ** ((-j * k) % N) * th[j] for j in range(N)) for k in range(N)
     ]
     rhs2 = [e(Fraction(-k * (N - k), 2 * N)) * th[k] for k in range(N)]
-    ratios = [x / y for x, y in zip(lhs, rhs)]
-    ratios_shift = [x / y for x, y in zip(lhs2, rhs2)]
+    try:
+        ratios = [x / y for x, y in zip(lhs, rhs)]
+        ratios_shift = [x / y for x, y in zip(lhs2, rhs2)]
+    except ZeroDivisionError:
+        raise ValueError(
+            f"the degree-{N} theta values underflow to zero at Im tau = {tau.imag:.3g}"
+            "; lower --tau-im"
+        ) from None
     dev = proj_residual(lhs, rhs)
     dev2 = proj_residual(lhs2, rhs2)
     return TransformReport(

@@ -500,3 +500,35 @@ def test_numpy_overflow_in_a_numeric_suite_is_a_usage_error(capsys, monkeypatch)
     assert (code, out) == (2, "")
     assert err.startswith("error: numeric overflow (")
     assert err.endswith("); lower --tau-im\n")
+
+
+def test_hesse_cubic_scales_large_coordinates(capsys):
+    # at Im tau = 20 a sampled coordinate is near exp(305), whose cube
+    # overflows a double; each point is scaled before the cubic
+    code, out, err = run_cli(capsys, "verify", "--suite", "identities", "--N", "6", "--tau-im", "20",
+                             "--tau-re", "0.3", "--samples", "1", "--seed", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    records = json.loads(out)["records"]
+    assert records and all(r["status"] == "pass" for r in records)
+    assert next(r for r in records if r["name"] == "level6.hesse")["residual"] < 1e-12
+
+
+def test_underflowing_transform_values_are_a_usage_error(capsys):
+    # at N = 16, Im tau = 66 a theta value the tau -> tau + 1 ratio divides by is 0.0
+    argv = ("verify", "--suite", "transform", "--N", "16", "--tau-im", "66", "--samples", "8")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the degree-16 theta values underflow to zero at Im tau = 66; lower --tau-im\n"
+    )
+
+
+def test_overflow_message_shows_the_error_text(capsys, monkeypatch):
+    # a float power raises OverflowError((34, text)); the message shows the text
+    def overflowing(*args):
+        return 1e200 ** 2
+
+    monkeypatch.setattr(thetalab.cli, "weierstrass_check_level4", overflowing)
+    code, out, err = run_cli(capsys, "verify", "--suite", "weierstrass", "--N", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: numeric overflow (Numerical result out of range); lower --tau-im\n"

@@ -1,36 +1,69 @@
-"""The command-line contract of the identities suite, fuzzed in-process.
+"""The command-line contract of every command, fuzzed in-process.
 
 Exit 0 means every check passed, 1 that a check failed (with a FAIL
 record and no error line), 2 a usage or configuration error (with an
-`error:` line); no draw may end in a traceback.  The drawn moduli reach
-the levels where theta terms overflow and where theta nulls underflow."""
+`error:` line); no draw may end in a traceback, and no error line shows
+a raw (errno, text) tuple.  The drawn moduli reach the levels where
+theta terms overflow and where theta values underflow."""
 
 import contextlib
 import io
+import re
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thetalab.cli import main
+from thetalab.cli import _QEXP_OBJECTS, _SUITES, main
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(
-    N=st.integers(4, 8),
-    tau_re=st.floats(-100, 100),
-    tau_im=st.floats(0.4, 1000),
-    samples=st.integers(-1, 50),
-    order=st.none() | st.integers(1, 200),
-    seed=st.integers(0, 2**32),
-)
-def test_identities_suite_keeps_the_exit_contract(N, tau_re, tau_im, samples, order, seed):
-    argv = ["verify", "--suite", "identities", "--N", str(N), f"--tau-re={tau_re!r}",
-            f"--tau-im={tau_im!r}", "--samples", str(samples), "--seed", str(seed)]
-    if order is not None:
-        argv += ["--order", str(order)]
+def _option(draw, argv, flag, values):
+    value = draw(st.none() | values)
+    if value is not None:
+        argv += [flag, str(value)]
+
+
+@st.composite
+def commands(draw):
+    """An argv for any command: mostly settings that run, some that a
+    command rejects (N outside its levels, samples < 1, options it does
+    not read)."""
+    command = draw(st.sampled_from(("qexp", "verify", "invariants")))
+    N = draw(st.sampled_from(range(17)))
+    if command == "invariants":
+        return ["invariants", "--family", draw(st.sampled_from(("gamma", "gammaN2N"))),
+                "--N", str(N)]
+    orders = st.integers(1, 200)
+    if command == "qexp":
+        obj = draw(st.sampled_from(tuple(_QEXP_OBJECTS)))
+        argv = ["qexp", "--object", obj]
+        if obj == "theta-null":
+            argv += ["--N", str(N), "--k", str(draw(st.integers(-2, 18)))]
+        _option(draw, argv, "--order", orders)
+        return argv
+    tau_re = draw(st.floats(-100, 100))
+    # most draws below Im tau = 80, where the suites still run; a few up
+    # to 1000, where they overflow or underflow
+    tau_im = draw(st.floats(0.4, 80) | st.floats(0.4, 1000))
+    argv = ["verify", "--suite", draw(st.sampled_from((*_SUITES, "all"))), "--N", str(N),
+            f"--tau-re={tau_re!r}", f"--tau-im={tau_im!r}",
+            "--samples", str(draw(st.sampled_from(range(-1, 51)))),
+            "--seed", str(draw(st.integers(0, 2**32)))]
+    _option(draw, argv, "--order", orders)
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(argv=commands())
+# theta values that underflow in the transform ratios
+@example(argv=["verify", "--suite", "transform", "--N", "16", "--tau-im", "66",
+               "--samples", "8", "--seed", "0"])
+# Hesse coordinates whose cubes overflow unless scaled
+@example(argv=["verify", "--suite", "identities", "--N", "6", "--tau-im", "20",
+               "--tau-re", "0.3", "--samples", "1", "--seed", "1"])
+def test_every_command_keeps_the_exit_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -41,6 +74,7 @@ def test_identities_suite_keeps_the_exit_contract(N, tau_re, tau_im, samples, or
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in out + err, argv
     errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert not any(re.search(r"\(\d+, '", line) for line in errors), (argv, err)
     if code == 2:
         assert errors, (argv, err)
     elif code == 1:

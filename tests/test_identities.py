@@ -52,8 +52,8 @@ def test_eta_quotients_by_level_match_the_full_list(order):
     full = eta_quotient_check(order)
     assert len(full) == 16
     for level in (4, 5, 6, 7, 8):
-        got = [r.to_dict() for r in eta_quotient_check(order, level)]
-        assert got == [r.to_dict() for r in full if r.level == level]
+        got = [r._asdict() for r in eta_quotient_check(order, level)]
+        assert got == [r._asdict() for r in full if r.level == level]
     assert eta_quotient_check(order, 7) == []
 
 

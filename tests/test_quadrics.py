@@ -374,3 +374,39 @@ def test_span_record_names_the_witness(monkeypatch):
     assert span.status == "fail"
     assert span.detail.startswith("graded piece 0: ranks 3/3/stacked ")
     assert "; stacked form 3 at p" in span.detail
+
+
+def _terms(N, *terms):
+    """(monomial, coefficient) pairs with each monomial written i <= j mod N,
+    in first-appearance order; terms of one monomial are added (at N = 4,
+    X_j X_(N-j) and X_(h+j) X_(h-j) are one monomial)."""
+    out: dict = {}
+    for (i, j), c in terms:
+        key = tuple(sorted((i % N, j % N)))
+        out[key] = out[key] + c if key in out else c
+    return list(out.items())
+
+
+@pytest.mark.parametrize("N", range(4, 21, 2))
+def test_even_forms_follow_their_displayed_formulas(N):
+    # the docstring formulas of gen_even_basis and gen_even_s_basis, term by
+    # term in their monomial order, with exact nulls and half-period values
+    nd = NullData.exact(N, N)
+    a, s, h = nd.a, nd.s, N // 2
+    v0 = [_terms(N, ((0, 0), a[j] * a[j]), ((h, h), a[h + j] * a[h + j]),
+                 ((j, N - j), -(a[0] * a[0])), ((h + j, h - j), -(a[h] * a[h])))
+          for j in range(1, h)]
+    v1 = [_terms(N, ((0, 1), a[j] * a[j + 1]), ((h, h + 1), a[h + j] * a[h + j + 1]),
+                 ((j + 1, N - j), -(a[0] * a[1])), ((h + j + 1, h - j), -(a[h] * a[h + 1])))
+          for j in range(1, h - 1)]
+    full = [_terms(N, *(((i + t, k + t), c) for (i, k), c in form))
+            for t in range(h) for form in v0 + v1]
+    s0 = [_terms(N, ((0, 0), s[j] * s[N - j]), ((h, h), s[h - j] * s[h + j]),
+                 ((h - j, h + j), -(s[h] * s[h])))
+          for j in range(1, h)]
+    s1 = [_terms(N, ((0, 1), s[j + 1] * s[N - j]), ((h, h + 1), s[h - j] * s[h + j + 1]),
+                 ((h - j, h + j + 1), -(s[h] * s[h + 1])))
+          for j in range(1, h - 1)]
+    eb, sb = gen_even_basis(nd), gen_even_s_basis(nd)
+    for got, want in ((eb.V0, v0), (eb.V1, v1), (eb.full, full), (sb.V0, s0), (sb.V1, s1)):
+        assert [list(f.coeffs.items()) for f in got] == want

@@ -106,9 +106,6 @@ def test_array_values_equal_scalar_sum(N, im_tau, tol):
             want = _scalar_theta_N(k, z, ctx)
             assert got[a, c] == want, (k, z)
             assert theta_N_eval(k, z, ctx) == want, (k, z)
-    for z in zs:  # one radius for every k at a point
-        r = ctx.radius(z)
-        assert [theta_N_eval(k, z, ctx, r) for k in ks] == [theta_N_eval(k, z, ctx) for k in ks]
 
 
 def test_block_boundaries_and_mixed_windows():
@@ -255,8 +252,6 @@ def test_shapes_and_types():
     row = theta_N_eval(ks, 0.3 + 0.2j, ctx)
     assert row.dtype == complex
     assert row.tolist() == [theta_N_eval(k, 0.3 + 0.2j, ctx) for k in range(6)]
-    with pytest.raises(TypeError, match="single point"):
-        theta_N_eval(ks, 0.3 + 0.2j, ctx, ctx.radius(0.3 + 0.2j))
 
 
 def test_overflowing_amplitude_is_a_value_error():
@@ -277,7 +272,6 @@ def test_both_paths_raise_the_same_errors():
     text = _error_text(lambda: theta_N_eval(0, 200j, ctx))
     assert text.startswith("theta terms overflow double precision at Im z = 1.6e+03, Im tau = 8 ")
     assert _error_text(lambda: theta_N_eval(0, np.array([0.1, 200j]), ctx)) == text
-    assert _error_text(lambda: ctx.radius(200j)) == text
     # at Im tau = 1e-5 a point with Im z = 0.045 needs a radius past MAX_RADIUS
     ctx = ThetaContext(1, 1e-5j, 1e-10)
     ch = Characteristic(0, 0)
