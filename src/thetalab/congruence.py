@@ -68,15 +68,23 @@ def _identity_lifts(N: int, m: int) -> list:
     ]
 
 
-def _mat_mul(m1, m2, m):
+def sl2_mul(m1, m2):
+    """The product of two 2 x 2 integer matrices, each written (a, b, c, d)."""
     a, b, c, d = m1
     e, f, g, h = m2
-    return ((a * e + b * g) % m, (a * f + b * h) % m, (c * e + d * g) % m, (c * f + d * h) % m)
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _mat_inv(mm, m):
-    a, b, c, d = mm
-    return (d % m, (-b) % m, (-c) % m, a % m)
+def sl2_inv(mat):
+    """The inverse (d, -b, -c, a) of a matrix (a, b, c, d) of determinant 1,
+    over Z or, once reduced, over Z/m."""
+    a, b, c, d = mat
+    return (d, -b, -c, a)
+
+
+def _mat_mul(m1, m2, m):
+    a, b, c, d = sl2_mul(m1, m2)
+    return (a % m, b % m, c % m, d % m)
 
 
 class SubgroupSpec(NamedTuple):
@@ -191,7 +199,7 @@ def group_tower_check(N: int) -> TowerReport:
     checks["bottom_order"] = len(g2) == 2
     checks["bottom_generator"] = g2set == {(1, 0, 0, 1), ((1 + N) % m, 0, 0, (1 + N) % m)}
     checks["mid_normal"] = all(
-        _mat_mul(_mat_mul(g, h, m), _mat_inv(g, m), m) in g2set for g in g1 for h in g2
+        _mat_mul(_mat_mul(g, h, m), sl2_inv(g), m) in g2set for g in g1 for h in g2
     )
     u = ((1 % m), N % m, 0, 1)
     l = (1, 0, N % m, 1)

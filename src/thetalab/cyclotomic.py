@@ -5,9 +5,12 @@ modulo the m-th cyclotomic polynomial, as one integer vector over one
 common denominator: the element is sum(num[d] * z^d) / den with den > 0
 and gcd(den, *num) == 1 (zero is num = (0, ...), den = 1).  Equal
 elements of one order therefore have equal (num, den), and products and
-sums are integer vector operations.  `fractions.Fraction` appears only
-where a division really happens: the inverse, division, the rational
-value, the hash and the `coeffs` view.
+sums are integer vector operations.  The inverse is integer arithmetic
+too: the product P of the other Galois conjugates of x, divided by the
+rational norm x * P.  Series and matrices store their coefficients in
+the same layout, and `field_scalar` is the one rule that reads such a
+stored element back: a Fraction for a rational value, else a
+CyclotomicNumber.
 """
 
 from __future__ import annotations
@@ -18,47 +21,29 @@ from functools import lru_cache
 from math import gcd, lcm
 
 
-def _poly_trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(num: list, den: list) -> tuple[list, list]:
-    """Quotient and remainder of integer/rational coefficient polynomials."""
-    num = list(num)
-    q = [0] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
-        if c == 0:
-            continue
-        f = Fraction(c, 1) / lead if lead != 1 else c
-        q[i] = f
-        for j, d in enumerate(den):
-            num[i + j] -= f * d
-    return q, _poly_trim(num)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients (low to high) of the m-th cyclotomic polynomial.
 
-    Computed by dividing x^m - 1 by the product of Phi_d over proper
-    divisors d of m; all intermediate quotients are exact.
+    Computed by dividing x^m - 1 by Phi_d for each proper divisor d of m,
+    in place: every Phi_d is monic with integer coefficients, and every
+    quotient is exact.
     """
     if m < 1:
         raise ValueError("order must be >= 1")
-    if m == 1:
-        return (-1, 1)
     p = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            q, r = _poly_divmod(p, list(cyclotomic_polynomial(d)))
-            if r:
-                raise AssertionError("cyclotomic division not exact")
-            p = q
-    return tuple(int(c) for c in p)
+            div = cyclotomic_polynomial(d)
+            k = len(div) - 1
+            # from the top down, p[i] is the quotient's coefficient of x^(i-k)
+            for i in range(len(p) - 1, k - 1, -1):
+                c = p[i]
+                if c:
+                    for j in range(k):
+                        p[i - k + j] -= c * div[j]
+            p = p[k:]
+    return tuple(p)
 
 
 @lru_cache(maxsize=None)
@@ -265,27 +250,26 @@ class CyclotomicNumber:
 
     __rmul__ = __mul__
 
+    def _conjugate(self, k: int) -> "CyclotomicNumber":
+        """sigma_k(self), the image under z -> z^k for k prime to the order."""
+        m = self.order
+        vec = [0] * m
+        for d, x in enumerate(self.num):
+            vec[d * k % m] = x
+        return _make(m, reduce_vector(m, vec), self.den)
+
     def inverse(self) -> "CyclotomicNumber":
-        """Exact inverse via the extended Euclidean algorithm in Q[x]."""
+        """Exact inverse by the norm: the product P of the conjugates
+        sigma_k(self), k prime to the order and k != 1, over the rational
+        norm self * P."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # (num / den)^(-1) = den * num^(-1); invariants: s*num = r (mod Phi_m)
-        r0, r1 = list(cyclotomic_polynomial(self.order)), _poly_trim(list(self.num))
-        s0, s1 = [0], [1]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            s = list(s0)
-            s += [0] * (len(q) + len(s1) - 1 - len(s))
-            for i, qc in enumerate(q):
-                if qc == 0:
-                    continue
-                for j, sc in enumerate(s1):
-                    s[i + j] -= qc * sc
-            r0, r1, s0, s1 = r1, _poly_trim(r), s1, _poly_trim(s)
-        if not r1:
-            raise ZeroDivisionError("element not invertible (zero divisor?)")
-        c = Fraction(r1[0]) / self.den
-        return CyclotomicNumber(self.order, [x / c for x in s1])
+        m = self.order
+        p = zeta(m, 0)
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                p = p * self._conjugate(k)
+        return p * (1 / (self * p).rational_value())
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -374,7 +358,8 @@ def zeta(m: int, k: int = 1) -> CyclotomicNumber:
 
 
 # -- exact scalars -----------------------------------------------------------
-# An exact scalar is an int, a Fraction or a CyclotomicNumber.
+
+EXACT_SCALARS = (int, Fraction, CyclotomicNumber)
 
 
 def scalar_is_zero(x) -> bool:
@@ -401,7 +386,7 @@ def encode_scalars(scalars: list) -> tuple[int, int, list]:
     for c in scalars:
         if isinstance(c, CyclotomicNumber):
             order = lcm(order, c.order)
-        elif not isinstance(c, (int, Fraction)):
+        elif not isinstance(c, EXACT_SCALARS):
             raise TypeError(f"not an exact scalar: {type(c).__name__}")
     pad = [0] * (euler_phi(order) - 1)
     parts = [
@@ -414,12 +399,14 @@ def encode_scalars(scalars: list) -> tuple[int, int, list]:
 
 
 def field_scalar(order: int, num, den: int):
-    """The scalar of Q(zeta_order) equal to sum(num[d] * z^d) / den, for a
-    reduced power-basis vector num: a Fraction at order 1, else a
-    CyclotomicNumber of that order."""
-    if order == 1:
-        return Fraction(num[0], den)
-    return _make(order, num, den)
+    """The element sum(num[d] * z^d) / den of Q(zeta_order), for a reduced
+    power-basis vector num, read back as a scalar: a Fraction when its
+    value is rational (zero included), at every order, else a
+    CyclotomicNumber of that order.  Series coefficients and matrix
+    entries are read back by this rule alone."""
+    if any(num[1:]):
+        return _make(order, num, den)
+    return Fraction(num[0], den)
 
 
 def scalar_json(x):

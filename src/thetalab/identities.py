@@ -573,10 +573,13 @@ def weierstrass_check_level4(
 
     At the seeded sample points, push (X_0..X_3) through the rational
     coordinate change and test Y^2 = X (X - (a_0-a_2)^4)(X - (a_0+a_2)^4),
-    alongside the defining quadric pair.  Points too close to the
-    coordinate-change base locus are skipped, and the check reads on
+    alongside the defining quadric pair.  Each point is scaled to largest
+    coordinate modulus 1 (the coordinate change is homogeneous of degree
+    0).  A point is skipped when a denominator of the coordinate change
+    cancels to within 1e-6 of its own terms, and the check reads on
     through the stream, at most 20 * samples points, until `samples`
-    points are accepted.  The exact statement that the null point
+    points are accepted.  The quadric residuals are relative to the
+    quadrics' coefficient size.  The exact statement that the null point
     (a_0 : a_1 : a_2 : a_1) satisfies the quadric pair is checked as a
     series identity."""
     if ctx is None:
@@ -585,20 +588,24 @@ def weierstrass_check_level4(
         raise ValueError("level-4 check needs an N = 4 context")
     ks = np.arange(4)
     a0, a1, a2, _ = theta_N_eval(ks, 0.0, ctx).tolist()
+    qscale = max(abs(a0 * a2), 2 * abs(a1) ** 2)
     worst = 0.0
     accepted = 0
     # a block is evaluated only when the points before it fall short
     points = (x for zs in sample_blocks(ctx.tau, 20 * samples, seed)
               for x in theta_N_eval(ks, np.asarray(zs)[:, None], ctx).tolist())
-    for x0, x1, x2, x3 in points:
-        scale = max(abs(c) for c in (x0, x1, x2, x3)) ** 2
-        den1 = a1 ** 2 * x0 * x2 - a0 * a2 * x1 * x3
+    for x in points:
+        big = max(map(abs, x))
+        x0, x1, x2, x3 = (c / big for c in x)
+        t1, t2 = a1 ** 2 * x0 * x2, a0 * a2 * x1 * x3
+        den1 = t1 - t2
         den2 = (x1 - x3) * (x0 - x2)
-        if abs(den1) < 1e-6 * scale or abs(den2) < 1e-6 * scale:
+        if (abs(den1) < 1e-6 * (abs(t1) + abs(t2))
+                or abs(den2) < 1e-6 * (abs(x1) + abs(x3)) * (abs(x0) + abs(x2))):
             continue
         accepted += 1
         q1, q2 = _level4_quadric_pair(a0, a1, a2, x0, x1, x2, x3)
-        xx = (a0 ** 2 - a2 ** 2) ** 2 * (a1 ** 2 * x0 * x2 + a0 * a2 * x1 * x3) / den1
+        xx = (a0 ** 2 - a2 ** 2) ** 2 * (t1 + t2) / den1
         yy = (
             4 * a1 ** 2 * (a0 ** 2 - a2 ** 2) ** 2
             * (x1 + x3) * (x0 + x2) * (a0 * a2 * x0 * x2 - a1 ** 2 * x1 * x3)
@@ -608,14 +615,14 @@ def weierstrass_check_level4(
         resid = abs(
             yy ** 2 - xx * (xx - (a0 - a2) ** 4) * (xx - (a0 + a2) ** 4)
         ) / wscale
-        worst = max(worst, resid, abs(q1) / scale, abs(q2) / scale)
+        worst = max(worst, resid, abs(q1) / qscale, abs(q2) / qscale)
         if accepted == samples:
             break
     # the half-period point z = 1/8 lies on the quadric pair
-    x0, x1, x2, x3 = theta_N_eval(ks, Fraction(1, 8), ctx).tolist()
-    scale = max(abs(c) for c in (x0, x1, x2, x3)) ** 2
-    q1, q2 = _level4_quadric_pair(a0, a1, a2, x0, x1, x2, x3)
-    worst = max(worst, abs(q1) / scale, abs(q2) / scale)
+    x = theta_N_eval(ks, Fraction(1, 8), ctx).tolist()
+    big = max(map(abs, x))
+    q1, q2 = _level4_quadric_pair(a0, a1, a2, *(c / big for c in x))
+    worst = max(worst, abs(q1) / qscale, abs(q2) / qscale)
     s = nulls(4, 40)
     exact_ok = _level4_quartic(s[0], s[1], s[2]).is_zero()
     return IdentityRecord.numeric(

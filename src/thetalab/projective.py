@@ -5,11 +5,12 @@ Matrices are exact: the translation matrices and the generators of the
 projective representation have cyclotomic entries, and group relations
 are brittle under rounding.  A matrix is held as one _ExactBlock over
 one field Q(zeta_m), m the lcm of its entries' orders, and its entries
-read back as scalars of that field: a Fraction when m = 1, a
-CyclotomicNumber of order m otherwise, and Fraction(0) for zero.  A
-product is written in the lcm of its operands' orders.  The immersion
-checks read matrices as complex arrays (`complex_array`); points may be
-numeric.  Equality always means equality of projective classes.
+read back by the one rule of `field_scalar`: a Fraction for a rational
+value (zero included) at every m, a CyclotomicNumber of order m
+otherwise.  A product is written in the lcm of its operands' orders.
+The immersion checks read matrices as complex arrays (`complex_array`);
+points may be numeric.  Equality always means equality of projective
+classes.
 
 Exact matrices are multiplied as integer vectors over their field,
 packed one int per entry (Kronecker substitution, see packing.py): each
@@ -33,8 +34,9 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
+from .congruence import sl2_inv, sl2_mul
 from .cyclotomic import (
-    CyclotomicNumber,
+    EXACT_SCALARS,
     embed_vector,
     encode_scalars,
     euler_phi,
@@ -52,10 +54,6 @@ from .packing import pack, pack_many, pack_width, unpack
 from .theta import ThetaContext, proj_residual, sample_blocks, theta_N_eval
 
 
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction, CyclotomicNumber))
-
-
 # ---------------------------------------------------------------------------
 # projective points
 
@@ -71,7 +69,7 @@ class ProjectivePoint:
         coords = tuple(coords)
         if not coords:
             raise ValueError("empty coordinate vector")
-        self.exact = all(_is_exact(c) for c in coords)
+        self.exact = all(isinstance(c, EXACT_SCALARS) for c in coords)
         if self.exact and all(scalar_is_zero(c) for c in coords):
             raise ValueError("all-zero coordinate vector")
         self.coords = coords
@@ -194,12 +192,7 @@ class ProjectiveMatrix:
 
 def _monomial_inverse(rows, perm) -> ProjectiveMatrix:
     """The inverse of a matrix whose row r has its one nonzero entry in
-    column perm[r]: transpose the pattern and invert the entries.
-
-    The entries of the result read back in the field of the inverted
-    entries, by the one rule of the module docstring, as they do from
-    Gauss-Jordan elimination.
-    """
+    column perm[r]: transpose the pattern and invert the entries."""
     zero = Fraction(0)
     out = [None] * len(rows)
     for r, c in enumerate(perm):
@@ -240,11 +233,11 @@ class _ExactBlock:
 
     Row i lists its nonzero entries as (j, num): the entry is
     sum(num[d] * z^d) / den in the power basis modulo Phi_order.  Zero
-    entries are left out.  `scalars` reads every entry back as a scalar
-    of the block's field: a Fraction when the order is 1, a
-    CyclotomicNumber of the block's order otherwise, and Fraction(0) for
-    zero.  A block is never changed after it is built, so it keeps its
-    largest coefficient and its packed rows once computed.
+    entries are left out.  `scalars` reads every entry back by the rule
+    of `field_scalar`: a Fraction for a rational value, zero included,
+    and a CyclotomicNumber of the block's order otherwise.  A block is
+    never changed after it is built, so it keeps its largest coefficient
+    and its packed rows once computed.
     """
 
     __slots__ = ("order", "den", "nz", "ncols", "_max", "_packed")
@@ -387,19 +380,6 @@ class _ExactBlock:
 # SL_2(Z) words
 
 
-def sl2_mul(m1, m2):
-    a, b, c, d = m1
-    e_, f, g, h = m2
-    return (a * e_ + b * g, a * f + b * h, c * e_ + d * g, c * f + d * h)
-
-
-def sl2_inv(m):
-    a, b, c, d = m
-    if a * d - b * c != 1:
-        raise ValueError("not in SL_2(Z)")
-    return (d, -b, -c, a)
-
-
 SL2_A = (0, -1, 1, 0)
 SL2_B = (1, 1, 0, 1)
 
@@ -418,8 +398,6 @@ class SL2Word(NamedTuple):
                 k = -k
             for _ in range(k):
                 m = sl2_mul(m, g)
-        if m[0] * m[3] - m[1] * m[2] != 1:
-            raise AssertionError("word does not evaluate into SL_2(Z)")
         return m
 
     def evaluate_proj(self, A0: ProjectiveMatrix, B0: ProjectiveMatrix) -> ProjectiveMatrix:

@@ -20,10 +20,9 @@ bound it from above (half_period_bound).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import NamedTuple
 
-from .cyclotomic import CyclotomicNumber, scalar_complex, scalar_inverse, scalar_is_zero, scalar_json
+from .cyclotomic import EXACT_SCALARS, scalar_complex, scalar_inverse, scalar_is_zero, scalar_json
 from .frozen import Frozen
 from .lazy import np
 from .series import PuiseuxSeries
@@ -85,7 +84,7 @@ class QuadraticForm:
 
     def to_json(self) -> str:
         def enc(c):
-            if isinstance(c, (int, Fraction, CyclotomicNumber)):
+            if isinstance(c, EXACT_SCALARS):
                 return scalar_json(c)
             if isinstance(c, PuiseuxSeries):
                 return json.loads(c.to_json())

@@ -18,8 +18,8 @@ their orders (`encode_scalars`, which the exact matrices use too); a sum
 or product is written over the lcm of its operands' orders.
 
 Read-back.  ``terms`` maps each exponent numerator to its coefficient,
-built on first read: a Fraction for a rational value, otherwise a
-CyclotomicNumber of the series' order.
+built on first read by the one rule of `field_scalar`: a Fraction for a
+rational value, otherwise a CyclotomicNumber of the series' order.
 
 Precision rules.  A product keeps exponents below
 ``min(a.trunc + vb, b.trunc + va)``, where ``va`` and ``vb`` are the
@@ -51,6 +51,7 @@ from itertools import chain
 from math import gcd, isqrt, lcm
 
 from .cyclotomic import (
+    EXACT_SCALARS,
     CyclotomicNumber,
     embed_vector,
     encode_scalars,
@@ -138,13 +139,8 @@ class PuiseuxSeries:
         """The coefficients by exponent numerator: a Fraction for a
         rational value, else a CyclotomicNumber of the series' order."""
         if self._terms is None:
-            self._terms = {k: self._scalar(num) for k, num in self.nums.items()}
+            self._terms = {k: field_scalar(self.order, v, self.den) for k, v in self.nums.items()}
         return self._terms
-
-    def _scalar(self, num):
-        if any(num[1:]):
-            return field_scalar(self.order, num, self.den)
-        return Fraction(num[0], self.den)
 
     # -- constructors -------------------------------------------------
 
@@ -197,7 +193,7 @@ class PuiseuxSeries:
         if e >= Fraction(self.trunc, self.ram):
             raise ValueError("exponent beyond carried truncation")
         vec = self.nums.get(e * self.ram)  # a non-integral key matches no exponent
-        return Fraction(0) if vec is None else self._scalar(vec)
+        return Fraction(0) if vec is None else field_scalar(self.order, vec, self.den)
 
     def known_order(self) -> Fraction:
         """The exponent bound this series is known modulo."""
@@ -215,7 +211,7 @@ class PuiseuxSeries:
 
     def _sum(self, other, negate: bool) -> "PuiseuxSeries":
         """self + other, or self - other when negate is set."""
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
+        if isinstance(other, EXACT_SCALARS):
             other = PuiseuxSeries.constant(other, self.trunc, self.ram)
         a, b = self._common(self, other)
         t = min(a.trunc, b.trunc)
@@ -250,7 +246,7 @@ class PuiseuxSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
+        if isinstance(other, EXACT_SCALARS):
             a, b = self._common(self, PuiseuxSeries.constant(other, 1, self.ram))
             return _product(a, b, self.trunc)
         a, b = self._common(self, other)
@@ -298,7 +294,7 @@ class PuiseuxSeries:
         unit = {k - v: num for k, num in self.nums.items()}
         s = gcd(*unit)  # 0 for a single term, whose inverse is exact
         p = min(s, n) if s else n
-        g = PuiseuxSeries(ram, {0: scalar_inverse(self._scalar(unit[0]))}, p)
+        g = PuiseuxSeries(ram, {0: scalar_inverse(field_scalar(self.order, unit[0], self.den))}, p)
         while p < n:
             p = min(2 * p, n)
             g = PuiseuxSeries._of(ram, g.order, g.den, g.nums, p)
@@ -309,7 +305,7 @@ class PuiseuxSeries:
         return PuiseuxSeries._of(ram, g.order, g.den, nums, self.trunc - 2 * v)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
+        if isinstance(other, EXACT_SCALARS):
             return self * scalar_inverse(other)
         return self * other.inverse()
 

@@ -513,6 +513,22 @@ def test_hesse_cubic_scales_large_coordinates(capsys):
     assert next(r for r in records if r["name"] == "level6.hesse")["residual"] < 1e-12
 
 
+@pytest.mark.parametrize("argv, samples", [
+    # squaring the raw coordinates overflowed here
+    (("--tau-re=-36.371521452548095", "--tau-im=60.607920193892674", "--samples", "13"), 13),
+    # a base-locus test against the coordinates' size accepted no point here
+    (("--tau-im", "6", "--samples", "200"), 200),
+], ids=("overflow", "no-point-accepted"))
+def test_weierstrass_accepts_points_at_large_im_tau(capsys, argv, samples):
+    code, out, err = run_cli(capsys, "verify", "--suite", "weierstrass", "--N", "4", *argv,
+                             "--seed", "2", "--format", "json")
+    assert (code, err) == (0, "")
+    records = json.loads(out)["records"]
+    assert records and all(r["status"] == "pass" for r in records)
+    rec = next(r for r in records if r["name"] == "level4.weierstrass")
+    assert f"over {samples} samples" in rec["detail"]
+
+
 def test_underflowing_transform_values_are_a_usage_error(capsys):
     # at N = 16, Im tau = 66 a theta value the tau -> tau + 1 ratio divides by is 0.0
     argv = ("verify", "--suite", "transform", "--N", "16", "--tau-im", "66", "--samples", "8")

@@ -81,3 +81,86 @@ def test_every_command_keeps_the_exit_contract(argv):
         assert "FAIL" in out and not errors, (argv, out, err)
     else:
         assert not errors and "FAIL" not in out, (argv, out, err)
+
+
+def _rejected_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+# words that name no command, suite, object, family or format; none starts
+# with "-", so argparse reads each as the value it replaces
+_WORDS = st.sampled_from(("", "gama", "Verify", "qexp ", "lambda2", "all,rep", "0")) | st.text(
+    alphabet="abcdefghijklmnopqrstuvwxyz-0123456789_", max_size=10
+).filter(lambda w: not w.startswith("-"))
+# values that neither int() nor float() reads; an argv mixes them with
+# valid numbers, some huge, that argparse reads before it fails
+_NON_NUMBERS = (st.sampled_from(("", "x", "4.5.", "1e", "--", "0x10", "1/2", "four", "1,5"))
+                | st.text(max_size=6)).filter(_rejected_number)
+_NUMBERS = st.integers(-5, 20) | st.integers(-10**40, 10**40)
+# no prefix of any option (argparse reads a prefix as the option)
+_UNKNOWN_FLAGS = st.sampled_from(("--level", "--samples-count", "--tau-imag", "--Nn", "-x", "--",
+                                  "--tau", "--s", "--o", "--verbose", "-n"))
+_NUMERIC_FLAGS = {
+    "qexp": ("--N", "--order", "--k"),
+    "verify": ("--N", "--order", "--tau-re", "--tau-im", "--tol", "--samples", "--seed"),
+    "invariants": ("--N",),
+}
+_CHOICE_FLAGS = {
+    "qexp": ("--object", "--format"),
+    "verify": ("--suite", "--format"),
+    "invariants": ("--family", "--format"),
+}
+
+
+@st.composite
+def rejected_commands(draw):
+    """An argv with one defect argparse rejects before any work starts:
+    an unknown command or choice, a missing command, option or value, a
+    non-numeric value, or an unknown flag."""
+    command = draw(st.sampled_from(("qexp", "verify", "invariants")))
+    argv = [command]
+    for flag in _CHOICE_FLAGS[command]:
+        choices = {"--object": tuple(_QEXP_OBJECTS), "--suite": (*_SUITES, "all"),
+                   "--family": ("gamma", "gammaN2N"), "--format": ("text", "json")}[flag]
+        argv += [flag, draw(st.sampled_from(choices))]
+    for flag in _NUMERIC_FLAGS[command]:
+        if draw(st.booleans()):
+            argv += [flag, str(draw(_NUMBERS))]
+    defect = draw(st.sampled_from(("command", "choice", "required", "value", "number", "flag")))
+    if defect == "command":
+        unknown = _WORDS.filter(lambda w: w not in _NUMERIC_FLAGS)
+        argv = [] if draw(st.booleans()) else [draw(unknown), *argv[1:]]
+    elif defect == "choice":
+        i = argv.index(draw(st.sampled_from(_CHOICE_FLAGS[command])))
+        argv[i + 1] = draw(_WORDS.filter(lambda w: w not in (*_QEXP_OBJECTS, *_SUITES, "all",
+                                                            "gamma", "gammaN2N", "text", "json")))
+    elif defect == "required":
+        i = argv.index(_CHOICE_FLAGS[command][0])
+        del argv[i:i + 2]
+    elif defect == "value":
+        argv.append(draw(st.sampled_from(_NUMERIC_FLAGS[command] + _CHOICE_FLAGS[command])))
+    elif defect == "number":
+        flag = draw(st.sampled_from(_NUMERIC_FLAGS[command]))
+        argv += [flag, draw(_NON_NUMBERS)]
+    else:
+        argv.insert(draw(st.integers(1, len(argv))), draw(_UNKNOWN_FLAGS))
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(argv=rejected_commands())
+def test_argv_that_argparse_rejects_is_a_usage_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert (code, out) == (2, ""), (argv, code, out, err)
+    assert "Traceback" not in err, argv
+    assert any("error:" in line for line in err.splitlines()), (argv, err)

@@ -12,6 +12,8 @@ from thetalab.cyclotomic import (
     prime_factors,
     zeta,
 )
+from thetalab.projective import build_rep_generators
+from thetalab.series import PuiseuxSeries
 
 
 def test_cyclotomic_polynomials():
@@ -113,3 +115,28 @@ def test_prime_factors():
         assert product == n
         assert _mobius(n) == (0 if any(e > 1 for _, e in factors) else (-1) ** len(factors))
     assert [_mobius(n) for n in (1, 2, 4, 6, 30, 12)] == [1, -1, 0, 1, -1, 0]
+
+
+def test_rational_values_read_back_as_fractions():
+    # one rule for series coefficients and matrix entries alike: a
+    # rational value of Q(zeta_m), m > 1, is a Fraction, the rest are
+    # CyclotomicNumbers of the field's order
+    terms = {0: zeta(8), 1: zeta(8) ** 4, 2: Fraction(1, 3), 3: zeta(8, 3) * zeta(8)}
+    s = PuiseuxSeries(1, terms, 5)
+    assert s.order == 8
+    for k, want in ((1, Fraction(-1)), (2, Fraction(1, 3)), (3, Fraction(-1))):
+        assert type(s.terms[k]) is Fraction and s.terms[k] == want
+        assert type(s.coefficient(k)) is Fraction and s.coefficient(k) == want
+    assert type(s.coefficient(4)) is Fraction and s.coefficient(4) == 0
+    assert (s.terms[0].order, s.coefficient(0)) == (8, zeta(8))
+    square = s * s
+    assert type(square.terms[4]) is Fraction and square.terms[4] == Fraction(19, 9)
+    assert type(square.terms[2]) is CyclotomicNumber and square.terms[1] == -2 * zeta(8)
+    A0 = build_rep_generators(4).A0
+    rows = (A0 @ A0).rows  # A0^2 = 4 times the permutation X_k -> X_(-k)
+    assert all(type(c) is Fraction for r in rows for c in r)
+    assert rows == tuple(tuple(Fraction(4 * ((i + j) % 4 == 0)) for j in range(4))
+                         for i in range(4))
+    # row 1 of A0 is (1, i, -1, -i), written over Q(zeta_8)
+    assert [type(c) for c in A0.rows[1]] == [Fraction, CyclotomicNumber, Fraction, CyclotomicNumber]
+    assert A0.rows[1][1].order == A0.rows[1][3].order == 8

@@ -1,14 +1,14 @@
 """Tests of the exact projective kernels: the packed matrix product and
 the closed-form inverses.
 
-A matrix reads its entries back as scalars of its block's field
-Q(zeta_m), m the lcm of its entries' orders: Fractions at m = 1,
-CyclotomicNumbers of order m otherwise, and Fraction(0) for zero.  So
-the packed product is checked against a copy of the entry-by-entry
-scalar product, and the inverses against a copy of Gauss-Jordan
-elimination, each over the operands lifted into that field: equal
-entries, each nonzero entry of the field's type and order, zeros as
-Fraction(0), and bit-identical complex values.
+A matrix is written over the field Q(zeta_m), m the lcm of its entries'
+orders, and reads each entry back by one rule: a Fraction for a
+rational value (zero included), a CyclotomicNumber of order m
+otherwise.  So the packed product is checked against a copy of the
+entry-by-entry scalar product, and the inverses against a copy of
+Gauss-Jordan elimination, each over the operands lifted into that
+field and read back by the same rule: equal entries of one type, each
+CyclotomicNumber of the field's order, and bit-identical complex values.
 """
 
 from fractions import Fraction
@@ -109,6 +109,14 @@ def to_complex(rows):
     return np.array(conv, dtype=complex)
 
 
+def read_back(x):
+    """A scalar of the field as a matrix reads it back: a Fraction for a
+    rational value."""
+    if isinstance(x, CyclotomicNumber) and x.is_rational():
+        return x.rational_value()
+    return x
+
+
 def same_scalar(x, y):
     """Equal as elements, of one type, and of one order if cyclotomic."""
     if type(x) is not type(y):
@@ -119,17 +127,16 @@ def same_scalar(x, y):
 
 
 def assert_same_product(got, want):
-    """Equal entries, nonzero ones of one type and order, zeros read back
-    as Fraction(0), and bit-identical complex values."""
+    """Equal entries of one type, each CyclotomicNumber of the order of
+    the reference's, and bit-identical complex values; the reference is
+    read back by the matrices' rule first."""
+    want = [[read_back(y) for y in w] for w in want]
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert len(g) == len(w)
         for x, y in zip(g, w):
             assert x == y
-            if is_zero(y):
-                assert type(x) is Fraction, x
-            else:
-                assert same_scalar(x, y), (x, y)
+            assert same_scalar(x, y), (x, y)
     assert to_complex(got).tobytes() == to_complex(want).tobytes()
 
 
