@@ -39,7 +39,6 @@ from .identities import (
     x6_series,
     y6_series,
 )
-from .lazy import np
 from .projective import conjugation_table_check, rho_theta_match, translation_check, verify_presentation
 from .quadrics import (
     NullData,
@@ -337,27 +336,24 @@ class Scope(NamedTuple):
     applies: Callable[[int], bool]  # of the level N
     error: str  # the ConfigError for any other N; {N} is filled in
     series: bool = False  # reads exact series, known to order >= 8N
-    numeric: bool = True  # runs numpy
 
 
 # where each suite applies: `all` runs the suites that apply at N, and a
 # single suite outside its levels is a configuration error
 _SCOPES = {
     "identities": Scope(
-        lambda N: N in SERIES_LEVELS, "no series identities catalogued for N = {N}", series=True,
-        numeric=False,
+        lambda N: N in SERIES_LEVELS, "no series identities catalogued for N = {N}", series=True
     ),
     "quadrics": Scope(lambda N: N >= 4, "quadric systems need N >= 4"),
     "rep": Scope(
-        lambda N: N >= 2 and N % 2 == 0, "the projective representation suite needs even N >= 2",
-        numeric=False,
+        lambda N: N >= 2 and N % 2 == 0, "the projective representation suite needs even N >= 2"
     ),
     "translation": Scope(lambda N: N >= 2, "the translation suite needs N >= 2"),
     "transform": Scope(lambda N: N >= 2, "the transform suite needs N >= 2"),
     "weierstrass": Scope(lambda N: N == 4, "the Weierstrass suite is specific to N = 4"),
     "structures": Scope(
         lambda N: 2 <= N <= MAX_LEVEL and N % 2 == 0,
-        f"refined structures need even N >= 2 and N <= {MAX_LEVEL}", numeric=False,
+        f"refined structures need even N >= 2 and N <= {MAX_LEVEL}",
     ),
 }
 
@@ -382,17 +378,8 @@ def run_suites(cfg: RunConfig, suite: str) -> list[IdentityRecord]:
         raise ConfigError(f"order must be >= {8 * cfg.N} for N = {cfg.N}")
     records = []
     for name in names:
-        records += _run_suite(name, cfg)
+        records += _SUITES[name](cfg)
     return sorted(records, key=lambda r: r.name)
-
-
-def _run_suite(name: str, cfg: RunConfig) -> list[IdentityRecord]:
-    """One suite.  Where it runs numpy, numpy overflow is raised as Python's
-    scalar arithmetic raises it; the other suites never execute numpy."""
-    if not _SCOPES[name].numeric:
-        return _SUITES[name](cfg)
-    with np.errstate(over="raise", invalid="raise"):
-        return _SUITES[name](cfg)
 
 
 def report_exit_code(records: list[IdentityRecord]) -> int:

@@ -261,15 +261,21 @@ class CyclotomicNumber:
     def inverse(self) -> "CyclotomicNumber":
         """Exact inverse by the norm: the product P of the conjugates
         sigma_k(self), k prime to the order and k != 1, over the rational
-        norm self * P."""
+        norm self * P.  The complex conjugate sigma_(-1)(self) comes
+        first: when self times it is already rational (a rational
+        multiple of a root of unity, or any element of a quadratic
+        field), P stops there."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         m = self.order
-        p = zeta(m, 0)
-        for k in range(2, m):
-            if gcd(k, m) == 1:
-                p = p * self._conjugate(k)
-        return p * (1 / (self * p).rational_value())
+        p = self._conjugate(m - 1)
+        norm = self * p
+        if not norm.is_rational():
+            for k in range(2, m - 1):
+                if gcd(k, m) == 1:
+                    p = p * self._conjugate(k)
+            norm = self * p
+        return p * (1 / norm.rational_value())
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

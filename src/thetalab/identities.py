@@ -17,6 +17,7 @@ from .lazy import np
 from .series import PuiseuxSeries, eta_series
 from .theta import (
     ThetaContext,
+    pointwise,
     proj_residual,
     sample_blocks,
     theta_N_eval,
@@ -514,11 +515,6 @@ SERIES_LEVELS = frozenset(
 # Hesse cubic, Weierstrass model, degenerate fibers
 
 
-def _nulls_at(ctx: ThetaContext, count: int) -> list[complex]:
-    """The null values a_0, ..., a_(count-1) at ctx.tau, one point each."""
-    return [theta_N_eval(k, 0.0, ctx) for k in range(count)]
-
-
 def hesse_check(
     order: int, ctx: ThetaContext | None = None, samples: int = 20, seed: int = 0,
     rtol: float = 1e-7,
@@ -534,7 +530,7 @@ def hesse_check(
     if ctx is None:
         ctx = ThetaContext(HESSE_LEVEL, 1j, 1e-10)
     lead = _leading_record("level6.hesse-mu", 6, mu6_series(order), _MU_LEADING, order)
-    a = _nulls_at(ctx, 6)
+    a = theta_N_eval(range(6), 0.0, ctx)
     try:
         mu3 = _mu6(_x6(a), _y6(a))
     except ZeroDivisionError:
@@ -545,7 +541,7 @@ def hesse_check(
     worst = 0.0
     for zs in sample_blocks(ctx.tau, samples, seed):
         for z in zs:
-            x = [theta_N_eval(k, z, ctx) for k in range(6)]
+            x = theta_N_eval(range(6), z, ctx)
             top = max(abs(c) for c in x)
             x0, x2, x4 = x[0] / top, x[2] / top, x[4] / top
             resid = abs(x0 ** 3 + x2 ** 3 + x4 ** 3 - mu3 * x0 * x2 * x4) / max(1.0, abs(mu3))
@@ -579,21 +575,28 @@ def weierstrass_check_level4(
     cancels to within 1e-6 of its own terms, and the check reads on
     through the stream, at most 20 * samples points, until `samples`
     points are accepted.  The quadric residuals are relative to the
-    quadrics' coefficient size.  The exact statement that the null point
+    quadrics' coefficient size.  The stream is summed one point at a time,
+    or a numpy block at a time when more than SAMPLE_BLOCK samples are
+    asked for (theta.pointwise); the points and their residuals are the
+    same either way.  The exact statement that the null point
     (a_0 : a_1 : a_2 : a_1) satisfies the quadric pair is checked as a
     series identity."""
     if ctx is None:
         ctx = ThetaContext(4, 1j, 1e-10)
     if ctx.N != 4:
         raise ValueError("level-4 check needs an N = 4 context")
-    ks = np.arange(4)
-    a0, a1, a2, _ = theta_N_eval(ks, 0.0, ctx).tolist()
+    ks = range(4)
+    a0, a1, a2, _ = theta_N_eval(ks, 0.0, ctx)
     qscale = max(abs(a0 * a2), 2 * abs(a1) ** 2)
     worst = 0.0
     accepted = 0
-    # a block is evaluated only when the points before it fall short
-    points = (x for zs in sample_blocks(ctx.tau, 20 * samples, seed)
-              for x in theta_N_eval(ks, np.asarray(zs)[:, None], ctx).tolist())
+    # a point, or a block, is evaluated only when the points before it fall short
+    blocks = sample_blocks(ctx.tau, 20 * samples, seed)
+    if pointwise(samples):
+        points = (theta_N_eval(ks, z, ctx) for zs in blocks for z in zs)
+    else:
+        points = (x for zs in blocks
+                  for x in theta_N_eval(np.arange(4), np.asarray(zs)[:, None], ctx).tolist())
     for x in points:
         big = max(map(abs, x))
         x0, x1, x2, x3 = (c / big for c in x)
@@ -619,7 +622,7 @@ def weierstrass_check_level4(
         if accepted == samples:
             break
     # the half-period point z = 1/8 lies on the quadric pair
-    x = theta_N_eval(ks, Fraction(1, 8), ctx).tolist()
+    x = theta_N_eval(ks, Fraction(1, 8), ctx)
     big = max(map(abs, x))
     q1, q2 = _level4_quadric_pair(a0, a1, a2, *(c / big for c in x))
     worst = max(worst, abs(q1) / qscale, abs(q2) / qscale)
@@ -686,10 +689,10 @@ def null_invariance_check(N: int, tau: complex = 1j, rtol: float = 1e-8) -> Iden
         raise ValueError("the invariance statement is for even N")
     h = N // 2
     ctx = ThetaContext(N, tau, 1e-10)
-    base = _nulls_at(ctx, h + 1)
-    shift = _nulls_at(ctx.with_tau(tau + N), h + 1)
+    base = theta_N_eval(range(h + 1), 0.0, ctx)
+    shift = theta_N_eval(range(h + 1), 0.0, ctx.with_tau(tau + N))
     r1 = proj_residual([(-1) ** k * b for k, b in enumerate(base)], shift)
-    lower = _nulls_at(ctx.with_tau(tau / (N * tau + 1)), h + 1)
+    lower = theta_N_eval(range(h + 1), 0.0, ctx.with_tau(tau / (N * tau + 1)))
     r2 = proj_residual(base[::-1], lower)
     return IdentityRecord.numeric(
         f"level{N}.null-invariance", N, max(r1, r2), rtol,

@@ -8,9 +8,10 @@ process that imported numpy before thetalab keeps that module.
 
 Every other module reads numpy as `from .lazy import np`, and none
 reads an `np.` attribute at import (tests/test_layering.py), so an
-exact command never executes numpy; nor does a one-point theta value
-(theta.py sums it in plain Python), so neither does the identities
-suite at any level.
+exact command never executes numpy.  Nor does a theta value at one
+point (theta.py sums it in plain Python), and a sampled check asked
+for at most 64 samples sums its points that way (theta.pointwise): so
+only a check of more than 64 samples executes numpy.
 """
 
 from __future__ import annotations

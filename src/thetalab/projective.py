@@ -8,9 +8,10 @@ one field Q(zeta_m), m the lcm of its entries' orders, and its entries
 read back by the one rule of `field_scalar`: a Fraction for a rational
 value (zero included) at every m, a CyclotomicNumber of order m
 otherwise.  A product is written in the lcm of its operands' orders.
-The immersion checks read matrices as complex arrays (`complex_array`);
-points may be numeric.  Equality always means equality of projective
-classes.
+The immersion checks read matrices as complex values: as numpy arrays
+(`complex_array`) on blocks of points, or as each row's nonzero entries
+(`_complex_rows`) on one point at a time in plain Python; points may be
+numeric.  Equality always means equality of projective classes.
 
 Exact matrices are multiplied as integer vectors over their field,
 packed one int per entry (Kronecker substitution, see packing.py): each
@@ -31,7 +32,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import NamedTuple
 
 from .congruence import sl2_inv, sl2_mul
@@ -51,7 +52,7 @@ from .cyclotomic import (
 )
 from .lazy import np
 from .packing import pack, pack_many, pack_width, unpack
-from .theta import ThetaContext, proj_residual, sample_blocks, theta_N_eval
+from .theta import ThetaContext, pointwise, proj_residual, sample_blocks, theta_N_eval
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +618,7 @@ def build_rho_bar(N: int) -> RhoBar:
 
 def immersion_point(z: complex, ctx: ThetaContext) -> ProjectivePoint:
     """(theta_0(z) : ... : theta_(N-1)(z)), canonically normalized."""
-    coords = theta_N_eval(np.arange(ctx.N), z, ctx).tolist()
+    coords = theta_N_eval(range(ctx.N), z, ctx)
     if max(abs(c) for c in coords) < ctx.tol:
         raise ValueError("numerically degenerate context: all coordinates below tol")
     return ProjectivePoint(coords).canonical()
@@ -634,6 +635,30 @@ class TranslationReport(NamedTuple):
     passed: bool
 
 
+def _complex_rows(mat: ProjectiveMatrix) -> list:
+    """The nonzero entries of mat as complex values, row by row: a list
+    of (column, value) pairs per row."""
+    return [
+        [(j, scalar_complex(c)) for j, c in enumerate(row) if not scalar_is_zero(c)]
+        for row in mat.rows
+    ]
+
+
+def _apply(rows: list, v: list) -> list:
+    """The matrix of _complex_rows times the vector v, in plain Python."""
+    return [sum(c * v[j] for j, c in row) for row in rows]
+
+
+def _point_residual(u: list, v: list) -> float:
+    """proj_residual of two vectors of one point.  A residual that is not
+    finite for a nonzero u can only come from overflow, and raises
+    OverflowError as numpy's products do under np.errstate(over="raise")."""
+    r = proj_residual(u, v)
+    if not r < inf and any(u):
+        raise OverflowError("non-finite projective residual")
+    return r
+
+
 def translation_check(
     ctx: ThetaContext, samples: int = 20, seed: int = 0, rtol: float = 1e-8
 ) -> TranslationReport:
@@ -646,32 +671,19 @@ def translation_check(
     and the matched exponent is reported.  z -> -z acts as M_inv, tested
     on the first min(samples, 10) points against their base values.  The
     origin is fixed by the inversion: origin_dev is the largest
-    |a_k - (-1)^N a_(N-k)| relative to the largest null a_k.
+    |a_k - (-1)^N a_(N-k)| relative to the largest null a_k.  The points
+    are summed one at a time or in numpy blocks by theta.pointwise; each
+    residual is the largest over the points either way.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    N, tau = ctx.N, ctx.tau
+    N = ctx.N
     can = build_canonical_matrices(N)
-    ms = can.M_S.complex_array()
-    mt = can.M_T.complex_array()
-    mt_inv = can.M_T.inverse().complex_array()
-    minv = can.M_inv.complex_array()
-    ks = np.arange(N)
-    worst_s = 0.0
-    worst_t = {1: 0.0, -1: 0.0}
-    worst_inv = None
-    for block in sample_blocks(tau, samples, seed):
-        z = np.asarray(block)
-        # each point and its two translates in one kernel call
-        pts = np.stack([z, z + tau / N, z + 1.0 / N])
-        base, ts, tt = theta_N_eval(ks, pts[:, :, None], ctx)
-        worst_s = max(worst_s, proj_residual(base @ ms.T, ts))
-        worst_t[1] = max(worst_t[1], proj_residual(base @ mt.T, tt))
-        worst_t[-1] = max(worst_t[-1], proj_residual(base @ mt_inv.T, tt))
-        if worst_inv is None:  # the first block holds the first min(samples, 10) points
-            worst_inv = proj_residual(base[:10] @ minv.T, theta_N_eval(ks, -z[:10, None], ctx))
+    mats = (can.M_S, can.M_T, can.M_T.inverse(), can.M_inv)
+    residuals = _translation_points if pointwise(samples) else _translation_blocks
+    worst_s, worst_t, worst_inv = residuals(ctx, mats, sample_blocks(ctx.tau, samples, seed))
     power = min(worst_t, key=worst_t.get)
-    a = theta_N_eval(ks, 0.0, ctx).tolist()
+    a = theta_N_eval(range(N), 0.0, ctx)
     sign = 1 if N % 2 == 0 else -1
     origin_dev = max(abs(a[k] - sign * a[(N - k) % N]) for k in range(N)) / max(map(abs, a))
     return TranslationReport(
@@ -686,35 +698,74 @@ def translation_check(
     )
 
 
+def _translation_points(ctx: ThetaContext, mats: tuple, blocks):
+    """translation_check's residuals, one point at a time without numpy."""
+    N, tau = ctx.N, ctx.tau
+    ms, mt, mt_inv, minv = map(_complex_rows, mats)
+    ks = range(N)
+    worst_s = worst_inv = 0.0
+    worst_t = {1: 0.0, -1: 0.0}
+    for i, z in enumerate(z for block in blocks for z in block):
+        base = theta_N_eval(ks, z, ctx)
+        ts = theta_N_eval(ks, z + tau / N, ctx)
+        tt = theta_N_eval(ks, z + 1.0 / N, ctx)
+        worst_s = max(worst_s, _point_residual(_apply(ms, base), ts))
+        worst_t[1] = max(worst_t[1], _point_residual(_apply(mt, base), tt))
+        worst_t[-1] = max(worst_t[-1], _point_residual(_apply(mt_inv, base), tt))
+        if i < 10:
+            inv = _point_residual(_apply(minv, base), theta_N_eval(ks, -z, ctx))
+            worst_inv = max(worst_inv, inv)
+    return worst_s, worst_t, worst_inv
+
+
+def _translation_blocks(ctx: ThetaContext, mats: tuple, blocks):
+    """translation_check's residuals on numpy blocks of points."""
+    N, tau = ctx.N, ctx.tau
+    ms, mt, mt_inv, minv = (m.complex_array() for m in mats)
+    ks = np.arange(N)
+    worst_s = 0.0
+    worst_t = {1: 0.0, -1: 0.0}
+    worst_inv = None
+    with np.errstate(over="raise", invalid="raise"):
+        for block in blocks:
+            z = np.asarray(block)
+            # each point and its two translates in one kernel call
+            pts = np.stack([z, z + tau / N, z + 1.0 / N])
+            base, ts, tt = theta_N_eval(ks, pts[:, :, None], ctx)
+            worst_s = max(worst_s, proj_residual(base @ ms.T, ts))
+            worst_t[1] = max(worst_t[1], proj_residual(base @ mt.T, tt))
+            worst_t[-1] = max(worst_t[-1], proj_residual(base @ mt_inv.T, tt))
+            if worst_inv is None:  # the first block holds the first min(samples, 10) points
+                worst_inv = proj_residual(base[:10] @ minv.T, theta_N_eval(ks, -z[:10, None], ctx))
+    return worst_s, worst_t, worst_inv
+
+
 def rho_theta_candidates(N: int, kind: str) -> dict:
-    """The coset of candidates for a modular coordinate change, as
-    complex arrays.
+    """The coset of candidates for a modular coordinate change, each as
+    the factors of its matrix in the order they act on a vector.
 
     kind "A" is the tau -> -1/tau family built on A0 = [zeta^(ij)];
     kind "B" the tau -> tau+1 family built on the diagonal B0.  The
     candidates are only pinned down modulo the four half-period
     translations, and the observed matrix may be the inverse class
     (point action versus function action), so inverses are included.
-    M_S^h is a permutation and M_T^h = diag((-1)^i), so each candidate
-    has the complex values of the exact product, entry for entry.
+    The candidate base * t, for t one of I, M_S^h (a permutation),
+    M_T^h = diag((-1)^i) and M_S^h M_T^h, acts on a vector as t, then
+    base; each factor is given by its nonzero complex entries
+    (_complex_rows), so no complex matrices are multiplied.
     """
     can = build_canonical_matrices(N)
     gens = build_rep_generators(N)
     base = gens.A0 if kind == "A" else gens.B0
-    pair = ((base.complex_array(), ""), (base.inverse().complex_array(), "^-1"))
+    pair = ((_complex_rows(base), ""), (_complex_rows(base.inverse()), "^-1"))
     h = N // 2
-    msh = can.M_S.power(h).complex_array()
-    mth = can.M_T.power(h).complex_array()
+    msh = _complex_rows(can.M_S.power(h))
+    mth = _complex_rows(can.M_T.power(h))
     out = {}
-    for name, t in (
-        ("", np.eye(N, dtype=complex)),
-        ("*MS^h", msh),
-        ("*MT^h", mth),
-        ("*MS^h*MT^h", msh @ mth),
-    ):
+    for name, t in (("", ()), ("*MS^h", (msh,)), ("*MT^h", (mth,)), ("*MS^h*MT^h", (mth, msh))):
         for m, tag in pair:
             lbl = ("A0" if kind == "A" else "B0") + tag + name
-            out[lbl] = m @ t
+            out[lbl] = t + (m,)
     return out
 
 
@@ -733,7 +784,8 @@ def rho_theta_match(
 
     Takes the seeded sample points, evaluates the immersion at the
     transformed modulus, and reports which candidate class (if any)
-    matches on every sample."""
+    matches on every sample.  The few points are summed one at a time,
+    without numpy, at every sample count."""
     N, tau = ctx.N, ctx.tau
     if kind == "A":
         ctx2 = ctx.with_tau(-1.0 / tau)
@@ -741,14 +793,17 @@ def rho_theta_match(
         ctx2 = ctx.with_tau(tau + 1.0)
     else:
         raise ValueError("kind must be 'A' or 'B'")
-    zs = np.concatenate(list(sample_blocks(tau, samples, seed)))
-    ks = np.arange(N)
-    base = theta_N_eval(ks, zs[:, None], ctx)
-    moved = np.array([z / tau for z in zs.tolist()], dtype=complex) if kind == "A" else zs
-    img = theta_N_eval(ks, moved[:, None], ctx2)
+    zs = [z for block in sample_blocks(tau, samples, seed) for z in block]
+    ks = range(N)
+    base = [theta_N_eval(ks, z, ctx) for z in zs]
+    img = [theta_N_eval(ks, z / tau if kind == "A" else z, ctx2) for z in zs]
     best_name, best_resid = None, float("inf")
-    for name, c in rho_theta_candidates(N, kind).items():
-        resid = proj_residual([c @ b for b in base], img)
+    for name, factors in rho_theta_candidates(N, kind).items():
+        resid = 0.0
+        for b, w in zip(base, img):
+            for rows in factors:
+                b = _apply(rows, b)
+            resid = max(resid, _point_residual(b, w))
         if resid < best_resid:
             best_name, best_resid = name, resid
     return RhoThetaReport(

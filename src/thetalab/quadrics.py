@@ -20,6 +20,7 @@ bound it from above (half_period_bound).
 from __future__ import annotations
 
 import json
+import math
 from typing import NamedTuple
 
 from .cyclotomic import EXACT_SCALARS, scalar_complex, scalar_inverse, scalar_is_zero, scalar_json
@@ -27,7 +28,8 @@ from .frozen import Frozen
 from .lazy import np
 from .series import PuiseuxSeries
 from .theta import (
-    ThetaContext, sample_blocks, theta_N_eval, theta_half_eval, theta_half_series, theta_null_series,
+    ThetaContext, pointwise, sample_blocks, theta_N_eval, theta_half_eval, theta_half_series,
+    theta_null_series,
 )
 
 
@@ -133,8 +135,8 @@ class NullData(Frozen):
     @staticmethod
     def numeric(ctx: ThetaContext) -> "NullData":
         N = ctx.N
-        a = tuple(theta_N_eval(np.arange(N), 0.0, ctx).tolist())
-        s = tuple(theta_half_eval(N, np.arange(N), ctx).tolist()) if N % 2 == 0 else None
+        a = tuple(theta_N_eval(range(N), 0.0, ctx))
+        s = tuple(theta_half_eval(N, range(N), ctx)) if N % 2 == 0 else None
         return NullData(N=N, a=a, s=s)
 
     @staticmethod
@@ -277,7 +279,7 @@ class OnCurveReport(NamedTuple):
 
     @staticmethod
     def of(N: int, samples: int, rtol: float, form_residuals) -> "OnCurveReport":
-        worst = float(np.max(form_residuals, initial=0.0))
+        worst = max([0.0, *form_residuals])
         return OnCurveReport(
             N=N, samples=samples, n_forms=len(form_residuals), max_residual=worst,
             passed=worst < rtol, rtol=rtol, form_residuals=tuple(form_residuals),
@@ -298,34 +300,68 @@ def verify_on_curve(
     """Evaluate every form at sampled immersion points.
 
     Residuals are normalized by (max coefficient magnitude) times
-    (max coordinate magnitude)^2 so the check is scale-free.  The forms
-    become one term table (coefficient, i, j per monomial, zero-padded)
-    and are evaluated together on each block of samples, summing each
-    form's terms in its own monomial order.  A form's residual does not
-    depend on the other forms in the table, so several form sets can
-    share one pass over the samples and be read back with `part`."""
-    N = ctx.N
-    live = [col for col, f in enumerate(forms) if f.coeffs]
-    width = max((len(forms[col].coeffs) for col in live), default=0)
-    coef = np.zeros((width, len(live)), dtype=complex)
-    idx = np.zeros((2, width, len(live)), dtype=np.intp)
-    for slot, col in enumerate(live):
-        for t, ((i, j), c) in enumerate(forms[col].coeffs.items()):
-            coef[t, slot] = scalar_complex(c)
-            idx[:, t, slot] = i, j
-    norm = np.array([forms[col].max_coeff_abs() for col in live])
-    ks = np.arange(N)
-    worst = np.zeros(len(live))
-    for zs in sample_blocks(ctx.tau, samples, seed):
-        x = theta_N_eval(ks, np.asarray(zs)[:, None], ctx)
-        acc = np.zeros((len(zs), len(live)), dtype=complex)
-        for t in range(width):
-            acc += coef[t] * x[:, idx[0, t]] * x[:, idx[1, t]]
-        scale2 = np.max(np.abs(x), axis=1) ** 2
-        np.maximum(worst, np.max(np.abs(acc) / (norm * scale2[:, None]), axis=0), out=worst)
-    residuals = np.zeros(len(forms))  # a form without terms vanishes identically
-    residuals[live] = worst
-    return OnCurveReport.of(N, samples, rtol, residuals.tolist())
+    (max coordinate magnitude)^2 so the check is scale-free.  Each form
+    sums its terms (c x_i) x_j in its own monomial order, at each point
+    one at a time or on numpy blocks of points by theta.pointwise.  A
+    form's residual does not depend on the other forms, so several form
+    sets can share one pass over the samples and be read back with
+    `part`."""
+    live = [f for f in forms if f.coeffs]  # a form without terms vanishes identically
+    terms = [[(scalar_complex(c), i, j) for (i, j), c in f.coeffs.items()] for f in live]
+    norm = [f.max_coeff_abs() for f in live]
+    residuals_of = _point_residuals if pointwise(samples) else _block_residuals
+    worst = iter(residuals_of(terms, norm, ctx, sample_blocks(ctx.tau, samples, seed)))
+    residuals = [next(worst) if f.coeffs else 0.0 for f in forms]
+    return OnCurveReport.of(ctx.N, samples, rtol, residuals)
+
+
+def _point_residuals(terms: list, norm: list, ctx: ThetaContext, blocks) -> list:
+    """verify_on_curve's residuals, one point at a time without numpy.  A
+    residual that is not finite raises OverflowError, as the numpy
+    products raise under np.errstate(over="raise", invalid="raise")."""
+    ks = range(ctx.N)
+    worst = [0.0] * len(terms)
+    for zs in blocks:
+        for z in zs:
+            x = theta_N_eval(ks, z, ctx)
+            top = max(map(abs, x))
+            scale2 = top * top
+            for f, form in enumerate(terms):
+                acc = 0j
+                for c, i, j in form:
+                    acc += c * x[i] * x[j]
+                den = norm[f] * scale2
+                r = abs(acc) / den if 0.0 < den < math.inf else math.nan
+                if not r < math.inf:
+                    raise OverflowError("non-finite quadric residual")
+                if r > worst[f]:
+                    worst[f] = r
+    return worst
+
+
+def _block_residuals(terms: list, norm: list, ctx: ThetaContext, blocks) -> list:
+    """verify_on_curve's residuals on numpy blocks of points.  The forms
+    become one term table (coefficient, i, j per monomial, zero-padded),
+    evaluated together on each block."""
+    width = max(map(len, terms), default=0)
+    coef = np.zeros((width, len(terms)), dtype=complex)
+    idx = np.zeros((2, width, len(terms)), dtype=np.intp)
+    for f, form in enumerate(terms):
+        for t, (c, i, j) in enumerate(form):
+            coef[t, f] = c
+            idx[:, t, f] = i, j
+    norm = np.array(norm)
+    ks = np.arange(ctx.N)
+    worst = np.zeros(len(terms))
+    with np.errstate(over="raise", invalid="raise"):
+        for zs in blocks:
+            x = theta_N_eval(ks, np.asarray(zs)[:, None], ctx)
+            acc = np.zeros((len(zs), len(terms)), dtype=complex)
+            for t in range(width):
+                acc += coef[t] * x[:, idx[0, t]] * x[:, idx[1, t]]
+            scale2 = np.max(np.abs(x), axis=1) ** 2
+            np.maximum(worst, np.max(np.abs(acc) / (norm * scale2[:, None]), axis=0), out=worst)
+    return worst.tolist()
 
 
 def _leading_row(f: QuadraticForm) -> dict:

@@ -10,11 +10,13 @@ with e(x) = exp(2 pi i x), and the degree-N family
 
 indexed by k mod N (integers or half-integers).  Numeric sums are
 truncated point by point, where a Gaussian tail bound puts the rest
-below the tolerance and below rounding of the peak term.  One point
-(a scalar k and z) is summed in plain Python with math and cmath, so
-it never executes numpy; arrays of points are summed by a numpy block
-kernel that gives the same values bit for bit.  The exact q-expansions
-of the null values theta_k(0, tau) are produced as Puiseux series.
+below the tolerance and below rounding of the peak term.  A point z
+with a scalar k, or with a Python sequence of k (range(N)), is summed
+in plain Python with math and cmath, so it never executes numpy;
+arrays of points are summed by a numpy block kernel that gives the
+same values bit for bit.  Which of the two a sampled check takes is
+one rule on its sample count (pointwise).  The exact q-expansions of
+the null values theta_k(0, tau) are produced as Puiseux series.
 """
 
 from __future__ import annotations
@@ -124,11 +126,13 @@ def _theta_sum(p, q: float, z, tau: complex, tol: float):
     Each point sums its own window [floor(peak - p - R), ceil(peak - p + R)]
     centred on its peak m = -Im z / Im tau, with R = tail_radius(Im z),
     adding the terms exp(2 pi i ((1/2) m^2 tau + m (z + q))) in increasing
-    n.  A float p with a complex z is one point: its window is summed in
-    plain Python (_point_sum).  p and z may instead be arrays that
-    broadcast against each other, and go to the block kernel (_block_sum).
-    Both form every term by the same floating-point operations and add
-    them in the same order, so they give the same value bit for bit.
+    n.  A float p with a complex z is one point, and a list of float p
+    with a complex z a list of points that share one window radius: each
+    window is summed in plain Python (_point_sum).  p and z may instead
+    be arrays that broadcast against each other, and go to the block
+    kernel (_block_sum).  Both form every term by the same floating-point
+    operations and add them in the same order, so they give the same
+    value bit for bit.
 
     Error model: tol bounds only the tail left out of the window.
     Rounding in the sum adds about 1e-16 * exp(pi Im(z)^2 / Im tau), the
@@ -138,8 +142,11 @@ def _theta_sum(p, q: float, z, tau: complex, tol: float):
     y = tau.imag
     if y <= 0:
         raise ValueError("Im tau must be positive")
-    if isinstance(p, float) and isinstance(z, complex):
-        return _point_sum(p, q, z, tau, tail_radius(z.imag, y, tol))
+    if isinstance(z, complex) and isinstance(p, (float, list)):
+        radius = tail_radius(z.imag, y, tol)
+        if isinstance(p, float):
+            return _point_sum(p, q, z, tau, radius)
+        return [_point_sum(pk, q, z, tau, radius) for pk in p]
     return _block_sum(p, q, z, tau, tol)
 
 
@@ -257,18 +264,27 @@ def theta_pq_eval(ch: Characteristic, z, ctx: ThetaContext):
 def theta_N_eval(k, z, ctx: ThetaContext):
     """theta_k of the degree-N family at (z, ctx.tau); k may be half-integral.
 
-    k and z broadcast against each other (arrays of indices and of
-    points); scalar k and z give a Python complex, summed without numpy.
-    The tail left out is below ctx.tol; rounding adds about
-    1e-16 * exp(pi N Im(z)^2 / Im tau), the size of the peak term of the
-    sum at (N z, N tau)."""
+    Scalar k and z give a Python complex, and a Python sequence of k
+    (range, list or tuple) with a scalar z a list of complex, one per k:
+    both are summed without numpy.  Otherwise k and z broadcast against
+    each other as arrays of indices and of points.  The values agree bit
+    for bit across the forms.  The tail left out is below ctx.tol;
+    rounding adds about 1e-16 * exp(pi N Im(z)^2 / Im tau), the size of
+    the peak term of the sum at (N z, N tau)."""
     N = ctx.N
-    p = 0.5 - (float(k) if isinstance(k, Number) else np.asarray(k, dtype=float)) / N
+    if isinstance(k, Number):
+        p = 0.5 - float(k) / N
+    elif isinstance(k, (range, list, tuple)) and isinstance(z, Number):
+        p = [0.5 - float(j) / N for j in k]
+    else:
+        p = 0.5 - np.asarray(k, dtype=float) / N
     return _theta_sum(p, N / 2.0, _scaled(z, N), N * ctx.tau, ctx.tol)
 
 
 def theta_half_eval(N: int, k, ctx: ThetaContext):
-    """Half-period value s_k = theta_k(1/(2N), tau); N must be even; k may be an array."""
+    """Half-period value s_k = theta_k(1/(2N), tau); N must be even.  k is
+    a scalar, a Python sequence (giving a list) or an array, as in
+    theta_N_eval."""
     if N % 2:
         raise ValueError("half-period values are defined for even N")
     if ctx.N != N:
@@ -359,6 +375,27 @@ def theta_zero_points(N: int, k: int, tau: complex, count: int = 5) -> list[comp
 SAMPLE_BLOCK = 64  # sample points whose theta values a numeric check holds at once
 
 
+def pointwise(samples: int) -> bool:
+    """Whether a sampled check of `samples` points sums them one at a time.
+
+    The one rule for the numeric path: a check that asks for at most
+    SAMPLE_BLOCK samples, one block of the stream, evaluates each point
+    as theta_N_eval(range(N), z) in plain Python and never executes
+    numpy; a longer stream is summed by the numpy block kernel, a block
+    at a time.  Both give the same theta values bit for bit, and each
+    check forms its residuals by the same operations in the same order
+    on either path (numpy may fuse a multiply-add, so a residual can
+    move in its last digits).
+
+    Executing numpy costs about 135 ms and 14 MB of resident memory per
+    process.  The point branches of the two costliest checks,
+    verify_on_curve (63 forms) and translation_check, took 4 and 9 ms
+    at N = 12 with 25 samples (the CLI default), and 27 and 33 ms at
+    N = 24 with 64 samples (273 forms), still below that start-up cost
+    (Python 3.11.7 on a 2-core Intel Xeon VM)."""
+    return samples <= SAMPLE_BLOCK
+
+
 def sample_points(rng: Random, tau: complex, count: int) -> list[complex]:
     """The next `count` points z = u + v tau with u, v uniform on [0.05, 0.95].
 
@@ -377,8 +414,14 @@ def sample_blocks(tau: complex, samples: int, seed: int):
     form and the rho-theta match), and evaluates each point once.  A
     check that stops early, as the Weierstrass check does once enough
     points are accepted, sees the points a longer stream would start
-    with.  Each block is a list of complex; a check that sums on numpy
-    arrays wraps it with np.asarray."""
+    with.  Each block is a list of complex.
+
+    Which commands execute numpy follows from one rule (pointwise): the
+    quadric, translation and Weierstrass checks asked for more than
+    SAMPLE_BLOCK samples wrap each block with np.asarray and sum it with
+    the block kernel; every other check, and these at up to SAMPLE_BLOCK
+    samples, sums its points one at a time without numpy.  So `verify`
+    executes numpy only when --samples exceeds SAMPLE_BLOCK."""
     rng = Random(seed)
     for start in range(0, samples, SAMPLE_BLOCK):
         yield sample_points(rng, tau, min(SAMPLE_BLOCK, samples - start))
@@ -442,10 +485,10 @@ def transform_check(z: complex, ctx: ThetaContext, rtol: float = 1e-8) -> Transf
     tau = ctx.tau
     ctx_inv = ctx.with_tau(-1.0 / tau)
     ctx_shift = ctx.with_tau(tau + 1.0)
-    ks = np.arange(N)
-    th = theta_N_eval(ks, z, ctx).tolist()
-    lhs = theta_N_eval(ks, z / tau, ctx_inv).tolist()
-    lhs2 = theta_N_eval(ks, z, ctx_shift).tolist()
+    ks = range(N)
+    th = theta_N_eval(ks, z, ctx)
+    lhs = theta_N_eval(ks, z / tau, ctx_inv)
+    lhs2 = theta_N_eval(ks, z, ctx_shift)
     zeta = e(Fraction(1, N))
     root = cmath.sqrt(tau / N)
     rhs = [

@@ -1,10 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import thetalab.cli
+import thetalab.identities
+import thetalab.projective
 import thetalab.quadrics
 import thetalab.theta
 from thetalab.cli import (
@@ -16,7 +19,7 @@ from thetalab.cli import (
     run_suites,
 )
 from thetalab.identities import IdentityRecord
-from thetalab.theta import theta_null_series
+from thetalab.theta import sample_blocks, theta_N_eval, theta_null_series
 
 
 def run_cli(capsys, *argv):
@@ -365,7 +368,8 @@ def test_commands_reject_flags_only_other_choices_read(capsys):
 
 
 def test_quadrics_suite_samples_each_point_once(monkeypatch):
-    # both form sets of the even-N suite share one pass over the samples
+    # both form sets of the even-N suite share one pass over the samples,
+    # summed one point at a time (25) or in numpy blocks (150)
     seen = []
     inner = thetalab.theta.theta_N_eval
 
@@ -376,11 +380,12 @@ def test_quadrics_suite_samples_each_point_once(monkeypatch):
     monkeypatch.setattr(thetalab.theta, "theta_N_eval", counting)
     monkeypatch.setattr(thetalab.quadrics, "theta_N_eval", counting)
     for N in (4, 8, 12):
-        seen.clear()
-        records = _suite_quadrics(RunConfig(N=N, samples=150, seed=2))
-        assert {r.name for r in records} >= {"quadrics.on-curve", "quadrics.s-basis.on-curve"}
-        # null values a_k and s_k, then every sample once
-        assert sum(seen) == 2 * N + 150 * N
+        for samples in (25, 150):
+            seen.clear()
+            records = _suite_quadrics(RunConfig(N=N, samples=samples, seed=2))
+            assert {r.name for r in records} >= {"quadrics.on-curve", "quadrics.s-basis.on-curve"}
+            # null values a_k and s_k, then every sample once
+            assert sum(seen) == 2 * N + samples * N
 
 
 def test_transform_fails_when_the_shift_constant_leaves_the_unit_circle(monkeypatch):
@@ -424,8 +429,37 @@ def test_verify_all_needs_no_numpy_linalg(capsys, monkeypatch, N):
     for name in dir(np.linalg):
         if not name.startswith("_") and callable(getattr(np.linalg, name)):
             monkeypatch.setattr(np.linalg, name, refuse)
-    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--N", N)
-    assert code == 0, out
+    for samples in ("25", "65"):  # one point at a time, numpy blocks
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--N", N, "--samples", samples)
+        assert code == 0, out
+
+
+@pytest.mark.parametrize("N", (4, 5, 6, 7, 8, 9, 10, 11, 12, 16))
+def test_point_and_block_paths_agree(monkeypatch, N):
+    # the same 25 samples, summed one point at a time and in numpy blocks:
+    # the same records, verdicts and details up to their figures; the
+    # residuals, themselves relative figures, within 1e-12 of each other;
+    # and the theta values of every sample equal
+    cfg = RunConfig(N=N, seed=1)
+    cfg.validate()
+    reports = []
+    for point in (True, False):
+        for module in (thetalab.quadrics, thetalab.projective, thetalab.identities):
+            monkeypatch.setattr(module, "pointwise", lambda samples, point=point: point)
+        reports.append(run_suites(cfg, "all"))
+    points, blocks = reports
+
+    def shape(r):
+        return r.name, r.status, re.sub(r"\d\.\d{3}e[+-]\d+", "#", r.detail)
+
+    assert [shape(r) for r in points] == [shape(r) for r in blocks]
+    for p, b in zip(points, blocks):
+        assert (p.residual is None) == (b.residual is None)
+        assert p.residual is None or abs(p.residual - b.residual) <= 1e-12, p.name
+    ctx = cfg.context()
+    zs = [z for block in sample_blocks(cfg.tau, cfg.samples, cfg.seed) for z in block]
+    block = theta_N_eval(np.arange(N), np.asarray(zs)[:, None], ctx).tolist()
+    assert [theta_N_eval(range(N), z, ctx) for z in zs] == block
 
 
 def test_records_keep_the_shape_of_their_kind(capsys):
@@ -487,16 +521,29 @@ def test_underflowing_level6_nulls_are_a_usage_error(capsys):
     )
 
 
-def test_numpy_overflow_in_a_numeric_suite_is_a_usage_error(capsys, monkeypatch):
-    # numpy overflow still raises where numeric suites run: huge coordinates
-    # overflow the quadric residuals' products instead of reading inf
+@pytest.mark.parametrize("samples", ("25", "65"))  # one point at a time, numpy blocks
+def test_overflow_in_a_numeric_suite_is_a_usage_error(capsys, monkeypatch, samples):
+    # huge coordinates overflow the quadric residuals' products: numpy
+    # raises there, and so does the plain-Python sum, instead of reading inf
     inner = thetalab.quadrics.theta_N_eval
 
     def huge(k, z, ctx):
-        return inner(k, z, ctx) * 1e200
+        values = inner(k, z, ctx)
+        return [v * 1e200 for v in values] if isinstance(values, list) else values * 1e200
 
     monkeypatch.setattr(thetalab.quadrics, "theta_N_eval", huge)
-    code, out, err = run_cli(capsys, "verify", "--suite", "quadrics", "--N", "8")
+    code, out, err = run_cli(capsys, "verify", "--suite", "quadrics", "--N", "8", "--samples", samples)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: numeric overflow (")
+    assert err.endswith("); lower --tau-im\n")
+
+
+@pytest.mark.parametrize("samples", ("25", "65"))
+def test_quadric_residual_overflow_at_large_im_tau_is_a_usage_error(capsys, samples):
+    # at Im tau = 20 the sampled coordinates reach about 1e197 at N = 8,
+    # and their products overflow a double
+    argv = ("verify", "--suite", "quadrics", "--N", "8", "--tau-im", "20", "--samples", samples)
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: numeric overflow (")
     assert err.endswith("); lower --tau-im\n")

@@ -94,6 +94,21 @@ def test_random_inverses_are_two_sided():
         assert inv * a == 1
 
 
+@pytest.mark.parametrize("m", (8, 24, 32, 96))
+def test_inverse_of_a_root_times_a_rational_and_of_a_general_element(m):
+    # c zeta^k times its complex conjugate is already rational; 1 + 2 zeta
+    # times its conjugate is 5 + 2 (zeta + zeta^-1), which is not, so its
+    # inverse needs the other conjugates too
+    for c in (3, Fraction(-2, 5)):
+        for k in (1, 5, m - 1):
+            x = c * zeta(m, k)
+            assert x * x.inverse() == 1
+            assert x.inverse() == zeta(m, -k) / c
+    y = 1 + 2 * zeta(m)
+    assert not (y * y._conjugate(m - 1)).is_rational()
+    assert y * y.inverse() == 1
+
+
 def test_power_basis_reduction_is_canonical():
     # zeta_8^2 embeds to the same element as zeta_4 after order promotion
     assert zeta(4).to_order(8) == zeta(8) ** 2

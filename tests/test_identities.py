@@ -131,10 +131,10 @@ def test_weierstrass_level4():
 )
 def test_weierstrass_reads_the_stream_as_a_one_at_a_time_loop(monkeypatch, seed, skipped):
     # the stream with draw `skipped` moved to z = 0, where X_1 = X_3 puts
-    # the point on the base locus: the 64th accepted point is then the
-    # first point of the stream's second block
+    # the point on the base locus: the last accepted point then comes from
+    # the stream's second block, summed one point at a time at 64 samples
+    # and in numpy blocks at 65
     ctx = ThetaContext(4, 2j, 1e-10)
-    samples = 64
     ks = np.arange(4)
     a0, a1, a2, _ = theta_N_eval(ks, 0.0, ctx).tolist()
     qscale = max(abs(a0 * a2), 2 * abs(a1) ** 2)
@@ -149,34 +149,6 @@ def test_weierstrass_reads_the_stream_as_a_one_at_a_time_loop(monkeypatch, seed,
         big = max(abs(c) for c in x)
         return [c / big for c in x]
 
-    rng = Random(seed)
-    worst, drawn, accepted = 0.0, 0, 0
-    while accepted < samples and drawn < 20 * samples:
-        z = sample_points(rng, ctx.tau, 1)[0]
-        z = 0j if drawn == skipped else z
-        drawn += 1
-        x0, x1, x2, x3 = scaled(theta_N_eval(ks, z, ctx).tolist())
-        t1, t2 = a1 ** 2 * x0 * x2, a0 * a2 * x1 * x3
-        den1 = t1 - t2
-        den2 = (x1 - x3) * (x0 - x2)
-        if (abs(den1) < 1e-6 * (abs(t1) + abs(t2))
-                or abs(den2) < 1e-6 * (abs(x1) + abs(x3)) * (abs(x0) + abs(x2))):
-            continue
-        accepted += 1
-        q1, q2 = quadric_pair(x0, x1, x2, x3)
-        xx = (a0 ** 2 - a2 ** 2) ** 2 * (t1 + t2) / den1
-        yy = (
-            4 * a1 ** 2 * (a0 ** 2 - a2 ** 2) ** 2
-            * (x1 + x3) * (x0 + x2) * (a0 * a2 * x0 * x2 - a1 ** 2 * x1 * x3)
-            / (den2 * den1)
-        )
-        wscale = max(abs(xx), abs(yy), abs(a0 - a2) ** 4, abs(a0 + a2) ** 4) ** 3
-        resid = abs(yy ** 2 - xx * (xx - (a0 - a2) ** 4) * (xx - (a0 + a2) ** 4)) / wscale
-        worst = max(worst, resid, abs(q1) / qscale, abs(q2) / qscale)
-    assert (drawn, accepted) == (samples + 1, samples)
-    q1, q2 = quadric_pair(*scaled(theta_N_eval(ks, Fraction(1, 8), ctx).tolist()))
-    worst = max(worst, abs(q1) / qscale, abs(q2) / qscale)
-
     stream = thetalab.identities.sample_blocks
 
     def moved(tau, n, seed):
@@ -185,10 +157,55 @@ def test_weierstrass_reads_the_stream_as_a_one_at_a_time_loop(monkeypatch, seed,
             yield [0j if start + k == skipped else z for k, z in enumerate(block)]
             start += len(block)
 
+    evaluated = []
+    inner = thetalab.identities.theta_N_eval
+
+    def recording(k, z, ctx):
+        evaluated.extend(np.ravel(z).tolist())
+        return inner(k, z, ctx)
+
     monkeypatch.setattr(thetalab.identities, "sample_blocks", moved)
-    rec = weierstrass_check_level4(ctx, samples=samples, seed=seed)
-    assert rec.residual == worst  # bit for bit
-    assert f"over {samples} samples" in rec.detail and rec.passed
+    monkeypatch.setattr(thetalab.identities, "theta_N_eval", recording)
+    for samples in (64, 65):
+        rng = Random(seed)
+        worst, drawn, accepted = 0.0, 0, 0
+        zs = []
+        while accepted < samples and drawn < 20 * samples:
+            z = sample_points(rng, ctx.tau, 1)[0]
+            z = 0j if drawn == skipped else z
+            zs.append(z)
+            drawn += 1
+            x0, x1, x2, x3 = scaled(theta_N_eval(ks, z, ctx).tolist())
+            t1, t2 = a1 ** 2 * x0 * x2, a0 * a2 * x1 * x3
+            den1 = t1 - t2
+            den2 = (x1 - x3) * (x0 - x2)
+            if (abs(den1) < 1e-6 * (abs(t1) + abs(t2))
+                    or abs(den2) < 1e-6 * (abs(x1) + abs(x3)) * (abs(x0) + abs(x2))):
+                continue
+            accepted += 1
+            q1, q2 = quadric_pair(x0, x1, x2, x3)
+            xx = (a0 ** 2 - a2 ** 2) ** 2 * (t1 + t2) / den1
+            yy = (
+                4 * a1 ** 2 * (a0 ** 2 - a2 ** 2) ** 2
+                * (x1 + x3) * (x0 + x2) * (a0 * a2 * x0 * x2 - a1 ** 2 * x1 * x3)
+                / (den2 * den1)
+            )
+            wscale = max(abs(xx), abs(yy), abs(a0 - a2) ** 4, abs(a0 + a2) ** 4) ** 3
+            resid = abs(yy ** 2 - xx * (xx - (a0 - a2) ** 4) * (xx - (a0 + a2) ** 4)) / wscale
+            worst = max(worst, resid, abs(q1) / qscale, abs(q2) / qscale)
+        assert (drawn, accepted) == (samples + 1, samples)
+        q1, q2 = quadric_pair(*scaled(theta_N_eval(ks, Fraction(1, 8), ctx).tolist()))
+        worst = max(worst, abs(q1) / qscale, abs(q2) / qscale)
+
+        evaluated.clear()
+        rec = weierstrass_check_level4(ctx, samples=samples, seed=seed)
+        assert rec.residual == worst  # bit for bit
+        assert f"over {samples} samples" in rec.detail and rec.passed
+        # the nulls, the stream's points in order (up to the end of the
+        # last block summed), and z = 1/8
+        points = evaluated[1:-1]
+        assert (evaluated[0], evaluated[-1]) == (0, Fraction(1, 8))
+        assert points[:drawn] == zs and len(points) == (drawn if samples <= 64 else 128)
 
 
 def test_degenerate_fibers():

@@ -106,6 +106,17 @@ def test_only_the_lazy_module_binds_numpy():
     assert '_lazy("numpy")' in (PACKAGE / "lazy.py").read_text()
 
 
+def test_cli_neither_imports_nor_reads_numpy():
+    # which commands execute numpy is decided in the numeric layer alone
+    # (theta.pointwise), not by the command layer
+    tree = parse(PACKAGE / "cli.py")
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert not [n.module for n in imports if isinstance(n, ast.ImportFrom) and n.module == "lazy"]
+    bound = {alias.asname or alias.name for n in imports for alias in n.names}
+    assert not bound & {"np", "numpy"}
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in ("np", "numpy")]
+
+
 def run_at_import(tree: ast.Module):
     """The nodes of a module that Python evaluates when it imports it: all
     but function and lambda bodies (decorators, default values and class

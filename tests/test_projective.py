@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from numbers import Number
 from random import Random
 
 import numpy as np
@@ -18,13 +19,16 @@ from thetalab.projective import (
     has_projective_order,
     immersion_point,
     kernel_word,
+    _apply,
+    _point_residual,
     proj_residual,
+    rho_theta_candidates,
     rho_theta_match,
     sl2_inv,
     translation_check,
     verify_presentation,
 )
-from thetalab.theta import ThetaContext, sample_points, theta_N_eval
+from thetalab.theta import ThetaContext, pointwise, sample_points, theta_N_eval
 
 
 def test_projective_point_equality():
@@ -207,10 +211,11 @@ def test_translation_equivariance():
 
 
 @pytest.mark.parametrize("N", (2, 3, 5, 8))
-@pytest.mark.parametrize("samples", (5, 25))
+@pytest.mark.parametrize("samples", (5, 25, 65))
 def test_translation_inversion_and_origin_figures(monkeypatch, N, samples):
     # the inversion is tested on the first min(samples, 10) points of the
-    # stream, drawn afresh here, and the origin on the null vector
+    # stream, drawn afresh here, and the origin on the null vector; the
+    # points are summed one at a time up to 64 samples, else in numpy blocks
     ctx = ThetaContext(N, 0.3 + 1.1j, 1e-10)
     seen = []
 
@@ -223,9 +228,16 @@ def test_translation_inversion_and_origin_figures(monkeypatch, N, samples):
     # each point and its two translates, the first points at -z, the origin
     assert sum(seen) == N * (3 * samples + min(samples, 10) + 1)
     ks = np.arange(N)
-    zs = np.asarray(sample_points(Random(3), ctx.tau, min(samples, 10)))[:, None]
+    zs = sample_points(Random(3), ctx.tau, min(samples, 10))
     minv = build_canonical_matrices(N).M_inv.complex_array()
-    worst = proj_residual(theta_N_eval(ks, zs, ctx) @ minv.T, theta_N_eval(ks, -zs, ctx))
+    if pointwise(samples):  # the largest of the points' own residuals
+        worst = max(
+            proj_residual((minv @ theta_N_eval(ks, z, ctx)).tolist(), theta_N_eval(range(N), -z, ctx))
+            for z in zs
+        )
+    else:
+        zs = np.asarray(zs)[:, None]
+        worst = proj_residual(theta_N_eval(ks, zs, ctx) @ minv.T, theta_N_eval(ks, -zs, ctx))
     a = theta_N_eval(ks, 0.0, ctx).tolist()
     sign = (-1) ** N
     dev = max(abs(a[k] - sign * a[(N - k) % N]) for k in range(N)) / max(abs(c) for c in a)
@@ -233,24 +245,32 @@ def test_translation_inversion_and_origin_figures(monkeypatch, N, samples):
     assert rep.passed
 
 
+def doubled_at_origin(k, z, ctx):
+    """theta_N_eval with a_1 doubled at the origin only (no sample is 0)."""
+    values = theta_N_eval(k, z, ctx)
+    if isinstance(z, Number) and z == 0:
+        values = [v * w for v, w in zip(values, (1, 2, 1, 1))]
+    return values
+
+
 @pytest.mark.parametrize("fault", ("inversion", "origin"))
 def test_translation_report_fails_on_either_new_figure(monkeypatch, fault):
     ctx = ThetaContext(4, 1j, 1e-10)
-    good = translation_check(ctx, samples=5)
-    if fault == "inversion":  # M_T in place of M_inv
-        can = build_canonical_matrices(4)
-        monkeypatch.setattr(
-            thetalab.projective, "build_canonical_matrices", lambda N: can._replace(M_inv=can.M_T)
-        )
-    else:  # a_1 doubled at the origin only
-        monkeypatch.setattr(
-            thetalab.projective, "theta_N_eval",
-            lambda k, z, ctx: theta_N_eval(k, z, ctx) * ([1, 2, 1, 1] if np.ndim(z) == 0 else 1),
-        )
-    bad = translation_check(ctx, samples=5)
-    assert (bad.max_resid_S, bad.max_resid_T) == (good.max_resid_S, good.max_resid_T)
-    assert max(bad.max_resid_inv, bad.origin_dev) > 0.1
-    assert good.passed and not bad.passed
+    can = build_canonical_matrices(4)
+    for samples in (5, 65):  # one point at a time, and numpy blocks
+        good = translation_check(ctx, samples=samples)
+        with monkeypatch.context() as patch:
+            if fault == "inversion":  # M_T in place of M_inv
+                patch.setattr(
+                    thetalab.projective, "build_canonical_matrices",
+                    lambda N: can._replace(M_inv=can.M_T),
+                )
+            else:
+                patch.setattr(thetalab.projective, "theta_N_eval", doubled_at_origin)
+            bad = translation_check(ctx, samples=samples)
+        assert (bad.max_resid_S, bad.max_resid_T) == (good.max_resid_S, good.max_resid_T)
+        assert max(bad.max_resid_inv, bad.origin_dev) > 0.1
+        assert good.passed and not bad.passed
 
 
 def test_translation_at_origin():
@@ -274,6 +294,37 @@ def test_rho_theta_matching():
         # the matched classes sit in the documented cosets
         assert ra.matched.startswith("A0")
         assert rb.matched.startswith("B0")
+
+
+@pytest.mark.parametrize("N", (2, 4, 6))
+@pytest.mark.parametrize("kind", ("A", "B"))
+def test_rho_theta_candidates_act_as_their_exact_products(N, kind):
+    # each candidate's factors, applied to a vector in turn, give the
+    # complex values of the exact matrix product named by its label
+    can = build_canonical_matrices(N)
+    gens = build_rep_generators(N)
+    base = gens.A0 if kind == "A" else gens.B0
+    msh, mth = can.M_S.power(N // 2), can.M_T.power(N // 2)
+    ts = {"": ProjectiveMatrix.identity(N), "*MS^h": msh, "*MT^h": mth, "*MS^h*MT^h": msh @ mth}
+    v = [complex(1 + j, 0.5 - j * j) for j in range(N)]
+    candidates = rho_theta_candidates(N, kind)
+    assert len(candidates) == 8
+    for label, factors in candidates.items():
+        inverse, name = label[2:].startswith("^-1"), label[2:].removeprefix("^-1")
+        want = ((base.inverse() if inverse else base) @ ts[name]).complex_array() @ np.array(v)
+        got = v
+        for rows in factors:
+            got = _apply(rows, got)
+        assert max(abs(g - w) for g, w in zip(got, want)) < 1e-12 * max(abs(want)), label
+
+
+def test_point_residual_raises_only_on_overflow():
+    # a zero vector u is a failing figure (inf); a nonzero u whose residual
+    # is not finite could only overflow, and raises as numpy does under errstate
+    assert _point_residual([0j, 0j], [1 + 0j, 2 + 0j]) == math.inf
+    assert _point_residual([1 + 0j, 2 + 0j], [2 + 0j, 4 + 0j]) == 0.0
+    with pytest.raises(OverflowError):
+        _point_residual([1e-300 + 0j, 1e-301 + 0j], [1e300 + 0j, 1e300 + 0j])
 
 
 def test_exact_matrix_inverse():

@@ -239,18 +239,19 @@ def test_one_pass_residuals_equal_separate_calls(N, tau, tol):
     sb = gen_even_s_basis(nd)
     s_forms = sb.V0 + sb.V1
     everything = forms + s_forms
-    both = verify_on_curve(everything, ctx, samples=130, seed=4, rtol=tol * 10)
-    for part, alone in (
-        (both.part(0, len(forms)), verify_on_curve(forms, ctx, 130, 4, tol * 10)),
-        (both.part(len(forms), len(everything)), verify_on_curve(s_forms, ctx, 130, 4, tol * 10)),
-    ):
-        assert part == alone
-        assert part.max_residual > 0
-    assert both.max_residual == max(both.form_residuals)
-    # a form's residual does not depend on the forms beside it
-    for i in (0, len(forms) - 1, len(forms) + 1):
-        alone = verify_on_curve([everything[i]], ctx, 130, 4)
-        assert alone.max_residual == both.form_residuals[i]
+    for n in (25, 130):  # one point at a time, numpy blocks
+        both = verify_on_curve(everything, ctx, samples=n, seed=4, rtol=tol * 10)
+        for part, alone in (
+            (both.part(0, len(forms)), verify_on_curve(forms, ctx, n, 4, tol * 10)),
+            (both.part(len(forms), len(everything)), verify_on_curve(s_forms, ctx, n, 4, tol * 10)),
+        ):
+            assert part == alone
+            assert part.max_residual > 0
+        assert both.max_residual == max(both.form_residuals)
+        # a form's residual does not depend on the forms beside it
+        for i in (0, len(forms) - 1, len(forms) + 1):
+            alone = verify_on_curve([everything[i]], ctx, n, 4)
+            assert alone.max_residual == both.form_residuals[i]
 
 
 def test_constant_zero_form_passes_trivially():

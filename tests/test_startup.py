@@ -1,8 +1,10 @@
 """One-shot processes: what each command executes, and how it exits.
 
 numpy is bound lazily (thetalab.lazy), so a command that reads no `np.`
-attribute never executes it; `python -m thetalab` ends through cli.run,
-which flushes its output and exits without interpreter teardown."""
+attribute never executes it: only a sampled check of more than 64
+samples does (theta.pointwise).  `python -m thetalab` ends through
+cli.run, which flushes its output and exits without interpreter
+teardown."""
 
 import os
 import subprocess
@@ -50,9 +52,18 @@ def child(*args, **kwargs):
         (("verify", "--suite", "identities", "--N", "4"), False),
         (("verify", "--suite", "identities", "--N", "6"), False),
         (("verify", "--suite", "identities", "--N", "8"), False),
-        # the sampled suites sum blocks of points
-        (("verify", "--suite", "quadrics", "--N", "8"), True),
-        (("verify", "--suite", "weierstrass", "--N", "4"), True),
+        # so do the sampled suites at up to 64 samples (25 by default)
+        (("verify", "--suite", "quadrics", "--N", "8"), False),
+        (("verify", "--suite", "translation", "--N", "8"), False),
+        (("verify", "--suite", "transform", "--N", "8"), False),
+        (("verify", "--suite", "weierstrass", "--N", "4"), False),
+        (("verify", "--suite", "all", "--N", "4"), False),
+        (("verify", "--suite", "all", "--N", "12"), False),
+        (("verify", "--suite", "quadrics", "--N", "8", "--samples", "64"), False),
+        # and sum numpy blocks of points past that
+        (("verify", "--suite", "quadrics", "--N", "8", "--samples", "65"), True),
+        (("verify", "--suite", "translation", "--N", "8", "--samples", "65"), True),
+        (("verify", "--suite", "weierstrass", "--N", "4", "--samples", "65"), True),
     ],
     ids=label,
 )
