@@ -262,7 +262,7 @@ def _suite_transform(cfg: RunConfig) -> list[IdentityRecord]:
     N = cfg.N
     ctx = cfg.context()
     # its own draws: the box [0.05, 0.65] + [0.02, 0.27] tau is not the
-    # distribution of the sample stream (theta.sample_blocks)
+    # distribution of the sample stream (theta.sample_stream)
     rng = Random(cfg.seed)
     worst = worst_shift = unit_dev = 0.0
     for _ in range(min(cfg.samples, 8)):

@@ -13,13 +13,12 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .cyclotomic import zeta
-from .lazy import np
 from .series import PuiseuxSeries, eta_series
 from .theta import (
     ThetaContext,
-    pointwise,
+    largest_modulus,
     proj_residual,
-    sample_blocks,
+    sample_stream,
     theta_N_eval,
     theta_null_series,
 )
@@ -539,13 +538,12 @@ def hesse_check(
             "; lower --tau-im"
         ) from None
     worst = 0.0
-    for zs in sample_blocks(ctx.tau, samples, seed):
-        for z in zs:
-            x = theta_N_eval(range(6), z, ctx)
-            top = max(abs(c) for c in x)
-            x0, x2, x4 = x[0] / top, x[2] / top, x[4] / top
-            resid = abs(x0 ** 3 + x2 ** 3 + x4 ** 3 - mu3 * x0 * x2 * x4) / max(1.0, abs(mu3))
-            worst = max(worst, resid)
+    for z in sample_stream(ctx.tau, samples, seed):
+        x = theta_N_eval(range(6), z, ctx)
+        top = largest_modulus(x)
+        x0, x2, x4 = x[0] / top, x[2] / top, x[4] / top
+        resid = abs(x0 ** 3 + x2 ** 3 + x4 ** 3 - mu3 * x0 * x2 * x4) / max(1.0, abs(mu3))
+        worst = max(worst, resid)
     return IdentityRecord.numeric(
         "level6.hesse", 6, worst, rtol,
         f"cubic residual {worst:.3e} over {samples} samples; mu series: {lead.detail}",
@@ -575,10 +573,10 @@ def weierstrass_check_level4(
     cancels to within 1e-6 of its own terms, and the check reads on
     through the stream, at most 20 * samples points, until `samples`
     points are accepted.  The quadric residuals are relative to the
-    quadrics' coefficient size.  The stream is summed one point at a time,
-    or a numpy block at a time when more than SAMPLE_BLOCK samples are
-    asked for (theta.pointwise); the points and their residuals are the
-    same either way.  The exact statement that the null point
+    quadrics' coefficient size.  The stream is read and summed one point
+    at a time at every sample count (theta.sample_stream), so no point
+    past the last one needed is drawn or evaluated, and the check never
+    executes numpy.  The exact statement that the null point
     (a_0 : a_1 : a_2 : a_1) satisfies the quadric pair is checked as a
     series identity."""
     if ctx is None:
@@ -590,15 +588,9 @@ def weierstrass_check_level4(
     qscale = max(abs(a0 * a2), 2 * abs(a1) ** 2)
     worst = 0.0
     accepted = 0
-    # a point, or a block, is evaluated only when the points before it fall short
-    blocks = sample_blocks(ctx.tau, 20 * samples, seed)
-    if pointwise(samples):
-        points = (theta_N_eval(ks, z, ctx) for zs in blocks for z in zs)
-    else:
-        points = (x for zs in blocks
-                  for x in theta_N_eval(np.arange(4), np.asarray(zs)[:, None], ctx).tolist())
-    for x in points:
-        big = max(map(abs, x))
+    for z in sample_stream(ctx.tau, 20 * samples, seed):
+        x = theta_N_eval(ks, z, ctx)
+        big = largest_modulus(x)
         x0, x1, x2, x3 = (c / big for c in x)
         t1, t2 = a1 ** 2 * x0 * x2, a0 * a2 * x1 * x3
         den1 = t1 - t2
@@ -623,7 +615,7 @@ def weierstrass_check_level4(
             break
     # the half-period point z = 1/8 lies on the quadric pair
     x = theta_N_eval(ks, Fraction(1, 8), ctx)
-    big = max(map(abs, x))
+    big = largest_modulus(x)
     q1, q2 = _level4_quadric_pair(a0, a1, a2, *(c / big for c in x))
     worst = max(worst, abs(q1) / qscale, abs(q2) / qscale)
     s = nulls(4, 40)

@@ -9,9 +9,11 @@ process that imported numpy before thetalab keeps that module.
 Every other module reads numpy as `from .lazy import np`, and none
 reads an `np.` attribute at import (tests/test_layering.py), so an
 exact command never executes numpy.  Nor does a theta value at one
-point (theta.py sums it in plain Python), and a sampled check asked
-for at most 64 samples sums its points that way (theta.pointwise): so
-only a check of more than 64 samples executes numpy.
+point (theta.py sums it in plain Python).  The sampled checks read
+single points when asked for at most 64 samples (theta.sample_units),
+and the Weierstrass, Hesse and rho-theta checks at every sample count:
+so only the quadric and translation checks of more than 64 samples
+execute numpy.
 """
 
 from __future__ import annotations

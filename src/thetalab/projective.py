@@ -8,10 +8,11 @@ one field Q(zeta_m), m the lcm of its entries' orders, and its entries
 read back by the one rule of `field_scalar`: a Fraction for a rational
 value (zero included) at every m, a CyclotomicNumber of order m
 otherwise.  A product is written in the lcm of its operands' orders.
-The immersion checks read matrices as complex values: as numpy arrays
-(`complex_array`) on blocks of points, or as each row's nonzero entries
-(`_complex_rows`) on one point at a time in plain Python; points may be
-numeric.  Equality always means equality of projective classes.
+The immersion checks read matrices as each row's nonzero complex
+entries (`_complex_rows`), applied in plain Python to the coordinates
+of a point or of an array of points; `complex_array`, the dense numpy
+matrix, serves as a reference for tests.  Points may be numeric.
+Equality always means equality of projective classes.
 
 Exact matrices are multiplied as integer vectors over their field,
 packed one int per entry (Kronecker substitution, see packing.py): each
@@ -32,7 +33,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, inf, lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .congruence import sl2_inv, sl2_mul
@@ -52,7 +53,10 @@ from .cyclotomic import (
 )
 from .lazy import np
 from .packing import pack, pack_many, pack_width, unpack
-from .theta import ThetaContext, pointwise, proj_residual, sample_blocks, theta_N_eval
+from .theta import (
+    ThetaContext, largest, leading, proj_residual, sample_stream, sample_units, theta_N_eval,
+    unit_size,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -645,18 +649,10 @@ def _complex_rows(mat: ProjectiveMatrix) -> list:
 
 
 def _apply(rows: list, v: list) -> list:
-    """The matrix of _complex_rows times the vector v, in plain Python."""
+    """The matrix of _complex_rows times the vector v, in plain Python:
+    v holds complex values at a point, or arrays over the points of a
+    unit."""
     return [sum(c * v[j] for j, c in row) for row in rows]
-
-
-def _point_residual(u: list, v: list) -> float:
-    """proj_residual of two vectors of one point.  A residual that is not
-    finite for a nonzero u can only come from overflow, and raises
-    OverflowError as numpy's products do under np.errstate(over="raise")."""
-    r = proj_residual(u, v)
-    if not r < inf and any(u):
-        raise OverflowError("non-finite projective residual")
-    return r
 
 
 def translation_check(
@@ -672,18 +668,33 @@ def translation_check(
     on the first min(samples, 10) points against their base values.  The
     origin is fixed by the inversion: origin_dev is the largest
     |a_k - (-1)^N a_(N-k)| relative to the largest null a_k.  The points
-    are summed one at a time or in numpy blocks by theta.pointwise; each
-    residual is the largest over the points either way.
+    are read as the units of theta.sample_units, each with its two
+    translates; each residual is the largest over the points, and one
+    that is not finite raises OverflowError (theta.largest).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    N = ctx.N
+    N, tau = ctx.N, ctx.tau
     can = build_canonical_matrices(N)
-    mats = (can.M_S, can.M_T, can.M_T.inverse(), can.M_inv)
-    residuals = _translation_points if pointwise(samples) else _translation_blocks
-    worst_s, worst_t, worst_inv = residuals(ctx, mats, sample_blocks(ctx.tau, samples, seed))
+    ms, mt, mt_inv, minv = map(_complex_rows, (can.M_S, can.M_T, can.M_T.inverse(), can.M_inv))
+    ks = range(N)
+    worst_s = worst_inv = 0.0
+    worst_t = {1: 0.0, -1: 0.0}
+    read = 0  # points of the stream before this unit
+    for unit in sample_units(tau, samples, seed):
+        base = theta_N_eval(ks, unit, ctx)
+        ts = theta_N_eval(ks, unit + tau / N, ctx)
+        tt = theta_N_eval(ks, unit + 1.0 / N, ctx)
+        worst_s = max(worst_s, largest(proj_residual(_apply(ms, base), ts), "projective"))
+        for e, m in ((1, mt), (-1, mt_inv)):
+            worst_t[e] = max(worst_t[e], largest(proj_residual(_apply(m, base), tt), "projective"))
+        if read < 10:
+            z, x = leading(unit, 10 - read), leading(base, 10 - read)
+            inv = proj_residual(_apply(minv, x), theta_N_eval(ks, -z, ctx))
+            worst_inv = max(worst_inv, largest(inv, "projective"))
+        read += unit_size(unit)
     power = min(worst_t, key=worst_t.get)
-    a = theta_N_eval(range(N), 0.0, ctx)
+    a = theta_N_eval(ks, 0.0, ctx)
     sign = 1 if N % 2 == 0 else -1
     origin_dev = max(abs(a[k] - sign * a[(N - k) % N]) for k in range(N)) / max(map(abs, a))
     return TranslationReport(
@@ -696,48 +707,6 @@ def translation_check(
         origin_dev=origin_dev,
         passed=all(r < rtol for r in (worst_s, worst_t[power], worst_inv, origin_dev)),
     )
-
-
-def _translation_points(ctx: ThetaContext, mats: tuple, blocks):
-    """translation_check's residuals, one point at a time without numpy."""
-    N, tau = ctx.N, ctx.tau
-    ms, mt, mt_inv, minv = map(_complex_rows, mats)
-    ks = range(N)
-    worst_s = worst_inv = 0.0
-    worst_t = {1: 0.0, -1: 0.0}
-    for i, z in enumerate(z for block in blocks for z in block):
-        base = theta_N_eval(ks, z, ctx)
-        ts = theta_N_eval(ks, z + tau / N, ctx)
-        tt = theta_N_eval(ks, z + 1.0 / N, ctx)
-        worst_s = max(worst_s, _point_residual(_apply(ms, base), ts))
-        worst_t[1] = max(worst_t[1], _point_residual(_apply(mt, base), tt))
-        worst_t[-1] = max(worst_t[-1], _point_residual(_apply(mt_inv, base), tt))
-        if i < 10:
-            inv = _point_residual(_apply(minv, base), theta_N_eval(ks, -z, ctx))
-            worst_inv = max(worst_inv, inv)
-    return worst_s, worst_t, worst_inv
-
-
-def _translation_blocks(ctx: ThetaContext, mats: tuple, blocks):
-    """translation_check's residuals on numpy blocks of points."""
-    N, tau = ctx.N, ctx.tau
-    ms, mt, mt_inv, minv = (m.complex_array() for m in mats)
-    ks = np.arange(N)
-    worst_s = 0.0
-    worst_t = {1: 0.0, -1: 0.0}
-    worst_inv = None
-    with np.errstate(over="raise", invalid="raise"):
-        for block in blocks:
-            z = np.asarray(block)
-            # each point and its two translates in one kernel call
-            pts = np.stack([z, z + tau / N, z + 1.0 / N])
-            base, ts, tt = theta_N_eval(ks, pts[:, :, None], ctx)
-            worst_s = max(worst_s, proj_residual(base @ ms.T, ts))
-            worst_t[1] = max(worst_t[1], proj_residual(base @ mt.T, tt))
-            worst_t[-1] = max(worst_t[-1], proj_residual(base @ mt_inv.T, tt))
-            if worst_inv is None:  # the first block holds the first min(samples, 10) points
-                worst_inv = proj_residual(base[:10] @ minv.T, theta_N_eval(ks, -z[:10, None], ctx))
-    return worst_s, worst_t, worst_inv
 
 
 def rho_theta_candidates(N: int, kind: str) -> dict:
@@ -793,7 +762,7 @@ def rho_theta_match(
         ctx2 = ctx.with_tau(tau + 1.0)
     else:
         raise ValueError("kind must be 'A' or 'B'")
-    zs = [z for block in sample_blocks(tau, samples, seed) for z in block]
+    zs = list(sample_stream(tau, samples, seed))
     ks = range(N)
     base = [theta_N_eval(ks, z, ctx) for z in zs]
     img = [theta_N_eval(ks, z / tau if kind == "A" else z, ctx2) for z in zs]
@@ -803,7 +772,7 @@ def rho_theta_match(
         for b, w in zip(base, img):
             for rows in factors:
                 b = _apply(rows, b)
-            resid = max(resid, _point_residual(b, w))
+            resid = max(resid, largest(proj_residual(b, w), "projective"))
         if resid < best_resid:
             best_name, best_resid = name, resid
     return RhoThetaReport(

@@ -20,16 +20,14 @@ bound it from above (half_period_bound).
 from __future__ import annotations
 
 import json
-import math
 from typing import NamedTuple
 
 from .cyclotomic import EXACT_SCALARS, scalar_complex, scalar_inverse, scalar_is_zero, scalar_json
 from .frozen import Frozen
-from .lazy import np
 from .series import PuiseuxSeries
 from .theta import (
-    ThetaContext, pointwise, sample_blocks, theta_N_eval, theta_half_eval, theta_half_series,
-    theta_null_series,
+    ThetaContext, largest, largest_modulus, sample_units, theta_N_eval, theta_half_eval,
+    theta_half_series, theta_null_series,
 )
 
 
@@ -301,67 +299,29 @@ def verify_on_curve(
 
     Residuals are normalized by (max coefficient magnitude) times
     (max coordinate magnitude)^2 so the check is scale-free.  Each form
-    sums its terms (c x_i) x_j in its own monomial order, at each point
-    one at a time or on numpy blocks of points by theta.pointwise.  A
-    form's residual does not depend on the other forms, so several form
-    sets can share one pass over the samples and be read back with
-    `part`."""
+    sums its terms (c x_i) x_j in its own monomial order, on each unit
+    of theta.sample_units: a point, or an array of points.  A residual
+    that is not finite raises OverflowError (theta.largest).  A form's
+    residual does not depend on the other forms, so several form sets
+    can share one pass over the samples and be read back with `part`."""
     live = [f for f in forms if f.coeffs]  # a form without terms vanishes identically
     terms = [[(scalar_complex(c), i, j) for (i, j), c in f.coeffs.items()] for f in live]
     norm = [f.max_coeff_abs() for f in live]
-    residuals_of = _point_residuals if pointwise(samples) else _block_residuals
-    worst = iter(residuals_of(terms, norm, ctx, sample_blocks(ctx.tau, samples, seed)))
+    ks = range(ctx.N)
+    worst = [0.0] * len(live)
+    for unit in sample_units(ctx.tau, samples, seed):
+        x = theta_N_eval(ks, unit, ctx)
+        top = largest_modulus(x)
+        scale2 = top * top
+        for f, form in enumerate(terms):
+            acc = 0j
+            for c, i, j in form:
+                acc = acc + c * x[i] * x[j]
+            worst[f] = max(worst[f], largest(abs(acc), "quadric", norm[f] * scale2))
+        del x  # evaluating the next unit peaks near 0.9 MB at N = 16; hold no second x then
+    worst = iter(worst)
     residuals = [next(worst) if f.coeffs else 0.0 for f in forms]
     return OnCurveReport.of(ctx.N, samples, rtol, residuals)
-
-
-def _point_residuals(terms: list, norm: list, ctx: ThetaContext, blocks) -> list:
-    """verify_on_curve's residuals, one point at a time without numpy.  A
-    residual that is not finite raises OverflowError, as the numpy
-    products raise under np.errstate(over="raise", invalid="raise")."""
-    ks = range(ctx.N)
-    worst = [0.0] * len(terms)
-    for zs in blocks:
-        for z in zs:
-            x = theta_N_eval(ks, z, ctx)
-            top = max(map(abs, x))
-            scale2 = top * top
-            for f, form in enumerate(terms):
-                acc = 0j
-                for c, i, j in form:
-                    acc += c * x[i] * x[j]
-                den = norm[f] * scale2
-                r = abs(acc) / den if 0.0 < den < math.inf else math.nan
-                if not r < math.inf:
-                    raise OverflowError("non-finite quadric residual")
-                if r > worst[f]:
-                    worst[f] = r
-    return worst
-
-
-def _block_residuals(terms: list, norm: list, ctx: ThetaContext, blocks) -> list:
-    """verify_on_curve's residuals on numpy blocks of points.  The forms
-    become one term table (coefficient, i, j per monomial, zero-padded),
-    evaluated together on each block."""
-    width = max(map(len, terms), default=0)
-    coef = np.zeros((width, len(terms)), dtype=complex)
-    idx = np.zeros((2, width, len(terms)), dtype=np.intp)
-    for f, form in enumerate(terms):
-        for t, (c, i, j) in enumerate(form):
-            coef[t, f] = c
-            idx[:, t, f] = i, j
-    norm = np.array(norm)
-    ks = np.arange(ctx.N)
-    worst = np.zeros(len(terms))
-    with np.errstate(over="raise", invalid="raise"):
-        for zs in blocks:
-            x = theta_N_eval(ks, np.asarray(zs)[:, None], ctx)
-            acc = np.zeros((len(zs), len(terms)), dtype=complex)
-            for t in range(width):
-                acc += coef[t] * x[:, idx[0, t]] * x[:, idx[1, t]]
-            scale2 = np.max(np.abs(x), axis=1) ** 2
-            np.maximum(worst, np.max(np.abs(acc) / (norm * scale2[:, None]), axis=0), out=worst)
-    return worst.tolist()
 
 
 def _leading_row(f: QuadraticForm) -> dict:

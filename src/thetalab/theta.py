@@ -14,9 +14,12 @@ below the tolerance and below rounding of the peak term.  A point z
 with a scalar k, or with a Python sequence of k (range(N)), is summed
 in plain Python with math and cmath, so it never executes numpy;
 arrays of points are summed by a numpy block kernel that gives the
-same values bit for bit.  Which of the two a sampled check takes is
-one rule on its sample count (pointwise).  The exact q-expansions of
-the null values theta_k(0, tau) are produced as Puiseux series.
+same values bit for bit.  The sampled checks read their points as a
+stream of evaluation units (sample_units): single points, or numpy
+arrays of points, by one rule on the sample count (pointwise), and
+form their residuals by the same code on either kind.  The exact
+q-expansions of the null values theta_k(0, tau) are produced as
+Puiseux series.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 from numbers import Number
 from random import Random
@@ -266,16 +270,20 @@ def theta_N_eval(k, z, ctx: ThetaContext):
 
     Scalar k and z give a Python complex, and a Python sequence of k
     (range, list or tuple) with a scalar z a list of complex, one per k:
-    both are summed without numpy.  Otherwise k and z broadcast against
-    each other as arrays of indices and of points.  The values agree bit
-    for bit across the forms.  The tail left out is below ctx.tol;
-    rounding adds about 1e-16 * exp(pi N Im(z)^2 / Im tau), the size of
-    the peak term of the sum at (N z, N tau)."""
+    both are summed without numpy.  A Python sequence of k with an array
+    of points z gives one row per k, each an array over the points (the
+    coordinates of a unit of sample_units).  Otherwise k and z broadcast
+    against each other as arrays of indices and of points.  The values
+    agree bit for bit across the forms.  The tail left out is below
+    ctx.tol; rounding adds about 1e-16 * exp(pi N Im(z)^2 / Im tau), the
+    size of the peak term of the sum at (N z, N tau)."""
     N = ctx.N
     if isinstance(k, Number):
         p = 0.5 - float(k) / N
-    elif isinstance(k, (range, list, tuple)) and isinstance(z, Number):
+    elif isinstance(k, (range, list, tuple)):
         p = [0.5 - float(j) / N for j in k]
+        if not isinstance(z, Number):
+            p = np.reshape(p, (-1,) + (1,) * np.ndim(z))
     else:
         p = 0.5 - np.asarray(k, dtype=float) / N
     return _theta_sum(p, N / 2.0, _scaled(z, N), N * ctx.tau, ctx.tol)
@@ -372,23 +380,23 @@ def theta_zero_points(N: int, k: int, tau: complex, count: int = 5) -> list[comp
     return out
 
 
-SAMPLE_BLOCK = 64  # sample points whose theta values a numeric check holds at once
+SAMPLE_BLOCK = 64  # the most samples a check sums one point at a time
 
 
 def pointwise(samples: int) -> bool:
-    """Whether a sampled check of `samples` points sums them one at a time.
+    """Whether a sampled check of `samples` points reads them one at a time.
 
-    The one rule for the numeric path: a check that asks for at most
-    SAMPLE_BLOCK samples, one block of the stream, evaluates each point
-    as theta_N_eval(range(N), z) in plain Python and never executes
-    numpy; a longer stream is summed by the numpy block kernel, a block
-    at a time.  Both give the same theta values bit for bit, and each
-    check forms its residuals by the same operations in the same order
-    on either path (numpy may fuse a multiply-add, so a residual can
-    move in its last digits).
+    The one rule for the numeric path (sample_units): a check that asks
+    for at most SAMPLE_BLOCK samples evaluates each point as
+    theta_N_eval(range(N), z) in plain Python and never executes numpy;
+    a longer stream is read as numpy arrays of up to BLOCK points, summed
+    by the block kernel.  Both give the same theta values bit for bit,
+    and a check forms its residuals by the same code on either kind of
+    unit (numpy may fuse a multiply-add, so a residual can move in its
+    last digits).
 
     Executing numpy costs about 135 ms and 14 MB of resident memory per
-    process.  The point branches of the two costliest checks,
+    process.  One point at a time, the two costliest checks,
     verify_on_curve (63 forms) and translation_check, took 4 and 9 ms
     at N = 12 with 25 samples (the CLI default), and 27 and 33 ms at
     N = 24 with 64 samples (273 forms), still below that start-up cost
@@ -405,35 +413,92 @@ def sample_points(rng: Random, tau: complex, count: int) -> list[complex]:
     return [0.05 + 0.9 * rng.random() + (0.05 + 0.9 * rng.random()) * tau for _ in range(count)]
 
 
-def sample_blocks(tau: complex, samples: int, seed: int):
+def sample_stream(tau: complex, samples: int, seed: int):
     """The seeded sample stream: the first `samples` points of
-    sample_points(Random(seed), tau, ...), SAMPLE_BLOCK at a time.
+    sample_points(Random(seed), tau, ...), one complex at a time.
 
-    Every sampled check reads its points here (quadric vanishing,
-    translation and inversion, the Hesse cubic, the level-4 Weierstrass
-    form and the rho-theta match), and evaluates each point once.  A
-    check that stops early, as the Weierstrass check does once enough
-    points are accepted, sees the points a longer stream would start
-    with.  Each block is a list of complex.
-
-    Which commands execute numpy follows from one rule (pointwise): the
-    quadric, translation and Weierstrass checks asked for more than
-    SAMPLE_BLOCK samples wrap each block with np.asarray and sum it with
-    the block kernel; every other check, and these at up to SAMPLE_BLOCK
-    samples, sums its points one at a time without numpy.  So `verify`
-    executes numpy only when --samples exceeds SAMPLE_BLOCK."""
+    Every sampled check reads its points here, through sample_units or
+    directly (the Hesse cubic, the level-4 Weierstrass form and the
+    rho-theta match), and evaluates each point once.  Points are drawn
+    as they are read, so a check that stops early, as the Weierstrass
+    check does once enough points are accepted, draws only the points a
+    longer stream starts with."""
     rng = Random(seed)
-    for start in range(0, samples, SAMPLE_BLOCK):
-        yield sample_points(rng, tau, min(SAMPLE_BLOCK, samples - start))
+    for _ in range(samples):
+        yield from sample_points(rng, tau, 1)
 
 
-def proj_residual(u, v) -> float:
+def sample_units(tau: complex, samples: int, seed: int):
+    """sample_stream as evaluation units: each point itself (a complex)
+    when pointwise(samples), else numpy arrays of up to BLOCK points.
+
+    A check reads the coordinates of a unit as theta_N_eval(range(N),
+    unit) and writes its residuals once, for either kind: the
+    coordinates are complex values at a point and arrays over the points
+    otherwise, and largest_modulus and largest reduce them.  So the
+    quadric and translation checks execute numpy only when asked for
+    more than SAMPLE_BLOCK samples, and `verify` only then.  An array
+    unit is handed out under np.errstate(all="ignore"): overflow in a
+    residual reads as a non-finite figure, which `largest` raises on as
+    it does at a point; a point unit never touches numpy."""
+    points = sample_stream(tau, samples, seed)
+    if pointwise(samples):
+        yield from points
+        return
+    for _ in range(0, samples, BLOCK):
+        unit = np.array(list(islice(points, BLOCK)))
+        with np.errstate(all="ignore"):
+            yield unit
+
+
+def unit_size(unit) -> int:
+    """The number of points in a unit of sample_units."""
+    return 1 if isinstance(unit, Number) else len(unit)
+
+
+def leading(values, count: int):
+    """The values (a unit, or coordinates over it) at the unit's first
+    `count` points: a point's values themselves, arrays cut along their
+    last axis."""
+    if isinstance(values, (Number, list)):
+        return values
+    return values[..., :count]
+
+
+def largest_modulus(x):
+    """The largest modulus of the coordinates x at each point of a unit:
+    a float at a point, an array over the points otherwise."""
+    if isinstance(x[0], Number):
+        return max(map(abs, x))
+    return np.max(np.abs(x), axis=0)
+
+
+def largest(figure, what: str, scale=1.0) -> float:
+    """The largest of figure / scale over the points of a unit (floats at
+    a point, arrays over the points otherwise).
+
+    A ratio that is not finite (NaN included), or a scale that is not
+    positive and finite, can only come from theta values that overflow
+    in the products of a figure (or, for a zero vector in proj_residual,
+    all underflow), and raises OverflowError(f"non-finite {what}
+    residual")."""
+    if isinstance(figure, float):
+        worst = figure / scale if 0.0 < scale < math.inf else math.nan
+    else:
+        worst = float(np.max(np.where((0.0 < scale) & (scale < math.inf), figure / scale, math.nan)))
+    if not worst < math.inf:
+        raise OverflowError(f"non-finite {what} residual")
+    return worst
+
+
+def proj_residual(u, v):
     """Relative deviation of two numeric vectors as projective points.
 
-    A pair of 1-D sequences is compared in plain Python.  u and v may
-    also be matching stacks of row vectors (numpy); the result is then
-    the largest deviation over the rows.  A zero vector u gives inf."""
-    if len(u) and isinstance(u[0], Number):
+    A pair of sequences of numbers is compared in plain Python and gives
+    a float.  u and v may also be the coordinates of an array unit, one
+    array over the points per coordinate; the result is then an array of
+    each point's deviation.  A zero vector u gives inf."""
+    if isinstance(u[0], Number):
         u, v = [complex(x) for x in u], [complex(x) for x in v]
         mags = [abs(x) for x in u]
         i = mags.index(max(mags))
@@ -444,15 +509,13 @@ def proj_residual(u, v) -> float:
         if math.isnan(sum(devs)):  # max() would skip a NaN that np.max keeps
             return math.nan
         return max(devs) / max(max(abs(y) for y in v), 1e-300)
-    u = np.atleast_2d(np.asarray(u, dtype=complex))
-    v = np.atleast_2d(np.asarray(v, dtype=complex))
-    rows = np.arange(len(u))
-    i = np.argmax(np.abs(u), axis=1)
-    if np.any(u[rows, i] == 0):
-        return float("inf")
-    c = v[rows, i] / u[rows, i]
-    scale = np.maximum(np.max(np.abs(v), axis=1), 1e-300)
-    return float(np.max(np.max(np.abs(v - c[:, None] * u), axis=1) / scale))
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    points = np.arange(u.shape[1])
+    i = np.argmax(np.abs(u), axis=0)
+    top = u[i, points]
+    c = v[i, points] / top
+    dev = np.max(np.abs(v - c * u), axis=0) / np.maximum(np.max(np.abs(v), axis=0), 1e-300)
+    return np.where(top == 0, math.inf, dev)
 
 
 class TransformReport(NamedTuple):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from thetalab.cli import (
     run_suites,
 )
 from thetalab.identities import IdentityRecord
-from thetalab.theta import sample_blocks, theta_N_eval, theta_null_series
+from thetalab.theta import sample_stream, theta_N_eval, theta_null_series
 
 
 def run_cli(capsys, *argv):
@@ -369,18 +370,20 @@ def test_commands_reject_flags_only_other_choices_read(capsys):
 
 def test_quadrics_suite_samples_each_point_once(monkeypatch):
     # both form sets of the even-N suite share one pass over the samples,
-    # summed one point at a time (25) or in numpy blocks (150)
+    # read one point at a time (25) or as numpy units of up to 512 points
+    # (150: one unit; 1100: three, the last one partial)
     seen = []
     inner = thetalab.theta.theta_N_eval
 
     def counting(k, z, ctx):
-        seen.append(np.broadcast(np.asarray(k), np.asarray(z)).size)
-        return inner(k, z, ctx)
+        values = inner(k, z, ctx)
+        seen.append(np.size(values))
+        return values
 
     monkeypatch.setattr(thetalab.theta, "theta_N_eval", counting)
     monkeypatch.setattr(thetalab.quadrics, "theta_N_eval", counting)
     for N in (4, 8, 12):
-        for samples in (25, 150):
+        for samples in (25, 150, 1100):
             seen.clear()
             records = _suite_quadrics(RunConfig(N=N, samples=samples, seed=2))
             assert {r.name for r in records} >= {"quadrics.on-curve", "quadrics.s-basis.on-curve"}
@@ -429,37 +432,38 @@ def test_verify_all_needs_no_numpy_linalg(capsys, monkeypatch, N):
     for name in dir(np.linalg):
         if not name.startswith("_") and callable(getattr(np.linalg, name)):
             monkeypatch.setattr(np.linalg, name, refuse)
-    for samples in ("25", "65"):  # one point at a time, numpy blocks
+    for samples in ("25", "65"):  # one point at a time, numpy units
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--N", N, "--samples", samples)
         assert code == 0, out
 
 
 @pytest.mark.parametrize("N", (4, 5, 6, 7, 8, 9, 10, 11, 12, 16))
 def test_point_and_block_paths_agree(monkeypatch, N):
-    # the same 25 samples, summed one point at a time and in numpy blocks:
-    # the same records, verdicts and details up to their figures; the
-    # residuals, themselves relative figures, within 1e-12 of each other;
-    # and the theta values of every sample equal
-    cfg = RunConfig(N=N, seed=1)
-    cfg.validate()
-    reports = []
-    for point in (True, False):
-        for module in (thetalab.quadrics, thetalab.projective, thetalab.identities):
-            monkeypatch.setattr(module, "pointwise", lambda samples, point=point: point)
-        reports.append(run_suites(cfg, "all"))
-    points, blocks = reports
+    # the same samples, read one point at a time and as numpy units (25,
+    # one unit; 1100, three units, the last one partial) by the one rule
+    # of theta.py forced each way: the same records, verdicts and details
+    # up to their figures; the residuals, themselves relative figures,
+    # within 1e-12 of each other; and the theta values of every sample equal
+    for samples in (25, 1100):
+        cfg = RunConfig(N=N, seed=1, samples=samples)
+        cfg.validate()
+        reports = []
+        for point in (True, False):
+            monkeypatch.setattr(thetalab.theta, "pointwise", lambda samples, point=point: point)
+            reports.append(run_suites(cfg, "all"))
+        points, units = reports
 
-    def shape(r):
-        return r.name, r.status, re.sub(r"\d\.\d{3}e[+-]\d+", "#", r.detail)
+        def shape(r):
+            return r.name, r.status, re.sub(r"\d\.\d{3}e[+-]\d+", "#", r.detail)
 
-    assert [shape(r) for r in points] == [shape(r) for r in blocks]
-    for p, b in zip(points, blocks):
-        assert (p.residual is None) == (b.residual is None)
-        assert p.residual is None or abs(p.residual - b.residual) <= 1e-12, p.name
-    ctx = cfg.context()
-    zs = [z for block in sample_blocks(cfg.tau, cfg.samples, cfg.seed) for z in block]
-    block = theta_N_eval(np.arange(N), np.asarray(zs)[:, None], ctx).tolist()
-    assert [theta_N_eval(range(N), z, ctx) for z in zs] == block
+        assert [shape(r) for r in points] == [shape(r) for r in units]
+        for p, u in zip(points, units):
+            assert (p.residual is None) == (u.residual is None)
+            assert p.residual is None or abs(p.residual - u.residual) <= 1e-12, p.name
+        ctx = cfg.context()
+        zs = list(sample_stream(cfg.tau, cfg.samples, cfg.seed))
+        rows = theta_N_eval(range(N), np.asarray(zs), ctx)
+        assert [theta_N_eval(range(N), z, ctx) for z in zs] == rows.T.tolist()
 
 
 def test_records_keep_the_shape_of_their_kind(capsys):
@@ -521,7 +525,7 @@ def test_underflowing_level6_nulls_are_a_usage_error(capsys):
     )
 
 
-@pytest.mark.parametrize("samples", ("25", "65"))  # one point at a time, numpy blocks
+@pytest.mark.parametrize("samples", ("25", "65"))  # one point at a time, numpy units
 def test_overflow_in_a_numeric_suite_is_a_usage_error(capsys, monkeypatch, samples):
     # huge coordinates overflow the quadric residuals' products: numpy
     # raises there, and so does the plain-Python sum, instead of reading inf
@@ -541,12 +545,16 @@ def test_overflow_in_a_numeric_suite_is_a_usage_error(capsys, monkeypatch, sampl
 @pytest.mark.parametrize("samples", ("25", "65"))
 def test_quadric_residual_overflow_at_large_im_tau_is_a_usage_error(capsys, samples):
     # at Im tau = 20 the sampled coordinates reach about 1e197 at N = 8,
-    # and their products overflow a double
+    # and their products overflow a double: one point at a time and on
+    # numpy units alike, the residual reads as not finite
     argv = ("verify", "--suite", "quadrics", "--N", "8", "--tau-im", "20", "--samples", samples)
-    code, out, err = run_cli(capsys, *argv)
+    errors = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning either
+        code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: numeric overflow (")
-    assert err.endswith("); lower --tau-im\n")
+    assert err == "error: numeric overflow (non-finite quadric residual); lower --tau-im\n"
+    assert np.geterr() == errors  # the units' error state ends with the stream
 
 
 def test_hesse_cubic_scales_large_coordinates(capsys):

@@ -131,9 +131,8 @@ def test_weierstrass_level4():
 )
 def test_weierstrass_reads_the_stream_as_a_one_at_a_time_loop(monkeypatch, seed, skipped):
     # the stream with draw `skipped` moved to z = 0, where X_1 = X_3 puts
-    # the point on the base locus: the last accepted point then comes from
-    # the stream's second block, summed one point at a time at 64 samples
-    # and in numpy blocks at 65
+    # the point on the base locus: the check reads one point more than it
+    # accepts, one point at a time, at 64 samples and at 65 alike
     ctx = ThetaContext(4, 2j, 1e-10)
     ks = np.arange(4)
     a0, a1, a2, _ = theta_N_eval(ks, 0.0, ctx).tolist()
@@ -149,13 +148,13 @@ def test_weierstrass_reads_the_stream_as_a_one_at_a_time_loop(monkeypatch, seed,
         big = max(abs(c) for c in x)
         return [c / big for c in x]
 
-    stream = thetalab.identities.sample_blocks
+    stream = thetalab.identities.sample_stream
+    handed = []
 
     def moved(tau, n, seed):
-        start = 0
-        for block in stream(tau, n, seed):
-            yield [0j if start + k == skipped else z for k, z in enumerate(block)]
-            start += len(block)
+        for k, z in enumerate(stream(tau, n, seed)):
+            handed.append(0j if k == skipped else z)
+            yield handed[-1]
 
     evaluated = []
     inner = thetalab.identities.theta_N_eval
@@ -164,7 +163,7 @@ def test_weierstrass_reads_the_stream_as_a_one_at_a_time_loop(monkeypatch, seed,
         evaluated.extend(np.ravel(z).tolist())
         return inner(k, z, ctx)
 
-    monkeypatch.setattr(thetalab.identities, "sample_blocks", moved)
+    monkeypatch.setattr(thetalab.identities, "sample_stream", moved)
     monkeypatch.setattr(thetalab.identities, "theta_N_eval", recording)
     for samples in (64, 65):
         rng = Random(seed)
@@ -198,14 +197,14 @@ def test_weierstrass_reads_the_stream_as_a_one_at_a_time_loop(monkeypatch, seed,
         worst = max(worst, abs(q1) / qscale, abs(q2) / qscale)
 
         evaluated.clear()
+        handed.clear()
         rec = weierstrass_check_level4(ctx, samples=samples, seed=seed)
         assert rec.residual == worst  # bit for bit
         assert f"over {samples} samples" in rec.detail and rec.passed
-        # the nulls, the stream's points in order (up to the end of the
-        # last block summed), and z = 1/8
-        points = evaluated[1:-1]
-        assert (evaluated[0], evaluated[-1]) == (0, Fraction(1, 8))
-        assert points[:drawn] == zs and len(points) == (drawn if samples <= 64 else 128)
+        # the stream hands out only the points the loop needs; the check
+        # evaluates the nulls, exactly those points in order, and z = 1/8
+        assert handed == zs
+        assert evaluated == [0, *zs, Fraction(1, 8)]
 
 
 def test_degenerate_fibers():

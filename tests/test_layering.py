@@ -66,11 +66,12 @@ def test_records_are_built_only_by_the_three_constructors():
 
 
 def test_sample_points_are_drawn_only_by_the_sample_stream():
-    # every sampled check reads theta.sample_blocks; the transform suite
-    # draws its own box [0.05, 0.65] + [0.02, 0.27] tau
+    # every sampled check reads theta.sample_stream, directly or through
+    # theta.sample_units; the transform suite draws its own box
+    # [0.05, 0.65] + [0.02, 0.27] tau
     allowed = {
-        ("theta.py", "sample_blocks", "Random"),
-        ("theta.py", "sample_blocks", "sample_points"),
+        ("theta.py", "sample_stream", "Random"),
+        ("theta.py", "sample_stream", "sample_points"),
         ("cli.py", "_suite_transform", "Random"),
     }
     calls = set()
@@ -82,7 +83,7 @@ def test_sample_points_are_drawn_only_by_the_sample_stream():
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 if name in ("Random", "sample_points"):
                     calls.add((path.name, owner.get(id(node)), name))
-    assert ("theta.py", "sample_blocks", "sample_points") in calls
+    assert ("theta.py", "sample_stream", "sample_points") in calls
     assert calls <= allowed, f"sample draws outside the sample stream: {calls - allowed}"
 
 
@@ -115,6 +116,34 @@ def test_cli_neither_imports_nor_reads_numpy():
     bound = {alias.asname or alias.name for n in imports for alias in n.names}
     assert not bound & {"np", "numpy"}
     assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in ("np", "numpy")]
+
+
+def names_read(tree: ast.Module, name: str) -> list:
+    """(innermost function, line) of each place the module refers to `name`:
+    as a variable, or bound by an import."""
+    owner = owners(tree)
+    return [
+        (owner.get(id(node)), getattr(node, "lineno", None))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.alias) and (node.asname or node.name) == name
+    ]
+
+
+def test_only_theta_decides_between_points_and_numpy_units():
+    # theta.pointwise is the one rule, read by theta.sample_units; the
+    # checks above it write each residual once, for either kind of unit
+    for path in SOURCES:
+        found = names_read(parse(path), "pointwise")
+        if path.name == "theta.py":
+            assert {fn for fn, _ in found} == {"sample_units"}, found
+        else:
+            assert not found, f"{path.name} refers to pointwise: {found}"
+    for name in ("quadrics.py", "identities.py"):
+        assert not names_read(parse(PACKAGE / name), "np"), f"{name} binds or reads np"
+    # projective.py keeps the dense matrix, a reference for tests, and nothing else
+    reads = {fn for fn, _ in names_read(parse(PACKAGE / "projective.py"), "np")}
+    assert reads == {None, "complex_array"}, reads
 
 
 def run_at_import(tree: ast.Module):

@@ -1,8 +1,8 @@
 """One-shot processes: what each command executes, and how it exits.
 
 numpy is bound lazily (thetalab.lazy), so a command that reads no `np.`
-attribute never executes it: only a sampled check of more than 64
-samples does (theta.pointwise).  `python -m thetalab` ends through
+attribute never executes it: only the quadric and translation checks of
+more than 64 samples do (theta.sample_units).  `python -m thetalab` ends through
 cli.run, which flushes its output and exits without interpreter
 teardown."""
 
@@ -60,10 +60,12 @@ def child(*args, **kwargs):
         (("verify", "--suite", "all", "--N", "4"), False),
         (("verify", "--suite", "all", "--N", "12"), False),
         (("verify", "--suite", "quadrics", "--N", "8", "--samples", "64"), False),
-        # and sum numpy blocks of points past that
+        # quadrics and translation read numpy units of points past that
         (("verify", "--suite", "quadrics", "--N", "8", "--samples", "65"), True),
         (("verify", "--suite", "translation", "--N", "8", "--samples", "65"), True),
-        (("verify", "--suite", "weierstrass", "--N", "4", "--samples", "65"), True),
+        # the Weierstrass check reads one point at a time at every count
+        (("verify", "--suite", "weierstrass", "--N", "4", "--samples", "65"), False),
+        (("verify", "--suite", "weierstrass", "--N", "4", "--samples", "3000"), False),
     ],
     ids=label,
 )

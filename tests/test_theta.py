@@ -1,4 +1,5 @@
 import cmath
+import math
 from fractions import Fraction
 from random import Random
 
@@ -11,6 +12,8 @@ from thetalab.theta import (
     ThetaContext,
     e,
     jacobi_theta_eval,
+    largest,
+    proj_residual,
     theta_N_eval,
     theta_half_eval,
     theta_half_series,
@@ -291,3 +294,30 @@ def test_radius_cap_guards_absurd_contexts():
 
     with _pytest.raises(ValueError):
         ThetaContext(4, 1e-07j, 1e-10)
+
+
+def test_largest_raises_on_a_non_finite_figure():
+    # the largest figure / scale of a unit, a point's floats or arrays over
+    # its points; a figure that is not finite, or a scale that is not
+    # positive and finite, could only come from overflow, and raises
+    assert largest(0.25, "quadric") == 0.25
+    assert largest(1.0, "quadric", 4.0) == 0.25
+    assert largest(np.array([0.1, 0.3]), "projective") == 0.3
+    assert largest(np.array([1.0, 3.0]), "quadric", np.array([10.0, 10.0])) == 0.3
+    # proj_residual per point: a zero vector u gives inf, which raises here too
+    u = [np.array([1 + 0j, 0j]), np.array([2 + 0j, 0j])]
+    v = [np.array([2 + 0j, 1 + 0j]), np.array([4 + 0j, 2 + 0j])]
+    with np.errstate(all="ignore"):  # as sample_units hands out an array unit
+        per_point = proj_residual(u, v)
+    assert per_point.tolist() == [0.0, math.inf]
+    assert proj_residual([0j, 0j], [1 + 0j, 2 + 0j]) == math.inf
+    assert proj_residual([1 + 0j, 2 + 0j], [2 + 0j, 4 + 0j]) == 0.0
+    overflow = proj_residual([1e-300 + 0j, 1e-301 + 0j], [1e300 + 0j, 1e300 + 0j])
+    figures = [
+        (overflow, 1.0), (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, 0.0),
+        (per_point, 1.0), (np.array([0.1, math.nan]), 1.0),
+        (np.array([0.1, 0.2]), np.array([1.0, math.inf])),
+    ]
+    for figure, scale in figures:
+        with pytest.raises(OverflowError, match="^non-finite quadric residual$"):
+            largest(figure, "quadric", scale)
