@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -53,10 +54,7 @@ from .cyclotomic import (
 )
 from .lazy import np
 from .packing import pack, pack_many, pack_width, unpack
-from .theta import (
-    ThetaContext, largest, leading, proj_residual, sample_stream, sample_units, theta_N_eval,
-    unit_size,
-)
+from .theta import ThetaContext, largest, proj_residual, sample_stream, sample_units, theta_N_eval
 
 
 # ---------------------------------------------------------------------------
@@ -664,13 +662,14 @@ def translation_check(
     Translation by tau/N acts as M_S.  Translation by 1/N acts by a
     power of the diagonal M_T; which power is measured, not assumed (the
     matrix itself acts on coordinate functions, its inverse on points),
-    and the matched exponent is reported.  z -> -z acts as M_inv, tested
-    on the first min(samples, 10) points against their base values.  The
-    origin is fixed by the inversion: origin_dev is the largest
-    |a_k - (-1)^N a_(N-k)| relative to the largest null a_k.  The points
-    are read as the units of theta.sample_units, each with its two
-    translates; each residual is the largest over the points, and one
-    that is not finite raises OverflowError (theta.largest).
+    and the matched exponent is reported.  The points are read as the
+    units of theta.sample_units, each with its two translates.  z -> -z
+    acts as M_inv, tested afterwards on the first min(samples, 10) points
+    of the stream, one point at a time.  The origin is fixed by the
+    inversion: origin_dev is the largest |a_k - (-1)^N a_(N-k)| relative
+    to the largest null a_k.  Each residual is the largest over the
+    points, and one that is not finite raises OverflowError
+    (theta.largest).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -680,7 +679,6 @@ def translation_check(
     ks = range(N)
     worst_s = worst_inv = 0.0
     worst_t = {1: 0.0, -1: 0.0}
-    read = 0  # points of the stream before this unit
     for unit in sample_units(tau, samples, seed):
         base = theta_N_eval(ks, unit, ctx)
         ts = theta_N_eval(ks, unit + tau / N, ctx)
@@ -688,11 +686,9 @@ def translation_check(
         worst_s = max(worst_s, largest(proj_residual(_apply(ms, base), ts), "projective"))
         for e, m in ((1, mt), (-1, mt_inv)):
             worst_t[e] = max(worst_t[e], largest(proj_residual(_apply(m, base), tt), "projective"))
-        if read < 10:
-            z, x = leading(unit, 10 - read), leading(base, 10 - read)
-            inv = proj_residual(_apply(minv, x), theta_N_eval(ks, -z, ctx))
-            worst_inv = max(worst_inv, largest(inv, "projective"))
-        read += unit_size(unit)
+    for z in islice(sample_stream(tau, samples, seed), 10):
+        inv = proj_residual(_apply(minv, theta_N_eval(ks, z, ctx)), theta_N_eval(ks, -z, ctx))
+        worst_inv = max(worst_inv, largest(inv, "projective"))
     power = min(worst_t, key=worst_t.get)
     a = theta_N_eval(ks, 0.0, ctx)
     sign = 1 if N % 2 == 0 else -1

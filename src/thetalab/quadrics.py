@@ -318,7 +318,7 @@ def verify_on_curve(
             for c, i, j in form:
                 acc = acc + c * x[i] * x[j]
             worst[f] = max(worst[f], largest(abs(acc), "quadric", norm[f] * scale2))
-        del x  # evaluating the next unit peaks near 0.9 MB at N = 16; hold no second x then
+        del x  # evaluating the next unit peaks near 0.4 MiB at N = 16; hold no second x then
     worst = iter(worst)
     residuals = [next(worst) if f.coeffs else 0.0 for f in forms]
     return OnCurveReport.of(ctx.N, samples, rtol, residuals)

@@ -10,16 +10,16 @@ with e(x) = exp(2 pi i x), and the degree-N family
 
 indexed by k mod N (integers or half-integers).  Numeric sums are
 truncated point by point, where a Gaussian tail bound puts the rest
-below the tolerance and below rounding of the peak term.  A point z
-with a scalar k, or with a Python sequence of k (range(N)), is summed
-in plain Python with math and cmath, so it never executes numpy;
-arrays of points are summed by a numpy block kernel that gives the
-same values bit for bit.  The sampled checks read their points as a
-stream of evaluation units (sample_units): single points, or numpy
-arrays of points, by one rule on the sample count (pointwise), and
-form their residuals by the same code on either kind.  The exact
-q-expansions of the null values theta_k(0, tau) are produced as
-Puiseux series.
+below the tolerance and below rounding of the peak term.  The
+evaluators take one k or an iterable of k, at one point z or at a 1-D
+numpy array of points.  A point is summed in plain Python with math
+and cmath, so it never executes numpy; an array of points is summed
+by a numpy block kernel, one row per k, that gives the same values bit
+for bit.  The sampled checks read their points as a stream of
+evaluation units (sample_units): single points, or numpy arrays of
+points, by one rule on the sample count (pointwise), and form their
+residuals by the same code on either kind.  The exact q-expansions of
+the null values theta_k(0, tau) are produced as Puiseux series.
 """
 
 from __future__ import annotations
@@ -99,10 +99,8 @@ def tail_radius(b: float, y: float, tol: float) -> int:
 
 
 def window_radii(b: np.ndarray, y: float, tol: float) -> np.ndarray:
-    """tail_radius for an array of Im z at once, as floats with the shape
-    of b: the same operations, stepping every point up together."""
-    shape = np.shape(b)
-    b = np.asarray(b, dtype=float).ravel()
+    """tail_radius for a 1-D array of Im z at once, as floats: the same
+    operations, stepping every point up together."""
     with np.errstate(over="ignore", invalid="ignore"):
         log_amp = math.pi * b * b / y
         amp = np.exp(log_amp)
@@ -121,7 +119,7 @@ def window_radii(b: np.ndarray, y: float, tol: float) -> np.ndarray:
             denom = 1.0 - np.exp(-2.0 * math.pi * y * r)
             todo = todo[~(2.0 * amp[todo] * decay / denom < limit[todo])]
             radius[todo] += 1
-    return radius.reshape(shape)
+    return radius
 
 
 def _theta_sum(p, q: float, z, tau: complex, tol: float):
@@ -130,11 +128,11 @@ def _theta_sum(p, q: float, z, tau: complex, tol: float):
     Each point sums its own window [floor(peak - p - R), ceil(peak - p + R)]
     centred on its peak m = -Im z / Im tau, with R = tail_radius(Im z),
     adding the terms exp(2 pi i ((1/2) m^2 tau + m (z + q))) in increasing
-    n.  A float p with a complex z is one point, and a list of float p
-    with a complex z a list of points that share one window radius: each
-    window is summed in plain Python (_point_sum).  p and z may instead
-    be arrays that broadcast against each other, and go to the block
-    kernel (_block_sum).  Both form every term by the same floating-point
+    n.  p is a float or a list of floats (one value per p), and z a
+    complex point or a 1-D array of points (values over the points, a
+    row per p).  A point's windows share one radius and are summed in
+    plain Python (_point_sum); an array goes to the block kernel
+    (_block_sum).  Both form every term by the same floating-point
     operations and add them in the same order, so they give the same
     value bit for bit.
 
@@ -146,12 +144,14 @@ def _theta_sum(p, q: float, z, tau: complex, tol: float):
     y = tau.imag
     if y <= 0:
         raise ValueError("Im tau must be positive")
-    if isinstance(z, complex) and isinstance(p, (float, list)):
+    one = isinstance(p, float)
+    ps = [p] if one else p
+    if isinstance(z, complex):
         radius = tail_radius(z.imag, y, tol)
-        if isinstance(p, float):
-            return _point_sum(p, q, z, tau, radius)
-        return [_point_sum(pk, q, z, tau, radius) for pk in p]
-    return _block_sum(p, q, z, tau, tol)
+        values = [_point_sum(pk, q, z, tau, radius) for pk in ps]
+    else:
+        values = _block_sum(ps, q, z, tau, tol)
+    return values[0] if one else values
 
 
 def _point_sum(p: float, q: float, z: complex, tau: complex, radius: int) -> complex:
@@ -169,47 +169,44 @@ def _point_sum(p: float, q: float, z: complex, tau: complex, radius: int) -> com
     return acc
 
 
-def _block_sum(p, q: float, z, tau: complex, tol: float) -> np.ndarray:
-    """The windows of _theta_sum for broadcasting arrays p and z.
+def _block_sum(p: list, q: float, z: np.ndarray, tau: complex, tol: float) -> np.ndarray:
+    """The windows of _theta_sum for a list of p at a 1-D array of points
+    z: one row of values per p.
 
-    Points are summed BLOCK at a time: a block's terms form one
+    Each point's radius, peak and real shift are found once.  Each row
+    is then summed BLOCK points at a time: a block's terms form one
     (window offset x point) table, built with one exp and with every
     term formed by the same floating-point operations as _point_sum.
-    Terms past a point's own window are set to zero, and the rows are
-    added in increasing n, so each value is the one _point_sum gives,
-    bit for bit.  (A reduction over the offset axis would not be: numpy
-    sums a contiguous axis pairwise.)"""
+    Terms past a point's own window are set to zero, and the table's
+    rows are added in increasing n, so each value is the one _point_sum
+    gives, bit for bit.  (A reduction over the offset axis would not be:
+    numpy sums a contiguous axis pairwise.)"""
     y = tau.imag
-    p = np.asarray(p, dtype=float)
-    z = np.asarray(z, dtype=complex)
-    # radii depend on Im z alone, so find them before z is broadcast against p
-    radius = window_radii(z.imag, y, tol)
-    p, z, radius = np.broadcast_arrays(p, z, radius)
-    shape = p.shape
-    p, z, radius = p.ravel(), z.ravel(), radius.ravel()
     b = z.imag
+    radius = window_radii(b, y, tol)
     peak = -b / y
-    lo = np.floor(peak - p - radius)
-    hi = np.ceil(peak - p + radius)
     w_re = z.real + q
-    out = np.zeros(p.size, dtype=complex)
+    out = np.zeros((len(p), z.size), dtype=complex)
     with np.errstate(over="raise", invalid="raise"):  # as cmath.exp raises, never inf
-        for s in range(0, p.size, BLOCK):
-            blk = slice(s, s + BLOCK)
-            lob, hib, acc = lo[blk], hi[blk], out[blk]
-            n = lob + np.arange(int(np.max(hib - lob)) + 1, dtype=float)[:, None]
-            m = n + p[blk]
-            half_m2 = 0.5 * m * m
-            # TWO_PI_I * (half_m2 * tau + m * (z + q)) in reals: numpy's complex
-            # product may fuse multiply-adds, which would move the last bit
-            terms = np.empty(m.shape, dtype=complex)
-            terms.real = (half_m2 * tau.imag + m * b[blk]) * -TWO_PI
-            terms.imag = (half_m2 * tau.real + m * w_re[blk]) * TWO_PI
-            np.exp(terms, out=terms)
-            np.copyto(terms, 0, where=n > hib)
-            for row in terms:
-                acc += row
-    return out.reshape(shape)
+        for pk, values in zip(p, out):
+            lo = np.floor(peak - pk - radius)
+            hi = np.ceil(peak - pk + radius)
+            for s in range(0, z.size, BLOCK):
+                blk = slice(s, s + BLOCK)
+                lob, hib, acc = lo[blk], hi[blk], values[blk]
+                n = lob + np.arange(int(np.max(hib - lob)) + 1, dtype=float)[:, None]
+                m = n + pk
+                half_m2 = 0.5 * m * m
+                # TWO_PI_I * (half_m2 * tau + m * (z + q)) in reals: numpy's complex
+                # product may fuse multiply-adds, which would move the last bit
+                terms = np.empty(m.shape, dtype=complex)
+                terms.real = (half_m2 * y + m * b[blk]) * -TWO_PI
+                terms.imag = (half_m2 * tau.real + m * w_re[blk]) * TWO_PI
+                np.exp(terms, out=terms)
+                np.copyto(terms, 0, where=n > hib)
+                for row in terms:
+                    acc += row
+    return out
 
 
 class Characteristic(Frozen):
@@ -249,11 +246,14 @@ class ThetaContext(Frozen):
 
 
 def _scaled(z, scale: int = 1):
-    """scale * z: a complex for a scalar z (an exact Fraction is scaled
-    exactly), else a complex array."""
+    """scale * z: a complex for a number z (an exact Fraction is scaled
+    exactly), else a 1-D complex array of points."""
     if isinstance(z, Number):
         return complex(scale * z)
-    return scale * np.asarray(z, dtype=complex)
+    z = scale * np.asarray(z, dtype=complex)
+    if z.ndim != 1:
+        raise ValueError(f"z must be a number or a 1-D array of points, not {z.ndim}-D")
+    return z
 
 
 def theta_pq_eval(ch: Characteristic, z, ctx: ThetaContext):
@@ -261,38 +261,32 @@ def theta_pq_eval(ch: Characteristic, z, ctx: ThetaContext):
 
     The tail left out is below ctx.tol; rounding adds about
     1e-16 * exp(pi Im(z)^2 / Im tau), the size of the peak term (see
-    _theta_sum).  z may be an array; a scalar z gives a Python complex."""
+    _theta_sum).  z is a number, giving a Python complex, or a 1-D array
+    of points, giving an array over them."""
     return _theta_sum(float(ch.p), float(ch.q), _scaled(z), ctx.tau, ctx.tol)
 
 
 def theta_N_eval(k, z, ctx: ThetaContext):
     """theta_k of the degree-N family at (z, ctx.tau); k may be half-integral.
 
-    Scalar k and z give a Python complex, and a Python sequence of k
-    (range, list or tuple) with a scalar z a list of complex, one per k:
-    both are summed without numpy.  A Python sequence of k with an array
-    of points z gives one row per k, each an array over the points (the
-    coordinates of a unit of sample_units).  Otherwise k and z broadcast
-    against each other as arrays of indices and of points.  The values
-    agree bit for bit across the forms.  The tail left out is below
-    ctx.tol; rounding adds about 1e-16 * exp(pi N Im(z)^2 / Im tau), the
-    size of the peak term of the sum at (N z, N tau)."""
+    k is a number or an iterable of numbers, and z a number or a 1-D
+    array of points (a unit of sample_units).  At a number z, one k gives
+    a Python complex and an iterable of k a list of complex, one per k;
+    both are summed without numpy.  At an array of points, one k gives
+    an array over the points and an iterable of k a 2-D array of one row
+    per k (the coordinates of a unit).  The values agree bit for bit
+    across the forms.  The tail left out is below ctx.tol; rounding adds
+    about 1e-16 * exp(pi N Im(z)^2 / Im tau), the size of the peak term
+    of the sum at (N z, N tau)."""
     N = ctx.N
-    if isinstance(k, Number):
-        p = 0.5 - float(k) / N
-    elif isinstance(k, (range, list, tuple)):
-        p = [0.5 - float(j) / N for j in k]
-        if not isinstance(z, Number):
-            p = np.reshape(p, (-1,) + (1,) * np.ndim(z))
-    else:
-        p = 0.5 - np.asarray(k, dtype=float) / N
+    p = 0.5 - float(k) / N if isinstance(k, Number) else [0.5 - float(j) / N for j in k]
     return _theta_sum(p, N / 2.0, _scaled(z, N), N * ctx.tau, ctx.tol)
 
 
 def theta_half_eval(N: int, k, ctx: ThetaContext):
     """Half-period value s_k = theta_k(1/(2N), tau); N must be even.  k is
-    a scalar, a Python sequence (giving a list) or an array, as in
-    theta_N_eval."""
+    a number, giving a complex, or an iterable of numbers, giving a list,
+    as in theta_N_eval."""
     if N % 2:
         raise ValueError("half-period values are defined for even N")
     if ctx.N != N:
@@ -309,7 +303,8 @@ _JACOBI_CHARS = (
 
 
 def jacobi_theta_eval(i: int, z, ctx: ThetaContext):
-    """Jacobi's basic theta functions, indices 0..3; z may be an array.
+    """Jacobi's basic theta functions, indices 0..3; z is a number or a
+    1-D array of points, as in theta_pq_eval.
 
     Same error model as theta_pq_eval: tail below ctx.tol, plus rounding
     of about 1e-16 * exp(pi Im(z)^2 / Im tau)."""
@@ -419,10 +414,11 @@ def sample_stream(tau: complex, samples: int, seed: int):
 
     Every sampled check reads its points here, through sample_units or
     directly (the Hesse cubic, the level-4 Weierstrass form and the
-    rho-theta match), and evaluates each point once.  Points are drawn
-    as they are read, so a check that stops early, as the Weierstrass
-    check does once enough points are accepted, draws only the points a
-    longer stream starts with."""
+    rho-theta match), and evaluates each point once; the translation
+    check evaluates its first ten again for the inversion.  Points are
+    drawn as they are read, so a check that stops early, as the
+    Weierstrass check does once enough points are accepted, draws only
+    the points a longer stream starts with."""
     rng = Random(seed)
     for _ in range(samples):
         yield from sample_points(rng, tau, 1)
@@ -430,12 +426,13 @@ def sample_stream(tau: complex, samples: int, seed: int):
 
 def sample_units(tau: complex, samples: int, seed: int):
     """sample_stream as evaluation units: each point itself (a complex)
-    when pointwise(samples), else numpy arrays of up to BLOCK points.
+    when pointwise(samples), else 1-D numpy arrays of up to BLOCK points.
 
     A check reads the coordinates of a unit as theta_N_eval(range(N),
     unit) and writes its residuals once, for either kind: the
-    coordinates are complex values at a point and arrays over the points
-    otherwise, and largest_modulus and largest reduce them.  So the
+    coordinates are a list of complex values at a point and a 2-D array
+    of one row per coordinate over the unit's points otherwise, and
+    largest_modulus and largest reduce them.  So the
     quadric and translation checks execute numpy only when asked for
     more than SAMPLE_BLOCK samples, and `verify` only then.  An array
     unit is handed out under np.errstate(all="ignore"): overflow in a
@@ -449,20 +446,6 @@ def sample_units(tau: complex, samples: int, seed: int):
         unit = np.array(list(islice(points, BLOCK)))
         with np.errstate(all="ignore"):
             yield unit
-
-
-def unit_size(unit) -> int:
-    """The number of points in a unit of sample_units."""
-    return 1 if isinstance(unit, Number) else len(unit)
-
-
-def leading(values, count: int):
-    """The values (a unit, or coordinates over it) at the unit's first
-    `count` points: a point's values themselves, arrays cut along their
-    last axis."""
-    if isinstance(values, (Number, list)):
-        return values
-    return values[..., :count]
 
 
 def largest_modulus(x):

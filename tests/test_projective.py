@@ -27,7 +27,7 @@ from thetalab.projective import (
     translation_check,
     verify_presentation,
 )
-from thetalab.theta import ThetaContext, pointwise, sample_points, theta_N_eval
+from thetalab.theta import ThetaContext, sample_points, theta_N_eval
 
 
 def test_projective_point_equality():
@@ -216,10 +216,11 @@ def test_translation_equivariance():
 @pytest.mark.parametrize("N", (2, 3, 5, 8))
 @pytest.mark.parametrize("samples", (5, 25, 65, 1100))
 def test_translation_inversion_and_origin_figures(monkeypatch, N, samples):
-    # the inversion is tested on the first min(samples, 10) points of the
-    # stream, drawn afresh here, and the origin on the null vector; the
-    # points are read one at a time up to 64 samples, else as numpy units
-    # of up to 512 points (1100: three units, the last one partial)
+    # the points are read one at a time up to 64 samples, else as numpy
+    # units of up to 512 points (1100: three units, the last one partial);
+    # the inversion is then tested on the first min(samples, 10) points of
+    # the stream, one at a time at every sample count, and the origin on
+    # the null vector
     ctx = ThetaContext(N, 0.3 + 1.1j, 1e-10)
     seen = []
 
@@ -230,18 +231,14 @@ def test_translation_inversion_and_origin_figures(monkeypatch, N, samples):
 
     monkeypatch.setattr(thetalab.projective, "theta_N_eval", counting)
     rep = translation_check(ctx, samples=samples, seed=3)
-    # each point and its two translates, the first points at -z, the origin
-    assert sum(seen) == N * (3 * samples + min(samples, 10) + 1)
+    # each point and its two translates, the first points at z and -z, the origin
+    assert sum(seen) == N * (3 * samples + 2 * min(samples, 10) + 1)
     ks = range(N)
     zs = sample_points(Random(3), ctx.tau, min(samples, 10))
     minv = build_canonical_matrices(N).M_inv.complex_array()
-    if pointwise(samples):  # the largest of the points' own residuals
-        worst = max(
-            proj_residual(minv @ theta_N_eval(ks, z, ctx), theta_N_eval(ks, -z, ctx)) for z in zs
-        )
-    else:  # the largest over the first points of the first unit
-        zs = np.asarray(zs)
-        worst = proj_residual(minv @ theta_N_eval(ks, zs, ctx), theta_N_eval(ks, -zs, ctx)).max()
+    worst = max(
+        proj_residual(minv @ theta_N_eval(ks, z, ctx), theta_N_eval(ks, -z, ctx)) for z in zs
+    )
     a = theta_N_eval(ks, 0.0, ctx)
     sign = (-1) ** N
     dev = max(abs(a[k] - sign * a[(N - k) % N]) for k in range(N)) / max(abs(c) for c in a)

@@ -196,7 +196,7 @@ def test_half_period_values():
 def test_half_period_series_match_the_numeric_values():
     for N in range(4, 17, 2):
         c = ctx(N, 0.3 + 1.1j, 1e-14)
-        num = theta_half_eval(N, np.arange(N), c)
+        num = theta_half_eval(N, range(N), c)
         for k in range(N):
             s = theta_half_series(N, k, N)
             assert s.known_order() == N

@@ -27,6 +27,7 @@ from thetalab.theta import (
     ThetaContext,
     jacobi_theta_eval,
     sample_points,
+    sample_units,
     theta_N_eval,
     tail_radius,
     theta_pq_eval,
@@ -99,9 +100,10 @@ def test_array_values_equal_scalar_sum(N, im_tau, tol):
     zs += [rng.uniform(-1, 1) + 1j * s * rng.uniform(1.5, 2.5) * im_tau for s in (1, -1) * 4]
     zs += [0.0, 0.3, -0.7j]
     ks = [0, 1, N - 1, N // 2, -1, -N - 3, 2 * N + 1, 0.5, -2.5, N - 0.5]
-    got = theta_N_eval(np.array(ks)[:, None], np.array(zs)[None, :], ctx)
+    got = theta_N_eval(ks, np.array(zs), ctx)
     assert got.shape == (len(ks), len(zs))
     for a, k in enumerate(ks):
+        assert theta_N_eval(k, np.array(zs), ctx).tolist() == got[a].tolist(), k
         for c, z in enumerate(zs):
             want = _scalar_theta_N(k, z, ctx)
             assert got[a, c] == want, (k, z)
@@ -124,15 +126,15 @@ def test_widened_windows_equal_scalar_sum():
     # one at Im z = 0, while exp(pi Im(z)^2 / Im tau) is still finite
     ctx = ThetaContext(4, 0.1 + 0.4j, 1e-10)
     zs = [0.3 + 3.9j, 0.3 - 3.9j, -0.2 + 4.3j, 0.7 - 4.1j, 0.1 + 0.2j]
-    assert all(window_radii(4 * z.imag, 1.6, ctx.tol) > ctx.n_radius for z in zs[:4])
-    got = theta_N_eval(np.arange(4)[:, None], np.array(zs), ctx)
+    assert all(window_radii(4 * np.array(zs[:4]).imag, 1.6, ctx.tol) > ctx.n_radius)
+    got = theta_N_eval(range(4), np.array(zs), ctx)
     for k in range(4):
         want = [_scalar_theta_N(k, z, ctx) for z in zs]
         assert got[k].tolist() == want
         assert [theta_N_eval(k, z, ctx) for z in zs] == want
     jac = ThetaContext(1, 0.4j, 1e-11)
     zs = [0.1 + 5.5j, -0.4 - 6.0j, 0.25 + 0.1j]
-    assert window_radii(6.0, 0.4, jac.tol) > jac.n_radius
+    assert tail_radius(6.0, 0.4, jac.tol) > jac.n_radius
     for i, (jp, jq) in enumerate(((0, 0.5), (0.5, 0.5), (0.5, 0), (0, 0))):
         got = jacobi_theta_eval(i, np.array(zs), jac)
         want = [_scalar_theta_sum(jp, jq, z, 0.4j, jac.tol) for z in zs]
@@ -178,7 +180,7 @@ def test_terms_past_a_window_are_left_out():
     tau, tol = 0.2 + 0.02j, 1e-3
     ctx = ThetaContext(1, tau, tol)
     zs = [0.1, 0.3 + 0.01j, -0.2 + 0.03j, 0.45 - 0.04j, 0.05 + 0.3j, 0.2 + 0.001j, 0.2 - 0.8j]
-    assert window_radii(-0.8, tau.imag, tol) > window_radii(0.001, tau.imag, tol)
+    assert tail_radius(-0.8, tau.imag, tol) > tail_radius(0.001, tau.imag, tol)
     got = theta_pq_eval(Characteristic(0, 0), np.array(zs), ctx)
     want = [_scalar_theta_sum(0.0, 0.0, z, tau, tol) for z in zs]
     assert got.tolist() == want
@@ -202,10 +204,10 @@ def test_radius_is_the_least_that_proves_the_bound():
                 assert r == int(r) >= 1
                 assert _tail_bound(amp, y, r) < limit, (y, tol, b, r)
                 assert r == 1 or not _tail_bound(amp, y, r - 1) < limit, (y, tol, b, r)
-                assert window_radii(b, y, tol) == r
+                assert window_radii(np.array([b]), y, tol).tolist() == [r]
                 assert tail_radius(b, y, tol) == r
-            assert window_radii(0.0, y, tol) == ThetaContext(1, 1j * y, tol).n_radius
-    assert window_radii(np.zeros((2, 3)), 1.0, 1e-10).shape == (2, 3)
+            n_radius = ThetaContext(1, 1j * y, tol).n_radius
+            assert window_radii(np.zeros(1), y, tol).tolist() == [n_radius]
     with pytest.raises(ValueError, match="unreachable"):
         window_radii(np.zeros(2), 1e-8, 1e-10)
     with pytest.raises(ValueError, match="unreachable"):
@@ -225,7 +227,7 @@ def test_values_equal_guard_band_rule_at_cli_settings(N, im_tau, tol):
     ctx = ThetaContext(N, tau, tol)
     z = np.asarray(sample_points(rng, tau, 12))
     pts = np.concatenate([z, z + tau / N, z + 1.0 / N, -z, [0.0]])
-    got = theta_N_eval(np.arange(N)[:, None], pts[None, :], ctx)
+    got = theta_N_eval(range(N), pts, ctx)
     for k in range(N):
         want = [_guard_band_theta_sum(0.5 - k / N, N / 2.0, N * w, N * tau, tol) for w in pts]
         assert got[k].tolist() == want, k
@@ -244,14 +246,21 @@ def test_shapes_and_types():
     assert type(theta_N_eval(np.int64(2), np.float64(0.1), ctx)) is complex
     assert type(theta_pq_eval(Characteristic(0, 0), 0.0, ctx)) is complex
     assert type(jacobi_theta_eval(3, 0.1, ctx)) is complex
+    # an iterable of k (here a numpy array) at a point gives a list of complex
     ks = np.arange(6)
-    assert theta_N_eval(ks, 0.0, ctx).shape == (6,)
-    assert theta_N_eval(2, np.zeros(5), ctx).shape == (5,)
-    assert theta_N_eval(ks, np.zeros((3, 1)), ctx).shape == (3, 6)
-    assert theta_N_eval(ks, np.zeros((0, 1)), ctx).shape == (0, 6)
     row = theta_N_eval(ks, 0.3 + 0.2j, ctx)
-    assert row.dtype == complex
-    assert row.tolist() == [theta_N_eval(k, 0.3 + 0.2j, ctx) for k in range(6)]
+    assert type(row) is list and {type(v) for v in row} == {complex}
+    assert row == [theta_N_eval(k, 0.3 + 0.2j, ctx) for k in range(6)]
+    # a 1-D array of points gives an array over them, one row per k
+    assert theta_N_eval(2, np.zeros(5), ctx).shape == (5,)
+    rows = theta_N_eval(ks, np.zeros(3), ctx)
+    assert rows.shape == (6, 3) and rows.dtype == complex
+    assert theta_N_eval(ks, np.zeros(0), ctx).shape == (6, 0)
+    for z in (np.zeros((3, 1)), np.zeros((0, 1)), np.zeros(())):
+        with pytest.raises(ValueError, match="1-D array of points"):
+            theta_N_eval(ks, z, ctx)
+    with pytest.raises(ValueError, match="1-D array of points"):
+        jacobi_theta_eval(3, np.zeros((2, 2)), ctx)
 
 
 def test_overflowing_amplitude_is_a_value_error():
@@ -292,6 +301,25 @@ def test_on_curve_memory_stays_blocked():
         tracemalloc.stop()
     assert rep.passed and rep.samples == 3000
     assert peak < 1 << 20, f"verify_on_curve peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_one_unit_peaks_below_half_a_mebibyte():
+    # one 512-point unit at N = 16: the kernel sums one row per k over the
+    # unit, holding per-point arrays and one table of terms besides the
+    # 128 KiB of values
+    ctx = ThetaContext(16, 0.5j, 1e-11)
+    units = sample_units(ctx.tau, 3000, 0)
+    unit = next(units)
+    units.close()
+    assert unit.shape == (512,)
+    theta_N_eval(range(16), unit, ctx)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        theta_N_eval(range(16), unit, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 19, f"one unit peaked at {peak / 2**20:.2f} MiB"
 
 
 # ---------------------------------------------------------------------------
