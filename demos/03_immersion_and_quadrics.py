@@ -50,4 +50,4 @@ print(f"\nN=7 translation residuals: S {tr.max_resid_S:.2e}, T {tr.max_resid_T:.
 
 p = immersion_point(0.0, ThetaContext(6, 1j, 1e-10))
 print("origin lands in the inversion-fixed hyperplane section:",
-      [f"{abs(c):.5f}" for c in p.coords])
+      [f"{abs(c):.5f}" for c in p])

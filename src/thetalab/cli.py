@@ -184,7 +184,7 @@ def _suite_quadrics(cfg: RunConfig) -> list[IdentityRecord]:
         exact_eb = gen_even_basis(exact)
         exact_forms = exact_eb.full
     # one pass over the samples checks both form sets
-    both = verify_on_curve(forms + s_forms, ctx, cfg.samples, cfg.seed, cfg.tol * 10)
+    both = verify_on_curve(forms + s_forms, ctx, cfg.samples, cfg.seed)
     rep = both.part(0, len(forms))
     rank = rank_check(exact_forms, N)  # a lower bound, exact when it is the number of forms
     out = [
@@ -241,7 +241,7 @@ def _suite_rep(cfg: RunConfig) -> list[IdentityRecord]:
 def _suite_translation(cfg: RunConfig) -> list[IdentityRecord]:
     N = cfg.N
     tol = cfg.tol * 10
-    tr = translation_check(cfg.context(), cfg.samples, cfg.seed, tol)
+    tr = translation_check(cfg.context(), cfg.samples, cfg.seed)
     return [
         IdentityRecord.numeric(
             "translation.equivariance", N, max(tr.max_resid_S, tr.max_resid_T), tol,

@@ -226,10 +226,6 @@ class TorsionPoint(Frozen):
             raise ValueError(f"point is not {n}-torsion")
         self._set(u=u, v=v, n=n)
 
-    def coords(self) -> tuple[int, int]:
-        """Integer coordinates (a, b) in the basis (tau/n, 1/n)."""
-        return (int(self.v * self.n) % self.n, int(self.u * self.n) % self.n)
-
     def __add__(self, other: "TorsionPoint") -> "TorsionPoint":
         n = self.n * other.n // gcd(self.n, other.n)
         return TorsionPoint(self.u + other.u, self.v + other.v, n)

@@ -524,10 +524,13 @@ def hesse_check(
     X_0^3 + X_2^3 + X_4^3 = 3mu X_0 X_2 X_4 at sampled curve points,
     each point scaled to largest coordinate modulus 1 before cubing (the
     cubic is homogeneous), so no valid modulus overflows the residual.
-    Raises ValueError where 3mu divides by a null that is 0.0 in double
-    precision (a_0 from Im tau = 159 on)."""
+    Raises ValueError for a context of another level than 6, and where
+    3mu divides by a null that is 0.0 in double precision (a_0 from
+    Im tau = 159 on)."""
     if ctx is None:
         ctx = ThetaContext(HESSE_LEVEL, 1j, 1e-10)
+    if ctx.N != HESSE_LEVEL:
+        raise ValueError(f"the Hesse check needs an N = {HESSE_LEVEL} context")
     lead = _leading_record("level6.hesse-mu", 6, mu6_series(order), _MU_LEADING, order)
     a = theta_N_eval(range(6), 0.0, ctx)
     try:

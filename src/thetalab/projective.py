@@ -1,5 +1,5 @@
-"""Projective points and matrices, and the finite matrix groups acting
-on the theta coordinates.
+"""Projective matrices, the finite matrix groups acting on the theta
+coordinates, and the immersion checks they take part in.
 
 Matrices are exact: the translation matrices and the generators of the
 projective representation have cyclotomic entries, and group relations
@@ -11,8 +11,9 @@ otherwise.  A product is written in the lcm of its operands' orders.
 The immersion checks read matrices as each row's nonzero complex
 entries (`_complex_rows`), applied in plain Python to the coordinates
 of a point or of an array of points; `complex_array`, the dense numpy
-matrix, serves as a reference for tests.  Points may be numeric.
-Equality always means equality of projective classes.
+matrix, serves as a reference for tests.  A point of the immersion is
+its sequence of complex coordinates, compared as a projective point by
+theta.proj_residual; proj_eq compares matrices as classes in PGL.
 
 Exact matrices are multiplied as integer vectors over their field,
 packed one int per entry (Kronecker substitution, see packing.py): each
@@ -39,7 +40,6 @@ from typing import NamedTuple
 
 from .congruence import sl2_inv, sl2_mul
 from .cyclotomic import (
-    EXACT_SCALARS,
     embed_vector,
     encode_scalars,
     euler_phi,
@@ -55,51 +55,6 @@ from .cyclotomic import (
 from .lazy import np
 from .packing import pack, pack_many, pack_width, unpack
 from .theta import ThetaContext, largest, proj_residual, sample_stream, sample_units, theta_N_eval
-
-
-# ---------------------------------------------------------------------------
-# projective points
-
-
-class ProjectivePoint:
-    """A point of P^(N-1): coordinates modulo a global nonzero scalar.
-
-    The coordinates are exact scalars or numeric (complex) values."""
-
-    __slots__ = ("coords", "exact")
-
-    def __init__(self, coords):
-        coords = tuple(coords)
-        if not coords:
-            raise ValueError("empty coordinate vector")
-        self.exact = all(isinstance(c, EXACT_SCALARS) for c in coords)
-        if self.exact and all(scalar_is_zero(c) for c in coords):
-            raise ValueError("all-zero coordinate vector")
-        self.coords = coords
-
-    def __len__(self):
-        return len(self.coords)
-
-    def canonical(self) -> "ProjectivePoint":
-        """Scale by the first nonzero (exact) or max-modulus (numeric) coord."""
-        if self.exact:
-            inv = scalar_inverse(next(c for c in self.coords if not scalar_is_zero(c)))
-            return ProjectivePoint(tuple(inv * c if not scalar_is_zero(c) else c * 0 for c in self.coords))
-        i = max(range(len(self.coords)), key=lambda j: abs(self.coords[j]))
-        pivot = self.coords[i]
-        if pivot == 0:
-            raise ValueError("all-zero numeric vector")
-        return ProjectivePoint(tuple(c / pivot for c in self.coords))
-
-    def proj_eq(self, other: "ProjectivePoint", rtol: float = 1e-9) -> bool:
-        if len(self) != len(other):
-            return False
-        if self.exact and other.exact:
-            return _ExactBlock.column(self.coords).proj_eq(_ExactBlock.column(other.coords))
-        return proj_residual(self.coords, other.coords) < rtol
-
-    def __repr__(self):
-        return f"ProjectivePoint({self.coords!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +98,12 @@ class ProjectiveMatrix:
         one, zero = Fraction(1), Fraction(0)
         return ProjectiveMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    def __matmul__(self, other):
-        """The product with a matrix or with an exact point."""
-        if isinstance(other, ProjectiveMatrix):
-            if self.n != other.n:
-                raise ValueError("size mismatch")
-            return ProjectiveMatrix._of_block(self._block @ other._block)
-        if isinstance(other, ProjectivePoint):
-            if self.n != len(other):
-                raise ValueError("size mismatch")
-            col = _ExactBlock.column(other.coords)
-            return ProjectivePoint(row[0] for row in (self._block @ col).scalars())
-        raise TypeError(f"cannot multiply ProjectiveMatrix by {type(other).__name__}")
+    def __matmul__(self, other: "ProjectiveMatrix") -> "ProjectiveMatrix":
+        if not isinstance(other, ProjectiveMatrix):
+            raise TypeError(f"cannot multiply ProjectiveMatrix by {type(other).__name__}")
+        if self.n != other.n:
+            raise ValueError("size mismatch")
+        return ProjectiveMatrix._of_block(self._block @ other._block)
 
     def power(self, k: int) -> "ProjectiveMatrix":
         if k < 0:
@@ -256,11 +205,6 @@ class _ExactBlock:
         it = iter(nums)
         nz = tuple(tuple((j, num) for j, num in zip(range(len(r)), it) if any(num)) for r in rows)
         return _ExactBlock(order, den, nz, len(rows[0]) if rows else 0)
-
-    @staticmethod
-    def column(coords) -> "_ExactBlock":
-        """The n x 1 block of a vector of exact scalars."""
-        return _ExactBlock.from_rows([(c,) for c in coords])
 
     def to_order(self, order: int) -> "_ExactBlock":
         """The same matrix written over Q(zeta_order), a multiple of self.order."""
@@ -485,7 +429,6 @@ def kernel_word(N: int) -> SL2Word:
 class PresentationReport(NamedTuple):
     N: int
     checks: dict
-    passed: bool
 
 
 def verify_presentation(N: int) -> PresentationReport:
@@ -515,7 +458,7 @@ def verify_presentation(N: int) -> PresentationReport:
     )
     checks["kernel_word_congruence"] = target_ok
     checks["kernel_word"] = word.maps_to_scalar(A0, B0)
-    return PresentationReport(N=N, checks=checks, passed=all(checks.values()))
+    return PresentationReport(N=N, checks=checks)
 
 
 def conjugation_table_check(N: int) -> dict:
@@ -618,12 +561,16 @@ def build_rho_bar(N: int) -> RhoBar:
 # the theta immersion
 
 
-def immersion_point(z: complex, ctx: ThetaContext) -> ProjectivePoint:
-    """(theta_0(z) : ... : theta_(N-1)(z)), canonically normalized."""
+def immersion_point(z: complex, ctx: ThetaContext) -> tuple:
+    """(theta_0(z) : ... : theta_(N-1)(z)) as a tuple of complex values,
+    divided by the first coordinate of largest modulus.  Compare two such
+    points with theta.proj_residual."""
     coords = theta_N_eval(range(ctx.N), z, ctx)
-    if max(abs(c) for c in coords) < ctx.tol:
+    mags = [abs(c) for c in coords]
+    if max(mags) < ctx.tol:
         raise ValueError("numerically degenerate context: all coordinates below tol")
-    return ProjectivePoint(coords).canonical()
+    pivot = coords[mags.index(max(mags))]
+    return tuple(c / pivot for c in coords)
 
 
 class TranslationReport(NamedTuple):
@@ -634,7 +581,6 @@ class TranslationReport(NamedTuple):
     matched_T_power: int
     max_resid_inv: float
     origin_dev: float
-    passed: bool
 
 
 def _complex_rows(mat: ProjectiveMatrix) -> list:
@@ -653,9 +599,7 @@ def _apply(rows: list, v: list) -> list:
     return [sum(c * v[j] for j, c in row) for row in rows]
 
 
-def translation_check(
-    ctx: ThetaContext, samples: int = 20, seed: int = 0, rtol: float = 1e-8
-) -> TranslationReport:
+def translation_check(ctx: ThetaContext, samples: int = 20, seed: int = 0) -> TranslationReport:
     """Equivariance of the immersion under the torsion translations and
     the inversion, at the seeded sample points.
 
@@ -669,10 +613,10 @@ def translation_check(
     inversion: origin_dev is the largest |a_k - (-1)^N a_(N-k)| relative
     to the largest null a_k.  Each residual is the largest over the
     points, and one that is not finite raises OverflowError
-    (theta.largest).
+    (theta.largest).  The report states the residuals and no verdict:
+    the caller compares them with its tolerance.  samples < 1 raises
+    ValueError (theta.sample_stream).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     N, tau = ctx.N, ctx.tau
     can = build_canonical_matrices(N)
     ms, mt, mt_inv, minv = map(_complex_rows, (can.M_S, can.M_T, can.M_T.inverse(), can.M_inv))
@@ -701,7 +645,6 @@ def translation_check(
         matched_T_power=power,
         max_resid_inv=worst_inv,
         origin_dev=origin_dev,
-        passed=all(r < rtol for r in (worst_s, worst_t[power], worst_inv, origin_dev)),
     )
 
 

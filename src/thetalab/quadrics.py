@@ -271,29 +271,22 @@ class OnCurveReport(NamedTuple):
     samples: int
     n_forms: int
     max_residual: float
-    passed: bool
-    rtol: float
     form_residuals: tuple  # each form's worst normalized residual, in input order
 
     @staticmethod
-    def of(N: int, samples: int, rtol: float, form_residuals) -> "OnCurveReport":
-        worst = max([0.0, *form_residuals])
+    def of(N: int, samples: int, form_residuals) -> "OnCurveReport":
         return OnCurveReport(
-            N=N, samples=samples, n_forms=len(form_residuals), max_residual=worst,
-            passed=worst < rtol, rtol=rtol, form_residuals=tuple(form_residuals),
+            N=N, samples=samples, n_forms=len(form_residuals),
+            max_residual=max([0.0, *form_residuals]), form_residuals=tuple(form_residuals),
         )
 
     def part(self, start: int, stop: int) -> "OnCurveReport":
         """The report of forms[start:stop] alone, equal to a separate call on them."""
-        return OnCurveReport.of(self.N, self.samples, self.rtol, self.form_residuals[start:stop])
+        return OnCurveReport.of(self.N, self.samples, self.form_residuals[start:stop])
 
 
 def verify_on_curve(
-    forms: list[QuadraticForm],
-    ctx: ThetaContext,
-    samples: int = 25,
-    seed: int = 0,
-    rtol: float = 1e-8,
+    forms: list[QuadraticForm], ctx: ThetaContext, samples: int = 25, seed: int = 0
 ) -> OnCurveReport:
     """Evaluate every form at sampled immersion points.
 
@@ -301,9 +294,12 @@ def verify_on_curve(
     (max coordinate magnitude)^2 so the check is scale-free.  Each form
     sums its terms (c x_i) x_j in its own monomial order, on each unit
     of theta.sample_units: a point, or an array of points.  A residual
-    that is not finite raises OverflowError (theta.largest).  A form's
-    residual does not depend on the other forms, so several form sets
-    can share one pass over the samples and be read back with `part`."""
+    that is not finite raises OverflowError (theta.largest), and
+    samples < 1 raises ValueError (theta.sample_stream).  The report
+    states the residuals and no verdict: the caller compares
+    max_residual with its tolerance.  A form's residual does not depend
+    on the other forms, so several form sets can share one pass over
+    the samples and be read back with `part`."""
     live = [f for f in forms if f.coeffs]  # a form without terms vanishes identically
     terms = [[(scalar_complex(c), i, j) for (i, j), c in f.coeffs.items()] for f in live]
     norm = [f.max_coeff_abs() for f in live]
@@ -321,7 +317,7 @@ def verify_on_curve(
         del x  # evaluating the next unit peaks near 0.4 MiB at N = 16; hold no second x then
     worst = iter(worst)
     residuals = [next(worst) if f.coeffs else 0.0 for f in forms]
-    return OnCurveReport.of(ctx.N, samples, rtol, residuals)
+    return OnCurveReport.of(ctx.N, samples, residuals)
 
 
 def _leading_row(f: QuadraticForm) -> dict:

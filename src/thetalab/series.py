@@ -343,8 +343,6 @@ class PuiseuxSeries:
         return acc
 
     def __str__(self):
-        if not self.nums:
-            return f"O(q^({self.trunc}/{self.ram}))"
         bits = []
         for k, c in sorted(self.terms.items()):
             e = Fraction(k, self.ram)
@@ -354,8 +352,8 @@ class PuiseuxSeries:
                 bits.append(f"{c}*q")
             else:
                 bits.append(f"{c}*q^({e})")
-        t = Fraction(self.trunc, self.ram)
-        return " + ".join(bits) + f" + O(q^({t}))"
+        bits.append(f"O(q^({Fraction(self.trunc, self.ram)}))")
+        return " + ".join(bits)
 
     def __repr__(self):
         return f"PuiseuxSeries(ram={self.ram}, trunc={self.trunc}, {len(self.nums)} terms)"

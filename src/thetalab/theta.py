@@ -209,15 +209,6 @@ def _block_sum(p: list, q: float, z: np.ndarray, tau: complex, tol: float) -> np
     return out
 
 
-class Characteristic(Frozen):
-    """The (p, q) pair of a theta characteristic."""
-
-    __slots__ = ("p", "q")
-
-    def __init__(self, p, q):
-        self._set(p=Fraction(p), q=Fraction(q))
-
-
 class ThetaContext(Frozen):
     """Evaluation context: level N, modulus tau, target absolute error.
 
@@ -256,14 +247,15 @@ def _scaled(z, scale: int = 1):
     return z
 
 
-def theta_pq_eval(ch: Characteristic, z, ctx: ThetaContext):
-    """theta with characteristic (p, q) at (z, ctx.tau).
+def theta_pq_eval(p, q, z, ctx: ThetaContext):
+    """theta with characteristic (p, q) at (z, ctx.tau); p and q are real
+    numbers (an exact Fraction is rounded to a float once).
 
     The tail left out is below ctx.tol; rounding adds about
     1e-16 * exp(pi Im(z)^2 / Im tau), the size of the peak term (see
     _theta_sum).  z is a number, giving a Python complex, or a 1-D array
     of points, giving an array over them."""
-    return _theta_sum(float(ch.p), float(ch.q), _scaled(z), ctx.tau, ctx.tol)
+    return _theta_sum(float(p), float(q), _scaled(z), ctx.tau, ctx.tol)
 
 
 def theta_N_eval(k, z, ctx: ThetaContext):
@@ -409,8 +401,9 @@ def sample_points(rng: Random, tau: complex, count: int) -> list[complex]:
 
 
 def sample_stream(tau: complex, samples: int, seed: int):
-    """The seeded sample stream: the first `samples` points of
-    sample_points(Random(seed), tau, ...), one complex at a time.
+    """The seeded sample stream: an iterator over the first `samples`
+    points of sample_points(Random(seed), tau, ...), one complex at a
+    time.
 
     Every sampled check reads its points here, through sample_units or
     directly (the Hesse cubic, the level-4 Weierstrass form and the
@@ -418,10 +411,13 @@ def sample_stream(tau: complex, samples: int, seed: int):
     check evaluates its first ten again for the inversion.  Points are
     drawn as they are read, so a check that stops early, as the
     Weierstrass check does once enough points are accepted, draws only
-    the points a longer stream starts with."""
+    the points a longer stream starts with.  No check passes over zero
+    points: samples < 1 raises ValueError at the call, before any point
+    is drawn."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = Random(seed)
-    for _ in range(samples):
-        yield from sample_points(rng, tau, 1)
+    return (z for _ in range(samples) for z in sample_points(rng, tau, 1))
 
 
 def sample_units(tau: complex, samples: int, seed: int):

@@ -155,12 +155,12 @@ def test_criterion_4_translation():
         for N in (4, 5, 6, 7, 8):
             t0 = time.time()
             ctx = ThetaContext(N, tau, TOL)
-            rep = translation_check(ctx, samples=25, seed=0, rtol=1e-8)
+            rep = translation_check(ctx, samples=25, seed=0)
             report(
                 "4",
                 f"translation equivariance N={N}, tau={tau}: residual "
                 f"{max(rep.max_resid_S, rep.max_resid_T):.2e} < 1e-8",
-                rep.passed,
+                max(rep.max_resid_S, rep.max_resid_T, rep.max_resid_inv, rep.origin_dev) < 1e-8,
             )
             assert time.time() - t0 < 10
 
@@ -173,7 +173,7 @@ def test_criterion_4_quadrics():
             nd = NullData.numeric(ctx)
             gen = gen_odd_basis if N % 2 else lambda d: gen_even_basis(d).full
             forms = gen(nd)
-            rep = verify_on_curve(forms, ctx, samples=25, seed=0, rtol=1e-8)
+            rep = verify_on_curve(forms, ctx, samples=25, seed=0)
             rank = svd_rank(forms, N)
             exact = rank_check(gen(NullData.exact(N, N)), N)
             want = N * (N - 3) // 2
@@ -181,7 +181,7 @@ def test_criterion_4_quadrics():
                 "4",
                 f"quadrics N={N}, tau={tau}: {len(forms)} forms vanish "
                 f"({rep.max_residual:.2e} < 1e-8), rank {rank} = exact rank {exact} = {want}",
-                rep.passed and rank == exact == want,
+                rep.max_residual < 1e-8 and rank == exact == want,
             )
             assert time.time() - t0 < 10
 

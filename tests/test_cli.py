@@ -72,6 +72,13 @@ def test_qexp_eta_rejects_order_below_one(capsys):
     assert out.startswith("1*q^(1/24) + O(q^(1))")
 
 
+def test_qexp_of_a_zero_series(capsys):
+    # a_0 vanishes at odd N; its bound q^(576/24) prints in lowest terms
+    code, out, _ = run_cli(capsys, "qexp", "--object", "theta-null", "--N", "3", "--k", "0",
+                           "--order", "24")
+    assert (code, out) == (0, "O(q^(24))\n")
+
+
 def test_invariants(capsys):
     code, out, _ = run_cli(capsys, "invariants", "--family", "gammaN2N", "--N", "4")
     assert code == 0

@@ -21,6 +21,8 @@ from thetalab.identities import (
     x6_series,
     y6_series,
 )
+from thetalab.projective import rho_theta_match, translation_check
+from thetalab.quadrics import NullData, gen_even_basis, verify_on_curve
 from thetalab.theta import ThetaContext, sample_points, theta_N_eval
 
 
@@ -115,6 +117,33 @@ def test_hesse():
         rec = hesse_check(60, ThetaContext(6, tau, 1e-10), samples=10, seed=3)
         assert rec.passed, rec.detail
         assert rec.residual < 1e-7
+
+
+def test_hesse_refuses_a_context_of_another_level():
+    with pytest.raises(ValueError, match="N = 6 context"):
+        hesse_check(80, ThetaContext(8, 1j, 1e-10), samples=5)
+
+
+def on_curve_at_level_4(samples):
+    ctx = ThetaContext(4, 1j, 1e-10)
+    return verify_on_curve(gen_even_basis(NullData.numeric(ctx)).full, ctx, samples)
+
+
+SAMPLED_CHECKS = {
+    "on-curve": on_curve_at_level_4,
+    "hesse": lambda n: hesse_check(60, ThetaContext(6, 1j, 1e-10), samples=n),
+    "weierstrass": lambda n: weierstrass_check_level4(ThetaContext(4, 1j, 1e-10), samples=n),
+    "rho-theta": lambda n: rho_theta_match(ThetaContext(4, 1j, 1e-10), "A", samples=n),
+    "translation": lambda n: translation_check(ThetaContext(4, 1j, 1e-10), samples=n),
+}
+
+
+@pytest.mark.parametrize("check", SAMPLED_CHECKS.values(), ids=SAMPLED_CHECKS.keys())
+def test_no_sampled_check_passes_over_zero_points(check):
+    check(1)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            check(samples)
 
 
 def test_weierstrass_level4():

@@ -25,7 +25,6 @@ from thetalab.cyclotomic import CyclotomicNumber, euler_phi, zeta
 from thetalab.packing import pack, pack_width, slot_width, unpack
 from thetalab.projective import (
     ProjectiveMatrix,
-    ProjectivePoint,
     _ExactBlock,
     build_canonical_matrices,
     build_rep_generators,
@@ -215,22 +214,6 @@ def test_square_matrix_product_and_complex_array(pair):
     assert_same_product(again.rows, reference_product(want, lift(b, m)))
 
 
-@KERNEL
-@given(products(square=True))
-def test_matrix_point_product(pair):
-    a, b = pair
-    col = [row[0] for row in b]
-    if all(is_zero(x) for x in col):
-        return
-    m = field_order(a, [col])
-    lifted = lift([col], m)[0]
-    want = [reference_dot(row, lifted) for row in lift(a, m)]
-    if all(is_zero(x) for x in want):
-        return
-    got = ProjectiveMatrix(a) @ ProjectivePoint(col)
-    assert_same_product([got.coords], [want])
-
-
 @pytest.mark.parametrize("N", (2, 6, 8))
 def test_restrict_to_fixed_space(N):
     gens = build_rep_generators(N)
@@ -245,11 +228,12 @@ def test_restrict_to_fixed_space(N):
         )
         got = restrict_to_fixed_space(mat, N)
         assert_same_product(got.rows, want)
-        # matrices are exact only: numeric entries and points are refused
+        # matrices are exact only: numeric entries are refused, and a
+        # matrix multiplies only a matrix, not a coordinate sequence
         with pytest.raises(TypeError):
             ProjectiveMatrix(mat.complex_array())
         with pytest.raises(TypeError):
-            mat @ ProjectivePoint([1.0 + 0j] * N)
+            mat @ ([1.0 + 0j] * N)
     with pytest.raises(ValueError):
         restrict_to_fixed_space(gens.A0, N + 2)
 
@@ -359,9 +343,6 @@ def test_proj_eq_accepts_scalar_multiples(case):
     assert reference_proj_eq(u, v) == want
     assert matrices_proj_eq(u, v) == want
     assert matrices_proj_eq(v, u) == want
-    if want:
-        assert ProjectivePoint(u).proj_eq(ProjectivePoint(v))
-        assert ProjectivePoint(v).proj_eq(ProjectivePoint(u))
 
 
 @KERNEL
@@ -380,8 +361,6 @@ def test_proj_eq_rejects_changed_entries(case, data):
         assert not reference_proj_eq(u, w)
         assert not matrices_proj_eq(u, w)
         assert not matrices_proj_eq(w, u)
-        assert not ProjectivePoint(u).proj_eq(ProjectivePoint(w))
-        assert not ProjectivePoint(w).proj_eq(ProjectivePoint(u))
 
 
 @KERNEL
@@ -392,8 +371,6 @@ def test_proj_eq_rejects_zero_scale(case):
     assert not reference_proj_eq(u, zero)
     assert not matrices_proj_eq(u, zero)
     assert not matrices_proj_eq(zero, u)
-    with pytest.raises(ValueError):
-        ProjectivePoint(zero)
 
 
 @KERNEL

@@ -18,6 +18,13 @@ def rand_series(rng, ram=1, trunc=30, cyclo=False):
     return PuiseuxSeries(ram, terms, trunc)
 
 
+def test_zero_series_prints_its_bound_in_lowest_terms():
+    assert str(PuiseuxSeries.zero(6, 4)) == "O(q^(3/2))"
+    assert str(PuiseuxSeries.zero(24)) == "O(q^(24))"
+    # the bound of a series with terms is written the same way
+    assert str(PuiseuxSeries(4, {2: 1}, 6)) == "1*q^(1/2) + O(q^(3/2))"
+
+
 def test_basic_arithmetic():
     one_plus = PuiseuxSeries(1, {0: 1, 1: 1}, 10)
     one_minus = PuiseuxSeries(1, {0: 1, 1: -1}, 10)

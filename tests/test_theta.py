@@ -8,12 +8,12 @@ import pytest
 
 from conftest import direct_theta_N, direct_theta_pq, jacobi_transform_vars
 from thetalab.theta import (
-    Characteristic,
     ThetaContext,
     e,
     jacobi_theta_eval,
     largest,
     proj_residual,
+    sample_stream,
     theta_N_eval,
     theta_half_eval,
     theta_half_series,
@@ -30,6 +30,14 @@ def ctx(N, tau=1j, tol=1e-10):
     return ThetaContext(N, tau, tol)
 
 
+def test_sample_stream_refuses_zero_points_at_the_call():
+    # raised by the call itself, before the stream is read
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            sample_stream(1j, samples, 0)
+    assert len(list(sample_stream(1j, 3, 0))) == 3
+
+
 def test_context_validation():
     with pytest.raises(ValueError):
         ThetaContext(4, 1.0 + 0j)
@@ -41,7 +49,7 @@ def test_context_validation():
 
 def test_theta_pq_against_direct_sum():
     c = ThetaContext(1, 1j, 1e-12)
-    got = theta_pq_eval(Characteristic(0, 0), 0.0, c)
+    got = theta_pq_eval(0, 0, 0.0, c)
     want = direct_theta_pq(0.0, 0.0, 0.0, 1j, radius=50)
     assert abs(got - want) < 1e-12
     assert abs(got - 1.08643481121) < 1e-10
@@ -50,13 +58,13 @@ def test_theta_pq_against_direct_sum():
         tau = rng.uniform(-0.5, 0.5) + 1j * rng.uniform(0.5, 1.5)
         z = rng.uniform(-1, 1) + 1j * rng.uniform(-0.5, 0.5)
         p, q = Fraction(rng.randint(-3, 3), 4), Fraction(rng.randint(-3, 3), 4)
-        got = theta_pq_eval(Characteristic(p, q), z, ThetaContext(1, tau, 1e-11))
+        got = theta_pq_eval(p, q, z, ThetaContext(1, tau, 1e-11))
         want = direct_theta_pq(float(p), float(q), z, tau, radius=80)
         assert abs(got - want) < 1e-10
 
 
 def test_theta1_odd_at_zero():
-    got = theta_pq_eval(Characteristic(Fraction(1, 2), Fraction(1, 2)), 0.0, ctx(1))
+    got = theta_pq_eval(Fraction(1, 2), Fraction(1, 2), 0.0, ctx(1))
     assert abs(got) < 1e-10
 
 
@@ -65,8 +73,8 @@ def test_characteristic_shift_in_q():
     c = ctx(1, 0.2 + 0.9j)
     z = 0.31 + 0.17j
     p, q = Fraction(1, 3), Fraction(1, 5)
-    a = theta_pq_eval(Characteristic(p, q + 1), z, c)
-    b = theta_pq_eval(Characteristic(p, q), z, c)
+    a = theta_pq_eval(p, q + 1, z, c)
+    b = theta_pq_eval(p, q, z, c)
     assert abs(a - e(p) * b) < 2e-10 * abs(b)
 
 

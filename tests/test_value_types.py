@@ -12,7 +12,7 @@ import pytest
 
 from thetalab.congruence import SubgroupSpec, TorsionPoint
 from thetalab.projective import SL2Word
-from thetalab.theta import Characteristic, ThetaContext
+from thetalab.theta import ThetaContext
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -23,9 +23,8 @@ EQUAL_VALUES = [
     (lambda: TorsionPoint(Fraction(5, 4), 0, 4), "u", [TorsionPoint(Fraction(1, 2), 0, 4)]),
     (lambda: SubgroupSpec("gammaN2N", 4), "N", [SubgroupSpec("gamma", 4), SubgroupSpec("gammaN2N", 6)]),
     (lambda: SL2Word((("A", 1), ("B", -2))), "letters", [SL2Word((("A", 1),))]),
-    (lambda: Characteristic(Fraction(1, 2), 0), "p", [Characteristic(0, 0)]),
 ]
-IDS = ["ThetaContext", "TorsionPoint", "SubgroupSpec", "SL2Word", "Characteristic"]
+IDS = ["ThetaContext", "TorsionPoint", "SubgroupSpec", "SL2Word"]
 
 
 @pytest.mark.parametrize("build, field, others", EQUAL_VALUES, ids=IDS)
@@ -50,8 +49,6 @@ def test_fields_cannot_be_assigned(build, field, others):
 
 def test_normalising_constructors():
     assert TorsionPoint(Fraction(5, 4), Fraction(-1, 4), 4) == TorsionPoint(Fraction(1, 4), Fraction(3, 4), 4)
-    assert Characteristic(1, Fraction(1, 2)).p == Fraction(1)
-    assert type(Characteristic(1, 0).q) is Fraction
     ctx = ThetaContext(4, 1j)
     assert ctx.tol == 1e-10 and ctx.n_radius > 0
     assert ctx.with_tau(2j) == ThetaContext(4, 2j, 1e-10)
