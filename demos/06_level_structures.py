@@ -27,7 +27,7 @@ for N in (4, 6, 8):
 print("\ntower quotients (middle, bottom):")
 for N in (4, 6, 8):
     rep = group_tower_check(N)
-    print(f"  N={N}: {rep.quotient_orders}, all checks {rep.passed}")
+    print(f"  N={N}: {rep.quotient_orders}, all checks {all(rep.checks.values())}")
 
 print("\nsubgroup invariants (index in PSL2(Z), cusps, genus):")
 for spec in (

@@ -21,17 +21,17 @@ output row's nonzero entries are laid side by side in one int and
 unpacked once, and the whole product is reduced modulo the cyclotomic
 polynomial once.  Projective equality B ~ A compares the zero patterns,
 then takes one packed cross product A * b_p - B * a_p over every entry,
-p the first nonzero place, and reduces it once.  Inverses of monomial
-matrices and of the DFT matrix A0 come in closed form, and Gauss-Jordan
-elimination serves the rest.  The group checks test each relation in
-the form that needs the fewest products: X^(-1) Y X ~ Z as Y X ~ X Z,
-a word W1 W2 ~ I as W1 ~ W2^(-1), and an order n as M^n ~ I with
-M^(n/p) not ~ I for each prime p | n.
+p the first nonzero place, and reduces it once.  Every inverse comes in
+closed form: a monomial matrix inverts its pattern and its entries, and
+A0 (a DFT matrix) and the rho-bar matrices carry theirs from
+construction; any other matrix has none.  The group checks test each
+relation in the form that needs the fewest products: X^(-1) Y X ~ Z as
+Y X ~ X Z, a word W1 W2 ~ I as W1 ~ W2^(-1), and an order n as M^n ~ I
+with M^(n/p) not ~ I for each prime p | n.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -49,7 +49,6 @@ from .cyclotomic import (
     scalar_complex,
     scalar_inverse,
     scalar_is_zero,
-    scalar_json,
     zeta,
 )
 from .lazy import np
@@ -120,12 +119,14 @@ class ProjectiveMatrix:
             base = base @ base
 
     def inverse(self) -> "ProjectiveMatrix":
+        """The inverse in closed form: the one stored at construction (A0
+        and the rho-bar matrices), or the monomial inverse.  Any other
+        matrix raises ValueError."""
         if self._inv is None:
             perm = self._block.monomial_pattern()
             if perm is None:
-                self._inv = _gauss_jordan_inverse(self.rows)
-            else:
-                self._inv = _monomial_inverse(self.rows, perm)
+                raise ValueError(f"no closed-form inverse for this {self.n} x {self.n} matrix")
+            self._inv = _monomial_inverse(self.rows, perm)
         return self._inv
 
     def proj_eq(self, other: "ProjectiveMatrix") -> bool:
@@ -134,9 +135,6 @@ class ProjectiveMatrix:
 
     def complex_array(self) -> np.ndarray:
         return np.array([[scalar_complex(c) for c in row] for row in self.rows], dtype=complex)
-
-    def to_json(self) -> str:
-        return json.dumps([[scalar_json(c) for c in row] for row in self.rows], sort_keys=True)
 
     def __repr__(self):
         return f"ProjectiveMatrix({self.n}x{self.n})"
@@ -151,28 +149,6 @@ def _monomial_inverse(rows, perm) -> ProjectiveMatrix:
         pinv = scalar_inverse(rows[r][c])
         out[c] = [pinv if j == r else zero for j in range(len(rows))]
     return ProjectiveMatrix(out)
-
-
-def _gauss_jordan_inverse(rows) -> ProjectiveMatrix:
-    n = len(rows)
-    a = [list(r) for r in rows]
-    b = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not scalar_is_zero(a[r][col])), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        pinv = scalar_inverse(a[col][col])
-        a[col] = [pinv * x for x in a[col]]
-        b[col] = [pinv * x for x in b[col]]
-        for r in range(n):
-            if r == col or scalar_is_zero(a[r][col]):
-                continue
-            f = a[r][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-    return ProjectiveMatrix(b)
 
 
 # ---------------------------------------------------------------------------
@@ -541,11 +517,16 @@ def restrict_to_fixed_space(mat: ProjectiveMatrix, N: int) -> ProjectiveMatrix:
 
 
 def build_rho_bar(N: int) -> RhoBar:
+    """The restricted generators, each with its inverse in closed form.
+    Restriction is multiplicative on matrices that commute with M_inv, as
+    A0 and B0 do, so Abar^(-1) is the restriction of A0^(-1); Bbar is
+    diagonal, and the null-coordinate classes are conjugates."""
     if N % 2:
         raise ValueError("the fixed-space representation needs even N")
     gens = build_rep_generators(N)
     h = N // 2
     abar = restrict_to_fixed_space(gens.A0, N)
+    abar._inv = restrict_to_fixed_space(gens.A0.inverse(), N)
     bbar = restrict_to_fixed_space(gens.B0, N)
     d = [Fraction(1)] + [Fraction(2)] * (h - 1) + [Fraction(1)]
 
@@ -554,7 +535,9 @@ def build_rho_bar(N: int) -> RhoBar:
             [[m.rows[i][j] * d[j] / d[i] for j in range(h + 1)] for i in range(h + 1)]
         )
 
-    return RhoBar(Abar=abar, Bbar=bbar, Abar_null=conj(abar), Bbar_null=conj(bbar))
+    abar_null = conj(abar)
+    abar_null._inv = conj(abar._inv)
+    return RhoBar(Abar=abar, Bbar=bbar, Abar_null=abar_null, Bbar_null=conj(bbar))
 
 
 # ---------------------------------------------------------------------------
@@ -680,20 +663,18 @@ def rho_theta_candidates(N: int, kind: str) -> dict:
 class RhoThetaReport(NamedTuple):
     N: int
     kind: str
-    matched: str | None
+    best: str  # the candidate of least residual
     residual: float
-    passed: bool
 
 
-def rho_theta_match(
-    ctx: ThetaContext, kind: str, samples: int = 5, seed: int = 0, rtol: float = 1e-8
-) -> RhoThetaReport:
+def rho_theta_match(ctx: ThetaContext, kind: str, samples: int = 5, seed: int = 0) -> RhoThetaReport:
     """Identify the numeric modular coordinate change within the coset.
 
     Takes the seeded sample points, evaluates the immersion at the
-    transformed modulus, and reports which candidate class (if any)
-    matches on every sample.  The few points are summed one at a time,
-    without numpy, at every sample count."""
+    transformed modulus, and reports the candidate class with the least
+    residual over the samples, and that residual: no verdict, the caller
+    compares it with its tolerance.  The few points are summed one at a
+    time, without numpy, at every sample count."""
     N, tau = ctx.N, ctx.tau
     if kind == "A":
         ctx2 = ctx.with_tau(-1.0 / tau)
@@ -714,7 +695,4 @@ def rho_theta_match(
             resid = max(resid, largest(proj_residual(b, w), "projective"))
         if resid < best_resid:
             best_name, best_resid = name, resid
-    return RhoThetaReport(
-        N=N, kind=kind, matched=best_name if best_resid < rtol else None,
-        residual=best_resid, passed=best_resid < rtol,
-    )
+    return RhoThetaReport(N=N, kind=kind, best=best_name, residual=best_resid)

@@ -19,10 +19,9 @@ bound it from above (half_period_bound).
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
-from .cyclotomic import EXACT_SCALARS, scalar_complex, scalar_inverse, scalar_is_zero, scalar_json
+from .cyclotomic import scalar_complex, scalar_inverse, scalar_is_zero
 from .frozen import Frozen
 from .series import PuiseuxSeries
 from .theta import (
@@ -81,22 +80,6 @@ class QuadraticForm:
 
     def max_coeff_abs(self) -> float:
         return max(abs(scalar_complex(c)) for c in self.coeffs.values())
-
-    def to_json(self) -> str:
-        def enc(c):
-            if isinstance(c, EXACT_SCALARS):
-                return scalar_json(c)
-            if isinstance(c, PuiseuxSeries):
-                return json.loads(c.to_json())
-            return [c.real, c.imag]
-
-        cls = self.graded_class()
-        obj = {
-            "N": self.N,
-            "class": cls,
-            "terms": [[i, j, enc(c)] for (i, j), c in sorted(self.coeffs.items())],
-        }
-        return json.dumps(obj, sort_keys=True)
 
     def __repr__(self):
         return f"QuadraticForm(N={self.N}, {len(self.coeffs)} monomials, class={self.graded_class()})"

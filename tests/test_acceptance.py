@@ -134,7 +134,7 @@ def test_criterion_3_structures_and_invariants():
         report(
             "3",
             f"N={N}: tower quotient orders (4, 2)",
-            tower.passed and tower.quotient_orders == (4, 2),
+            all(tower.checks.values()) and tower.quotient_orders == (4, 2),
         )
         assert time.time() - t0 < 10
     t0 = time.time()
@@ -195,7 +195,7 @@ def test_criterion_4_transform():
             worst = 0.0
             for _ in range(5):
                 z = 0.05 + 0.5 * rng.random() + (0.05 + 0.3 * rng.random()) * tau
-                t = transform_check(z, ctx, rtol=1e-8)
+                t = transform_check(z, ctx)
                 worst = max(worst, t.max_dev, t.max_dev_shift)
             report(
                 "4",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import thetalab.cli
+import thetalab.congruence
 import thetalab.identities
 import thetalab.projective
 import thetalab.quadrics
@@ -270,8 +271,8 @@ def test_transform_reports_the_worst_unit_deviation(monkeypatch):
     seen = []
     check = thetalab.cli.transform_check
 
-    def recording(z, ctx, rtol):
-        t = check(z, ctx, rtol)
+    def recording(z, ctx):
+        t = check(z, ctx)
         seen.append(abs(abs(t.ratios_shift[0]) - 1.0))
         return t
 
@@ -402,8 +403,8 @@ def test_transform_fails_when_the_shift_constant_leaves_the_unit_circle(monkeypa
     # the tau -> tau + 1 constant r' is a root of unity, so |r'| - 1 is gated too
     check = thetalab.cli.transform_check
 
-    def off_circle(z, ctx, rtol):
-        t = check(z, ctx, rtol)
+    def off_circle(z, ctx):
+        t = check(z, ctx)
         return t._replace(ratios_shift=(1 + 1e-6,) + t.ratios_shift[1:])
 
     monkeypatch.setattr(thetalab.cli, "transform_check", off_circle)
@@ -411,6 +412,22 @@ def test_transform_fails_when_the_shift_constant_leaves_the_unit_circle(monkeypa
     assert rec.status == "fail"
     assert rec.residual < rec.tolerance  # the deviations alone pass
     assert rec.detail.endswith("|r'| - 1 = 1.000e-06")
+
+
+def test_structures_invariants_fail_on_a_miscounted_cusp(monkeypatch):
+    # two stray orbits (0, 0) and (N, 0) raise the enumerated cusp count by
+    # two and lower the genus by one, so 12(g - 1) + 6c = mu still holds;
+    # the closed forms for the index and the cusps do not
+    vectors = thetalab.congruence._primitive_vectors
+    monkeypatch.setattr(
+        thetalab.congruence, "_primitive_vectors", lambda m: vectors(m) + [(0, 0), (m // 2, 0)]
+    )
+    records = {r.name: r for r in thetalab.cli._suite_structures(RunConfig(N=8))}
+    rec = records["structures.invariants"]
+    assert rec.detail == "index 768, cusps 50, genus 40"
+    assert 12 * (40 - 1) + 6 * 50 == 768
+    assert rec.status == "fail"
+    assert records["structures.tower"].passed and records["structures.count"].passed
 
 
 def test_quadric_ranks_do_not_depend_on_tau(capsys):

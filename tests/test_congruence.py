@@ -9,6 +9,7 @@ from thetalab.congruence import (
     _identity_lifts,
     base_structure,
     enum_structures_above,
+    gamma_n2n_index_cusps,
     group_tower_check,
     sl2_mod,
     sl2_order,
@@ -153,6 +154,20 @@ def test_subgroup_invariants_reference_values():
     assert subgroup_invariants(SubgroupSpec("gamma", 7)).genus == 3
 
 
+@pytest.mark.parametrize("N", range(2, MAX_LEVEL + 1, 2))
+def test_refined_subgroup_counts_match_their_closed_forms(N):
+    inv = subgroup_invariants(SubgroupSpec("gammaN2N", N))
+    assert (inv.index_psl, inv.cusps) == gamma_n2n_index_cusps(N)
+    assert inv.contains_minus_one == (N == 2)
+
+
+def test_refined_subgroup_closed_forms():
+    assert gamma_n2n_index_cusps(12) == (2304, 96)
+    # at N = 2 the group is +-Gamma(4)
+    gamma4 = subgroup_invariants(SubgroupSpec("gamma", 4))
+    assert gamma_n2n_index_cusps(2) == (gamma4.index_psl, gamma4.cusps) == (24, 6)
+
+
 def _prime_divisors(n):
     return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
 
@@ -196,7 +211,7 @@ def test_modulus_bound():
 def test_group_tower():
     for N in (4, 6, 8):
         rep = group_tower_check(N)
-        assert rep.passed, rep.checks
+        assert all(rep.checks.values()), rep.checks
         assert rep.quotient_orders == (4, 2)
     with pytest.raises(ValueError):
         group_tower_check(5)

@@ -65,6 +65,41 @@ def test_records_are_built_only_by_the_three_constructors():
     assert not callers, f"IdentityRecord(...) called outside its constructors: {callers}"
 
 
+def verdicts_and_tolerances(tree: ast.Module) -> list:
+    """The NamedTuple classes that declare a `passed` field, and the
+    functions that take an `rtol` parameter, by name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(base, "id", None) == "NamedTuple" for base in node.bases
+        ):
+            found += [
+                f"{node.name}.passed" for item in node.body
+                if isinstance(item, ast.AnnAssign) and getattr(item.target, "id", None) == "passed"
+            ]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            if any(a.arg == "rtol" for a in args.posonlyargs + args.args + args.kwonlyargs):
+                found.append(f"{node.name}(rtol)")
+    return found
+
+
+def test_only_identity_records_hold_a_verdict():
+    # a check outside identities.py reports its figures, and the caller
+    # builds the record whose constructor owns the pass rule
+    found = {
+        path.name: verdicts_and_tolerances(parse(path))
+        for path in SOURCES if path.name != "identities.py"
+    }
+    assert not any(found.values()), found
+    builders = {"hesse_check(rtol)", "weierstrass_check_level4(rtol)", "null_invariance_check(rtol)"}
+    assert builders <= set(verdicts_and_tolerances(parse(PACKAGE / "identities.py")))
+    # the rule sees both forms
+    assert verdicts_and_tolerances(ast.parse(
+        "class R(NamedTuple):\n    passed: bool\ndef f(x, *, rtol=1e-8):\n    return x"
+    )) == ["R.passed", "f(rtol)"]
+
+
 def test_sample_points_are_drawn_only_by_the_sample_stream():
     # every sampled check reads theta.sample_stream, directly or through
     # theta.sample_units; the transform suite draws its own box

@@ -284,11 +284,10 @@ def test_rho_theta_matching():
         ctx = ThetaContext(N, 1j, 1e-10)
         ra = rho_theta_match(ctx, "A", samples=4)
         rb = rho_theta_match(ctx, "B", samples=4)
-        assert ra.passed and ra.matched is not None
-        assert rb.passed and rb.matched is not None
+        assert ra.residual < 1e-8 and rb.residual < 1e-8
         # the matched classes sit in the documented cosets
-        assert ra.matched.startswith("A0")
-        assert rb.matched.startswith("B0")
+        assert ra.best.startswith("A0")
+        assert rb.best.startswith("B0")
 
 
 @pytest.mark.parametrize("N", (2, 4, 6))
@@ -311,28 +310,6 @@ def test_rho_theta_candidates_act_as_their_exact_products(N, kind):
         for rows in factors:
             got = _apply(rows, got)
         assert max(abs(g - w) for g, w in zip(got, want)) < 1e-12 * max(abs(want)), label
-
-
-def test_exact_matrix_inverse():
-    rng = Random(17)
-    for _ in range(10):
-        rows = [[zeta(8) ** rng.randrange(8) + rng.randint(0, 2) for _ in range(3)] for _ in range(3)]
-        m = ProjectiveMatrix(rows)
-        try:
-            inv = m.inverse()
-        except ZeroDivisionError:
-            continue
-        assert (m @ inv).proj_eq(ProjectiveMatrix.identity(3))
-
-
-def test_matrix_json_export():
-    import json
-
-    can = build_canonical_matrices(4)
-    data = json.loads(can.M_T.to_json())
-    assert len(data) == 4 and len(data[0]) == 4
-    assert data[0][0] == "1/1"
-    assert isinstance(data[1][1], list)  # cyclotomic coefficient vector
 
 
 def test_translation_matched_power_is_reported():

@@ -5,8 +5,9 @@ A matrix is written over the field Q(zeta_m), m the lcm of its entries'
 orders, and reads each entry back by one rule: a Fraction for a
 rational value (zero included), a CyclotomicNumber of order m
 otherwise.  So the packed product is checked against a copy of the
-entry-by-entry scalar product, and the inverses against a copy of
-Gauss-Jordan elimination, each over the operands lifted into that
+entry-by-entry scalar product, and the closed-form inverses against
+Gauss-Jordan elimination, which only the tests keep, each over the
+operands lifted into that
 field and read back by the same rule: equal entries of one type, each
 CyclotomicNumber of the field's order, and bit-identical complex values.
 """
@@ -397,10 +398,12 @@ def test_closed_form_inverses_match_gauss_jordan(N):
         assert_same_inverse(mat)
     if N % 2 == 0:
         gens = build_rep_generators(N)
-        assert_same_inverse(gens.A0)
-        assert_same_inverse(gens.B0)
-        ident = ProjectiveMatrix.identity(N).rows
-        assert (gens.A0 @ gens.A0.inverse()).rows == ident
+        rb = build_rho_bar(N)
+        for mat in (gens.A0, gens.B0, rb.Abar, rb.Abar_null, rb.Bbar, rb.Bbar_null):
+            assert_same_inverse(mat)
+            ident = ProjectiveMatrix.identity(mat.n).rows
+            assert (mat @ mat.inverse()).rows == ident
+            assert (mat.inverse() @ mat).rows == ident
 
 
 def test_inverse_is_kept():
@@ -411,11 +414,12 @@ def test_inverse_is_kept():
 
 
 def test_general_inverse():
-    # neither monomial nor a DFT matrix: Gauss-Jordan remains
+    # a matrix that is neither monomial nor built with its inverse has no
+    # closed-form inverse
     rb = build_rho_bar(8)
-    for mat in (rb.Abar, rb.Abar_null, rb.Bbar, rb.Abar @ rb.Bbar):
-        inv = mat.inverse()
-        assert_same_inverse(mat)
-        ident = ProjectiveMatrix.identity(mat.n).rows
-        assert (mat @ inv).rows == ident
-        assert (inv @ mat).rows == ident
+    dense = rb.Abar @ rb.Bbar
+    assert dense._block.monomial_pattern() is None
+    with pytest.raises(ValueError, match="no closed-form inverse"):
+        dense.inverse()
+    with pytest.raises(ValueError, match="no closed-form inverse"):
+        dense.power(-1)

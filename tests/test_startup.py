@@ -2,7 +2,8 @@
 
 numpy is bound lazily (thetalab.lazy), so a command that reads no `np.`
 attribute never executes it: only the quadric and translation checks of
-more than 64 samples do (theta.sample_units).  `python -m thetalab` ends through
+more than 64 samples do (theta.sample_units), and they start OpenBLAS
+with one thread.  `python -m thetalab` ends through
 cli.run, which flushes its output and exits without interpreter
 teardown."""
 
@@ -16,7 +17,8 @@ import pytest
 from thetalab.cli import EXIT_BROKEN_PIPE, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-ENV = dict(os.environ, PYTHONPATH=str(SRC))
+ENV = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+ENV["PYTHONPATH"] = str(SRC)
 
 # runs main in a fresh interpreter, then says whether numpy was executed:
 # the lazy binding registers only `numpy`, and executing it imports numpy.*
@@ -26,13 +28,24 @@ PROBE = (
 )
 
 
+# runs main, then prints whether numpy was executed, the OpenBLAS thread
+# setting, and the threads of the process (None without /proc/self/task)
+BLAS_PROBE = (
+    "import os, sys; from thetalab.cli import main; code = main(sys.argv[1:]); "
+    "task = '/proc/self/task'; "
+    "print(code, any(name.startswith('numpy.') for name in sys.modules), "
+    "os.environ.get('OPENBLAS_NUM_THREADS'), "
+    "len(os.listdir(task)) if os.path.isdir(task) else None)"
+)
+
+
 def label(value):
     return " ".join(value) if isinstance(value, tuple) else None
 
 
 def child(*args, **kwargs):
-    kwargs = {"capture_output": True, **kwargs}
-    return subprocess.run([sys.executable, *args], env=ENV, text=True, timeout=120, **kwargs)
+    kwargs = {"capture_output": True, "env": ENV, **kwargs}
+    return subprocess.run([sys.executable, *args], text=True, timeout=120, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -73,6 +86,18 @@ def test_exact_commands_never_execute_numpy(argv, executed):
     proc = child("-c", PROBE, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"0 {executed}"
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_numpy_starts_openblas_with_one_thread_unless_preset(preset):
+    env = ENV if preset is None else dict(ENV, OPENBLAS_NUM_THREADS=preset)
+    argv = ("verify", "--suite", "quadrics", "--N", "8", "--samples", "65")
+    proc = child("-c", BLAS_PROBE, *argv, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, executed, value, threads = proc.stdout.splitlines()[-1].split()
+    assert (code, executed, value) == ("0", "True", preset or "1")
+    if preset is None and threads != "None":
+        assert threads == "1"
 
 
 @pytest.mark.parametrize(

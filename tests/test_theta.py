@@ -275,8 +275,8 @@ def test_jacobi_three_term_identity():
 def test_transform_check():
     for N in (4, 5, 6, 7, 8):
         for tau in TAUS:
-            rep = transform_check(0.1 + 0.2j, ctx(N, tau), rtol=1e-9)
-            assert rep.passed, (N, tau, rep.max_dev, rep.max_dev_shift)
+            rep = transform_check(0.1 + 0.2j, ctx(N, tau))
+            assert rep.max_dev < 1e-9 and rep.max_dev_shift < 1e-9, (N, tau, rep)
             # the tau -> tau+1 constant has unit modulus
             assert abs(abs(rep.ratios_shift[0]) - 1.0) < 1e-9
             # k and N-k give the same shifted ratio
@@ -286,7 +286,7 @@ def test_transform_check():
 
 def test_transform_against_direct_oracle():
     N, tau, z = 4, 1j, 0.1 + 0.2j
-    rep = transform_check(z, ctx(N, tau), rtol=1e-9)
+    rep = transform_check(z, ctx(N, tau))
     zeta = cmath.exp(2j * cmath.pi / N)
     lhs = direct_theta_N(N, 1, z / tau, -1 / tau, radius=60)
     rhs = (
