@@ -178,9 +178,9 @@ def gamma_n2n_index_cusps(N: int) -> tuple[int, int]:
     c = mu/(2N).  At N = 2 the group holds -I and is +-Gamma(4), with
     mu = 24 and c = 6.  subgroup_invariants counts both by enumeration,
     so this serves as its oracle."""
-    m = 2 * N
     if N == 2:
         return 24, 6
+    m = 2 * N
     mu = Fraction(m**3, 4)
     for p in range(2, m + 1):
         if m % p == 0 and all(p % q for q in range(2, p)):

@@ -383,11 +383,12 @@ def pointwise(samples: int) -> bool:
     last digits).
 
     Executing numpy costs about 55 ms and 14 MB of resident memory per
-    process, with OpenBLAS on one thread (thetalab.lazy).  One point at a time, the two costliest checks,
-    verify_on_curve (63 forms) and translation_check, took 4 and 9 ms
-    at N = 12 with 25 samples (the CLI default), and 27 and 33 ms at
-    N = 24 with 64 samples (273 forms), still below that start-up cost
-    (Python 3.11.7 on a 2-core Intel Xeon VM)."""
+    process, with OpenBLAS on one thread (thetalab.lazy).  One point at
+    a time, the two costliest checks, verify_on_curve (63 forms) and
+    translation_check, took 4 and 9 ms at N = 12 with 25 samples (the
+    CLI default), and 27 and 33 ms at N = 24 with 64 samples (273
+    forms), still below that start-up cost (Python 3.11.7 on a 2-core
+    Intel Xeon VM)."""
     return samples <= SAMPLE_BLOCK
 
 
