@@ -3,8 +3,9 @@ coordinates, and the immersion checks they take part in.
 
 Matrices are exact: the translation matrices and the generators of the
 projective representation have cyclotomic entries, and group relations
-are brittle under rounding.  A matrix is held as one _ExactBlock over
-one field Q(zeta_m), m the lcm of its entries' orders, and its entries
+are brittle under rounding.  ProjectiveMatrix is the one matrix class:
+a square matrix written as integer vectors over one field Q(zeta_m), m
+the lcm of its entries' orders, and one common denominator, its entries
 read back by the one rule of `field_scalar`: a Fraction for a rational
 value (zero included) at every m, a CyclotomicNumber of order m
 otherwise.  A product is written in the lcm of its operands' orders.
@@ -63,33 +64,52 @@ from .theta import ThetaContext, largest, proj_residual, sample_stream, sample_u
 class ProjectiveMatrix:
     """A class in PGL_N: an exact N x N matrix modulo nonzero scalars.
 
-    The matrix is held as one _ExactBlock; its `rows` of scalars are
-    read back from the block, by the rule in the module docstring, when
-    first asked for.  Each matrix computes its inverse at most once and
-    keeps it.  An entry that is not an int, a Fraction or a
+    The matrix is written over one field Q(zeta_order), order the lcm of
+    its entries' orders, with one common denominator `den`: row i of `nz`
+    lists the row's nonzero entries as (j, num), the entry being
+    sum(num[d] * z^d) / den in the power basis modulo Phi_order.  `rows`
+    reads every entry back by the rule of `field_scalar` when first
+    asked for.  A matrix is never changed after it is built, so it keeps
+    its rows, its largest coefficient, its packed rows and its inverse
+    once computed.  An entry that is not an int, a Fraction or a
     CyclotomicNumber raises TypeError.
     """
 
-    __slots__ = ("_block", "_rows", "_inv", "n")
+    __slots__ = ("order", "den", "nz", "n", "_rows", "_max", "_packed", "_inv")
 
     def __init__(self, rows):
         rows = [tuple(r) for r in rows]
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
-        self._block, self._rows, self._inv = _ExactBlock.from_rows(rows), None, None
-        self.n = len(rows)
+        order, den, nums = encode_scalars([c for r in rows for c in r])
+        it = iter(nums)
+        self._hold(order, den, tuple(
+            tuple((j, num) for j, num in zip(range(len(r)), it) if any(num)) for r in rows
+        ))
+
+    def _hold(self, order: int, den: int, nz: tuple) -> None:
+        self.order, self.den, self.nz, self.n = order, den, nz, len(nz)
+        self._rows = self._max = self._inv = None
+        self._packed = {}
 
     @staticmethod
-    def _of_block(block: "_ExactBlock") -> "ProjectiveMatrix":
+    def _over(order: int, den: int, nz: tuple) -> "ProjectiveMatrix":
+        """The matrix with these fields, which must be in lowest terms."""
         m = object.__new__(ProjectiveMatrix)
-        m._block, m._rows, m._inv = block, None, None
-        m.n = block.ncols
+        m._hold(order, den, nz)
         return m
 
     @property
     def rows(self) -> tuple:
         if self._rows is None:
-            self._rows = self._block.scalars()
+            zero = Fraction(0)
+            out = []
+            for row in self.nz:
+                vals = [zero] * self.n
+                for j, num in row:
+                    vals[j] = field_scalar(self.order, num, self.den)
+                out.append(tuple(vals))
+            self._rows = tuple(out)
         return self._rows
 
     @staticmethod
@@ -97,101 +117,16 @@ class ProjectiveMatrix:
         one, zero = Fraction(1), Fraction(0)
         return ProjectiveMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    def __matmul__(self, other: "ProjectiveMatrix") -> "ProjectiveMatrix":
-        if not isinstance(other, ProjectiveMatrix):
-            raise TypeError(f"cannot multiply ProjectiveMatrix by {type(other).__name__}")
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return ProjectiveMatrix._of_block(self._block @ other._block)
-
-    def power(self, k: int) -> "ProjectiveMatrix":
-        if k < 0:
-            return self.inverse().power(-k)
-        if k == 0:
-            return ProjectiveMatrix.identity(self.n)
-        acc, base = None, self
-        while True:
-            if k & 1:
-                acc = base if acc is None else acc @ base
-            k >>= 1
-            if not k:
-                return acc
-            base = base @ base
-
-    def inverse(self) -> "ProjectiveMatrix":
-        """The inverse in closed form: the one stored at construction (A0
-        and the rho-bar matrices), or the monomial inverse.  Any other
-        matrix raises ValueError."""
-        if self._inv is None:
-            perm = self._block.monomial_pattern()
-            if perm is None:
-                raise ValueError(f"no closed-form inverse for this {self.n} x {self.n} matrix")
-            self._inv = _monomial_inverse(self.rows, perm)
-        return self._inv
-
-    def proj_eq(self, other: "ProjectiveMatrix") -> bool:
-        """Equality as classes in PGL."""
-        return self.n == other.n and self._block.proj_eq(other._block)
-
-    def complex_array(self) -> np.ndarray:
-        return np.array([[scalar_complex(c) for c in row] for row in self.rows], dtype=complex)
-
-    def __repr__(self):
-        return f"ProjectiveMatrix({self.n}x{self.n})"
-
-
-def _monomial_inverse(rows, perm) -> ProjectiveMatrix:
-    """The inverse of a matrix whose row r has its one nonzero entry in
-    column perm[r]: transpose the pattern and invert the entries."""
-    zero = Fraction(0)
-    out = [None] * len(rows)
-    for r, c in enumerate(perm):
-        pinv = scalar_inverse(rows[r][c])
-        out[c] = [pinv if j == r else zero for j in range(len(rows))]
-    return ProjectiveMatrix(out)
-
-
-# ---------------------------------------------------------------------------
-# the exact kernel
-
-
-class _ExactBlock:
-    """An exact r x c matrix written over one field Q(zeta_order) with one
-    common denominator.
-
-    Row i lists its nonzero entries as (j, num): the entry is
-    sum(num[d] * z^d) / den in the power basis modulo Phi_order.  Zero
-    entries are left out.  `scalars` reads every entry back by the rule
-    of `field_scalar`: a Fraction for a rational value, zero included,
-    and a CyclotomicNumber of the block's order otherwise.  A block is
-    never changed after it is built, so it keeps its largest coefficient
-    and its packed rows once computed.
-    """
-
-    __slots__ = ("order", "den", "nz", "ncols", "_max", "_packed")
-
-    def __init__(self, order: int, den: int, nz: tuple, ncols: int):
-        self.order, self.den, self.nz, self.ncols = order, den, nz, ncols
-        self._max, self._packed = None, {}
-
-    @staticmethod
-    def from_rows(rows) -> "_ExactBlock":
-        """The block of rows of exact scalars, over the lcm of their orders."""
-        order, den, nums = encode_scalars([c for r in rows for c in r])
-        it = iter(nums)
-        nz = tuple(tuple((j, num) for j, num in zip(range(len(r)), it) if any(num)) for r in rows)
-        return _ExactBlock(order, den, nz, len(rows[0]) if rows else 0)
-
-    def to_order(self, order: int) -> "_ExactBlock":
+    def _to_order(self, order: int) -> "ProjectiveMatrix":
         """The same matrix written over Q(zeta_order), a multiple of self.order."""
         if order == self.order:
             return self
         nz = tuple(
             tuple((j, embed_vector(self.order, num, order)) for j, num in row) for row in self.nz
         )
-        return _ExactBlock(order, self.den, nz, self.ncols)
+        return ProjectiveMatrix._over(order, self.den, nz)
 
-    def packed(self, width: int) -> list:
+    def _packed_rows(self, width: int) -> list:
         """Rows of (j, packed num) at the given slot width."""
         rows = self._packed.get(width)
         if rows is None:
@@ -199,32 +134,36 @@ class _ExactBlock:
             rows = self._packed[width] = [[(j, next(ints)) for j, _ in row] for row in self.nz]
         return rows
 
-    def max_abs(self) -> int:
+    def _max_abs(self) -> int:
         if self._max is None:
             nums = [x for row in self.nz for _, num in row for x in num]
             self._max = max(max(nums), -min(nums)) if nums else 0
         return self._max
 
-    def __matmul__(self, other: "_ExactBlock") -> "_ExactBlock":
+    def __matmul__(self, other: "ProjectiveMatrix") -> "ProjectiveMatrix":
         """The product over the lcm of the two orders: each entry a
         row-sparse sum of packed int products; each output row's nonzero
         entries are unpacked at once, and the product is reduced modulo
         Phi once."""
+        if not isinstance(other, ProjectiveMatrix):
+            raise TypeError(f"cannot multiply ProjectiveMatrix by {type(other).__name__}")
+        if self.n != other.n:
+            raise ValueError("size mismatch")
         order = lcm(self.order, other.order)
-        a, b = self.to_order(order), other.to_order(order)
+        a, b = self._to_order(order), other._to_order(order)
         phi = euler_phi(order)
         nslots = 2 * phi - 1
         inner = max((len(row) for row in a.nz), default=0)
         # an output slot sums at most inner * phi coefficient products
-        bound = a.max_abs() * b.max_abs() * inner * phi
+        bound = a._max_abs() * b._max_abs() * inner * phi
         if not bound:
-            return _ExactBlock(order, 1, ((),) * len(a.nz), b.ncols)
+            return ProjectiveMatrix._over(order, 1, ((),) * self.n)
         width = pack_width(bound)
-        pb = b.packed(width)
+        pb = b._packed_rows(width)
         shift = 8 * width * nslots
         places, flat = [], []
-        for row in a.packed(width):
-            acc = [0] * b.ncols
+        for row in a._packed_rows(width):
+            acc = [0] * self.n
             for k, x in row:
                 for j, y in pb[k]:
                     acc[j] += x * y
@@ -242,24 +181,56 @@ class _ExactBlock:
             if g > 1:
                 den //= g
                 nz = [tuple((j, tuple(x // g for x in num)) for j, num in row) for row in nz]
-        return _ExactBlock(order, den, tuple(nz), b.ncols)
+        return ProjectiveMatrix._over(order, den, tuple(nz))
 
-    def proj_eq(self, other: "_ExactBlock") -> bool:
-        """Whether other = c * self for a nonzero scalar c.
+    def power(self, k: int) -> "ProjectiveMatrix":
+        if k < 0:
+            return self.inverse().power(-k)
+        if k == 0:
+            return ProjectiveMatrix.identity(self.n)
+        acc, base = None, self
+        while True:
+            if k & 1:
+                acc = base if acc is None else acc @ base
+            k >>= 1
+            if not k:
+                return acc
+            base = base @ base
 
-        The zero patterns must agree.  Then, over the lcm of the two
-        orders and with p the first nonzero place, every entry must have
-        a_ij * b_p - b_ij * a_p = 0: the numerators of all entries are
-        packed side by side, 2 phi - 1 slots apart, so that one packed
-        product of each block with the other's pivot gives every cross
-        product, and the difference is unpacked and reduced once.  The
-        common denominators are scalars, so they drop out."""
-        if self.ncols != other.ncols or len(self.nz) != len(other.nz):
+    def inverse(self) -> "ProjectiveMatrix":
+        """The inverse in closed form: the one stored at construction (A0
+        and the rho-bar matrices), or, for a monomial matrix (one nonzero
+        entry in every row, in distinct columns), the transposed pattern
+        with inverted entries.  Any other matrix raises ValueError."""
+        if self._inv is None:
+            cols = [row[0][0] for row in self.nz if len(row) == 1]
+            if len(set(cols)) != self.n:
+                raise ValueError(f"no closed-form inverse for this {self.n} x {self.n} matrix")
+            zero = Fraction(0)
+            out = [None] * self.n
+            for r, c in enumerate(cols):
+                pinv = scalar_inverse(self.rows[r][c])
+                out[c] = [pinv if j == r else zero for j in range(self.n)]
+            self._inv = ProjectiveMatrix(out)
+        return self._inv
+
+    def proj_eq(self, other: "ProjectiveMatrix") -> bool:
+        """Equality as classes in PGL: other = c * self for a nonzero
+        scalar c.
+
+        The sizes and zero patterns must agree.  Then, over the lcm of
+        the two orders and with p the first nonzero place, every entry
+        must have a_ij * b_p - b_ij * a_p = 0: the numerators of all
+        entries are packed side by side, 2 phi - 1 slots apart, so that
+        one packed product of each matrix with the other's pivot gives
+        every cross product, and the difference is unpacked and reduced
+        once.  The common denominators are scalars, so they drop out."""
+        if self.n != other.n:
             return False
         if any([j for j, _ in r] != [j for j, _ in s] for r, s in zip(self.nz, other.nz)):
             return False
         order = lcm(self.order, other.order)
-        a, b = self.to_order(order), other.to_order(order)
+        a, b = self._to_order(order), other._to_order(order)
         xs = [num for row in a.nz for _, num in row]
         ys = [num for row in b.nz for _, num in row]
         if not xs:
@@ -268,7 +239,7 @@ class _ExactBlock:
         stride = 2 * phi - 1
         ap, bp = xs[0], ys[0]
         # a slot of a_ij * b_p sums at most phi coefficient products
-        bound = phi * (a.max_abs() * max(map(abs, bp)) + b.max_abs() * max(map(abs, ap)))
+        bound = phi * (a._max_abs() * max(map(abs, bp)) + b._max_abs() * max(map(abs, ap)))
         width = pack_width(bound)
         sa, sb = [0] * (stride * len(xs)), [0] * (stride * len(xs))
         for i, x, y in zip(range(0, len(sa), stride), xs, ys):
@@ -279,24 +250,11 @@ class _ExactBlock:
         flat = unpack(diff, width, len(sa))
         return not any(any(num) for num in reduce_vectors(order, flat, stride))
 
-    def scalars(self) -> tuple:
-        """The entries as scalars of the block's field."""
-        zero = Fraction(0)
-        out = []
-        for row in self.nz:
-            vals = [zero] * self.ncols
-            for j, num in row:
-                vals[j] = field_scalar(self.order, num, self.den)
-            out.append(tuple(vals))
-        return tuple(out)
+    def complex_array(self) -> np.ndarray:
+        return np.array([[scalar_complex(c) for c in row] for row in self.rows], dtype=complex)
 
-    def monomial_pattern(self) -> list | None:
-        """perm with row r's one nonzero entry in column perm[r], if every
-        row and every column has exactly one nonzero entry."""
-        if any(len(row) != 1 for row in self.nz):
-            return None
-        perm = [row[0][0] for row in self.nz]
-        return perm if len(set(perm)) == self.ncols == len(perm) else None
+    def __repr__(self):
+        return f"ProjectiveMatrix({self.n}x{self.n})"
 
 
 # ---------------------------------------------------------------------------
@@ -488,32 +446,19 @@ class RhoBar(NamedTuple):
     Bbar_null: ProjectiveMatrix
 
 
-@lru_cache(maxsize=None)
-def _compress_expand(N: int) -> tuple[tuple, tuple]:
-    h = N // 2
-    zero, one, half = Fraction(0), Fraction(1), Fraction(1, 2)
-    compress = [[zero] * N for _ in range(h + 1)]
-    compress[0][0] = one
-    compress[h][h] = one
-    for j in range(1, h):
-        compress[j][j] = one
-        compress[j][N - j] = one
-    expand = [[zero] * (h + 1) for _ in range(N)]
-    expand[0][0] = one
-    expand[h][h] = one
-    for j in range(1, h):
-        expand[j][j] = half
-        expand[N - j][j] = half
-    return tuple(map(tuple, compress)), tuple(map(tuple, expand))
-
-
 def restrict_to_fixed_space(mat: ProjectiveMatrix, N: int) -> ProjectiveMatrix:
-    """Compress an H-stable N x N class to its (N/2+1) x (N/2+1) action."""
+    """The action of an H-stable N x N class on H, in the coordinates
+    Xbar_0 .. Xbar_(N/2) of RhoBar: entry (i, j) is the sum of M[k][l]
+    over k in {i, N-i} and l in {j, N-j} (indices mod N), divided by the
+    size of {j, N-j}.  This is C M E, C summing the coordinates X_k and
+    X_(N-k) into Xbar_k and E spreading Xbar_j evenly over them."""
     if mat.n != N:
         raise ValueError(f"expected a {N} x {N} matrix, got {mat.n} x {mat.n}")
-    compress, expand = _compress_expand(N)
-    me = mat._block @ _ExactBlock.from_rows(expand)
-    return ProjectiveMatrix._of_block(_ExactBlock.from_rows(compress) @ me)
+    m = mat.rows
+    orbits = [sorted({i, -i % N}) for i in range(N // 2 + 1)]
+    return ProjectiveMatrix(
+        [[sum(m[k][l] for k in ks for l in ls) / len(ls) for ls in orbits] for ks in orbits]
+    )
 
 
 def build_rho_bar(N: int) -> RhoBar:

@@ -112,6 +112,30 @@ def test_level6_resolution_details():
     assert "(-1)" in recs["level6.Y-from-b"].detail
 
 
+def test_level6_b_records_restate_their_definitions():
+    # level6.X-from-b and level6.Y-from-b cannot fail: with X, Y and
+    # b_1, b_2, b_3 defined from a_0..a_3 as _x6_model defines them, both
+    # residuals vanish as rational functions of free symbols, so the
+    # records test the algebra of their definitions, not the theta nulls.
+    # The b1- and b2-records do depend on the nulls.
+    sympy = pytest.importorskip("sympy")
+    a = sympy.symbols("a0:4")
+    x, y = thetalab.identities._x6(a), thetalab.identities._y6(a)
+    alpha = [c / a[0] for c in a]
+    a3inv = 1 / alpha[3]
+    b1 = alpha[1] * alpha[3] + alpha[2] * a3inv * a3inv
+    b2 = alpha[2] + alpha[1] * a3inv
+    b3 = alpha[3] ** 2 + a3inv ** 2
+    num = b2 * (2 * b1 - b2 * b3)
+    den = b1 * b1 - b2 * b2
+    s = b1 * b1 + b2 * b2 - b1 * b2 * b3
+    t = b3 * b3 - 4
+    for always_zero in (x * t + 2 * s, y * den + num):
+        assert sympy.cancel(always_zero) == 0
+    for depends in (4 * y * b1 - x ** 2 * (y ** 2 - 3), 2 * b2 - x ** 2):
+        assert sympy.cancel(depends) != 0
+
+
 def test_hesse():
     for tau in (1j, 0.3 + 1.1j):
         rec = hesse_check(60, ThetaContext(6, tau, 1e-10), samples=10, seed=3)

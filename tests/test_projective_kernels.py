@@ -26,7 +26,6 @@ from thetalab.cyclotomic import CyclotomicNumber, euler_phi, zeta
 from thetalab.packing import pack, pack_width, slot_width, unpack
 from thetalab.projective import (
     ProjectiveMatrix,
-    _ExactBlock,
     build_canonical_matrices,
     build_rep_generators,
     build_rho_bar,
@@ -167,25 +166,24 @@ def scalars(draw, m):
 
 
 @st.composite
-def matrices(draw, m, nrows, ncols):
-    rows = [[draw(scalars(m)) for _ in range(ncols)] for _ in range(nrows)]
+def matrices(draw, m, n):
+    rows = [[draw(scalars(m)) for _ in range(n)] for _ in range(n)]
     # zero rows and columns, so that some entries get no term at all
-    if nrows > 1 and draw(st.booleans()):
-        rows[draw(st.integers(0, nrows - 1))] = [Fraction(0)] * ncols
-    if ncols > 1 and draw(st.booleans()):
-        j = draw(st.integers(0, ncols - 1))
+    if n > 1 and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [Fraction(0)] * n
+    if n > 1 and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
         for r in rows:
             r[j] = CyclotomicNumber(m, [])
     return rows
 
 
 @st.composite
-def products(draw, square=False):
+def products(draw):
+    """Two n x n matrices, n = 1..5, over Q(zeta_m) and Q(zeta_2m)."""
     m = draw(st.sampled_from(BASE_ORDERS))
-    r = draw(st.integers(1, 5))
-    k = r if square else draw(st.integers(1, 5))
-    c = r if square else draw(st.integers(1, 5))
-    return draw(matrices(m, r, k)), draw(matrices(m, k, c))
+    n = draw(st.integers(1, 5))
+    return draw(matrices(m, n)), draw(matrices(m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +195,12 @@ def products(draw, square=False):
 def test_packed_product_matches_reference(pair):
     a, b = pair
     m = field_order(a, b)
-    got = (_ExactBlock.from_rows(a) @ _ExactBlock.from_rows(b)).scalars()
-    assert_same_product(got, reference_product(lift(a, m), lift(b, m)))
+    got = ProjectiveMatrix(a) @ ProjectiveMatrix(b)
+    assert_same_product(got.rows, reference_product(lift(a, m), lift(b, m)))
 
 
 @KERNEL
-@given(products(square=True))
+@given(products())
 def test_square_matrix_product_and_complex_array(pair):
     a, b = pair
     got = ProjectiveMatrix(a) @ ProjectiveMatrix(b)
@@ -210,12 +208,11 @@ def test_square_matrix_product_and_complex_array(pair):
     again = got @ ProjectiveMatrix(b)
     m = field_order(a, b)
     want = reference_product(lift(a, m), lift(b, m))
-    assert_same_product(got.rows, want)
     assert got.complex_array().tobytes() == to_complex(want).tobytes()
     assert_same_product(again.rows, reference_product(want, lift(b, m)))
 
 
-@pytest.mark.parametrize("N", (2, 6, 8))
+@pytest.mark.parametrize("N", range(2, 17, 2))
 def test_restrict_to_fixed_space(N):
     gens = build_rep_generators(N)
     h = N // 2
@@ -248,17 +245,20 @@ def ones(order, c):
 @pytest.mark.parametrize("inner", (1, 3))
 def test_slot_width_boundaries(order, inner):
     # all-equal slots make one product slot reach the bound
-    # inner * phi * max|a| * max|b| exactly; sweep it across 2^(8w-1)
+    # inner * phi * max|a| * max|b| exactly; sweep it across 2^(8w-1).
+    # The first row of a and the first column of b are full, and every
+    # other entry is zero.
     phi = euler_phi(order)
+    zero = Fraction(0)
+    b = [[ones(order, 1)] + [zero] * (inner - 1) for _ in range(inner)]
     for w in (1, 2, 4, 8):
         top = 2 ** (8 * w - 1)
         base = top // (inner * phi)
         for c in (base - 1, base, base + 1, -base, -base - 1):
-            a = [[ones(order, c)] * inner]
-            b = [[ones(order, 1)] for _ in range(inner)]
-            got = (_ExactBlock.from_rows(a) @ _ExactBlock.from_rows(b)).scalars()
+            a = [[ones(order, c)] * inner] + [[zero] * inner for _ in range(inner - 1)]
+            got = ProjectiveMatrix(a) @ ProjectiveMatrix(b)
             m = field_order(a, b)
-            assert_same_product(got, reference_product(lift(a, m), lift(b, m)))
+            assert_same_product(got.rows, reference_product(lift(a, m), lift(b, m)))
 
 
 def test_pack_roundtrip_at_byte_boundaries():
@@ -375,7 +375,7 @@ def test_proj_eq_rejects_zero_scale(case):
 
 
 @KERNEL
-@given(products(square=True))
+@given(products())
 def test_proj_eq_matches_cross_multiplication(pair):
     a, b = pair
     want = reference_proj_eq([x for r in a for x in r], [x for r in b for x in r])
@@ -414,12 +414,16 @@ def test_inverse_is_kept():
 
 
 def test_general_inverse():
-    # a matrix that is neither monomial nor built with its inverse has no
-    # closed-form inverse
+    # a matrix that is neither monomial (one nonzero entry in every row,
+    # in distinct columns) nor built with its inverse has no closed-form
+    # inverse: a dense matrix, one entry per row in a repeated column,
+    # and an all-zero row beside single entries in distinct columns
     rb = build_rho_bar(8)
-    dense = rb.Abar @ rb.Bbar
-    assert dense._block.monomial_pattern() is None
-    with pytest.raises(ValueError, match="no closed-form inverse"):
-        dense.inverse()
-    with pytest.raises(ValueError, match="no closed-form inverse"):
-        dense.power(-1)
+    one, zero = Fraction(1), Fraction(0)
+    repeated = ProjectiveMatrix([[one, zero], [zeta(4), zero]])
+    zero_row = ProjectiveMatrix([[zero, one, zero], [zero] * 3, [zeta(3), zero, zero]])
+    for mat in (rb.Abar @ rb.Bbar, repeated, zero_row):
+        with pytest.raises(ValueError, match="no closed-form inverse"):
+            mat.inverse()
+        with pytest.raises(ValueError, match="no closed-form inverse"):
+            mat.power(-1)
