@@ -15,7 +15,9 @@ of a CyclotomicNumber.  gcd(den, every numerator) is 1, so equal series
 written over one ram and one order have equal stores.  The constructor
 encodes int, Fraction and CyclotomicNumber coefficients over the lcm of
 their orders (`encode_scalars`, which the exact matrices use too); a sum
-or product is written over the lcm of its operands' orders.
+or product is written over the lcm of its operands' orders.  Over Q
+(phi(m) = 1) each vector is one int, and a sum adds those ints; over a
+larger field it adds the vectors entry by entry.
 
 Read-back.  ``terms`` maps each exponent numerator to its coefficient,
 built on first read by the one rule of `field_scalar`: a Fraction for a
@@ -27,19 +29,22 @@ operands' valuations: each factor's truncation error enters shifted by
 the other factor's valuation.  A scalar multiple keeps the truncation.
 An inverse of a series with valuation v is known modulo ``trunc - 2v``.
 
-Product.  Every product is one Kronecker substitution in (q, z) (Harvey
-2009): both factors are compressed by the gcd of their exponent offsets
-from their valuations and cut to the slots the product keeps, and entry
-d of q-slot i goes to slot i * (2 phi - 1) + d of one Python int each,
-with signed slots wide enough for the largest possible product
-coefficient (see packing.py).  One big-integer product (Karatsuba in
-CPython) then yields every q-slot as a polynomial in z of degree below
-2 phi - 1, which is reduced modulo Phi_m once.  The cost follows the
-operands' spans in slots, not their numbers of terms.  A scalar multiple
-is the product with a one-term series.  The inverse is a Newton
-iteration on top of the product (Brent & Kung 1978); it starts at the
-precision the leading coefficient alone gives, the gcd of the unit
-part's exponents.
+Product.  Every product is one Kronecker substitution (Harvey 2009):
+both factors are compressed by the gcd of their exponent offsets from
+their valuations and cut to the slots the product keeps, and packed
+into one Python int each, with signed slots wide enough for the largest
+possible product coefficient (see packing.py).  One big-integer product
+(Karatsuba in CPython) then yields every q-slot.  Over Q the
+substitution is in q alone: the int of q-slot i is slot i, and each
+product slot is a coefficient, with no Phi_m reduction.  Over a larger
+field it is in (q, z): entry d of q-slot i goes to slot
+i * (2 phi - 1) + d, and each q-slot of the product is a polynomial in
+z of degree below 2 phi - 1, which is reduced modulo Phi_m once.  The
+cost follows the operands' spans in slots, not their numbers of terms.
+A scalar multiple is the product with a one-term series.  The inverse is
+a Newton iteration on top of the product (Brent & Kung 1978); it starts
+at the precision the leading coefficient alone gives, the gcd of the
+unit part's exponents.
 """
 
 from __future__ import annotations
@@ -69,6 +74,10 @@ def _slots(nums: dict, v: int, offsets: list, g: int, stride: int) -> list:
     """The vectors at the exponents v + offsets as one dense list: the
     vector at offset d fills the slots from d // g * stride on."""
     slots = [0] * ((max(offsets) // g + 1) * stride)
+    if stride == 1:  # over Q each vector is one int
+        for d in offsets:
+            slots[d // g] = nums[v + d][0]
+        return slots
     for d in offsets:
         i = d // g * stride
         num = nums[v + d]
@@ -78,7 +87,7 @@ def _slots(nums: dict, v: int, offsets: list, g: int, stride: int) -> list:
 
 def _product(a: "PuiseuxSeries", b: "PuiseuxSeries", t: int) -> "PuiseuxSeries":
     """The terms below t of a * b, for series of one ram and one order,
-    by Kronecker substitution in (q, z)."""
+    by Kronecker substitution in q over Q and in (q, z) otherwise."""
     if not (a.nums and b.nums):
         return PuiseuxSeries._of(a.ram, a.order, 1, {}, t)
     phi = euler_phi(a.order)
@@ -99,10 +108,13 @@ def _product(a: "PuiseuxSeries", b: "PuiseuxSeries", t: int) -> "PuiseuxSeries":
     width = pack_width(bound)
     coeffs = unpack(pack(sa, width) * pack(sb, width), width, n * stride)
     v = va + vb
-    nums = {
-        v + i * g: list(num)
-        for i, num in enumerate(reduce_vectors(a.order, coeffs, stride)) if any(num)
-    }
+    if phi == 1:  # over Q each slot is a coefficient, with no Phi_m to reduce by
+        nums = {v + i * g: [c] for i, c in enumerate(coeffs) if c}
+    else:
+        nums = {
+            v + i * g: list(num)
+            for i, num in enumerate(reduce_vectors(a.order, coeffs, stride)) if any(num)
+        }
     return PuiseuxSeries._of(a.ram, a.order, a.den * b.den, nums, t)
 
 
@@ -219,15 +231,23 @@ class PuiseuxSeries:
         fa, fb = b.den // g, a.den // g
         if negate:
             fb = -fb
-        nums = {k: [x * fa for x in num] for k, num in a.nums.items() if k < t}
-        zero = [0] * euler_phi(a.order)
-        for k, num in b.nums.items():
-            if k < t:
-                s = [x + y * fb for x, y in zip(nums.get(k, zero), num)]
-                if any(s):
-                    nums[k] = s
-                else:
-                    del nums[k]
+        phi = euler_phi(a.order)
+        if phi == 1:  # over Q each vector is one int
+            ints = {k: x * fa for k, (x,) in a.nums.items() if k < t}
+            for k, (y,) in b.nums.items():
+                if k < t:
+                    ints[k] = ints.get(k, 0) + y * fb
+            nums = {k: [x] for k, x in ints.items() if x}
+        else:
+            nums = {k: [x * fa for x in num] for k, num in a.nums.items() if k < t}
+            zero = [0] * phi
+            for k, num in b.nums.items():
+                if k < t:
+                    s = [x + y * fb for x, y in zip(nums.get(k, zero), num)]
+                    if any(s):
+                        nums[k] = s
+                    else:
+                        del nums[k]
         return PuiseuxSeries._of(a.ram, a.order, a.den * fa, nums, t)
 
     def __add__(self, other):

@@ -1,11 +1,12 @@
-"""Property tests of the series kernels: the packed product, the Newton
-inverse, the read-back of every result, the ring axioms, the precision
-rules, and equality and hashing.
+"""Property tests of the series kernels: the packed product, the sum,
+the Newton inverse, the read-back of every result, the ring axioms, the
+precision rules, and equality and hashing.
 
-Every product, of rational and cyclotomic coefficients alike, is one
-Kronecker substitution in (q, zeta); it is checked against the
-schoolbook product over the read-back coefficients, which no library
-path uses.
+A product over Q is a Kronecker substitution in q alone, with no Phi_m
+reduction, and a cyclotomic product one in (q, zeta); a sum over Q adds
+ints, a cyclotomic sum integer vectors.  Each path is checked against
+the schoolbook product or the term-by-term sum of the read-back
+coefficients, which no library path uses.
 """
 
 from fractions import Fraction
@@ -101,6 +102,46 @@ def test_packed_product_matches_schoolbook(a, b):
     assert prod.ram == ref.ram and prod.trunc == ref.trunc
     assert prod.order == lcm(a.order, b.order)
     assert prod.terms == ref.terms
+
+
+@settings(KERNEL, max_examples=100)
+@given(series(), series())
+def test_rational_product_matches_schoolbook(a, b):
+    # a pair drawn from field_coefficients is rational only by chance;
+    # this draws one, with wide coefficients, on every example
+    prod, ref = a * b, reference_product(a, b)
+    assert (prod.ram, prod.trunc, prod.order) == (ref.ram, ref.trunc, 1)
+    assert prod.terms == ref.terms
+
+
+def reference_sum(a, b, sign):
+    """a + sign * b term by term, over the lcm of the rams and below the
+    lesser truncation."""
+    r = lcm(a.ram, b.ram)
+    fa, fb = r // a.ram, r // b.ram
+    t = min(a.trunc * fa, b.trunc * fb)
+    terms = {k * fa: c for k, c in a.terms.items() if k * fa < t}
+    for k, c in b.terms.items():
+        if k * fb < t:
+            terms[k * fb] = terms.get(k * fb, 0) + sign * c
+    return PuiseuxSeries(r, terms, t)
+
+
+@pytest.mark.parametrize("coeffs", (coefficients, field_coefficients), ids=("rational", "mixed"))
+@settings(KERNEL, max_examples=40)
+@given(data=st.data())
+def test_sum_matches_termwise(coeffs, data):
+    a, b = data.draw(series(coeffs)), data.draw(series(coeffs))
+    c = data.draw(st.one_of(st.integers(-9, 9), coeffs))
+    const = PuiseuxSeries.constant(c, a.trunc, a.ram)  # the scalar, known as far as a
+    for got, ref in (
+        (a + b, reference_sum(a, b, 1)),
+        (a - b, reference_sum(a, b, -1)),
+        (a + c, reference_sum(a, const, 1)),
+        (a - c, reference_sum(a, const, -1)),
+    ):
+        assert (got.ram, got.trunc) == (ref.ram, ref.trunc)
+        assert typed(got.terms) == typed(ref.terms)
 
 
 def _coprime_den(x):
